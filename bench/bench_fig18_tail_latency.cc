@@ -1,7 +1,9 @@
 // Figure 18: tail latency (p50/p99) of threshold and top-k search per
 // solution, plus a second pass exercising the serving-path controls on
 // TraSS: per-query deadlines (miss and partial-result rates) and
-// admission control under synthetic overload (shed rate).
+// admission control under synthetic overload (shed rate), and a third
+// pass measuring shard failover against skipping through a 4-shard
+// coordinator with one shard's disk down.
 
 #include "bench_common.h"
 
@@ -14,6 +16,8 @@
 #include "core/metrics.h"
 #include "core/trass_store.h"
 #include "kv/fault_injection_env.h"
+#include "serve/coordinator.h"
+#include "serve/direct_transport.h"
 #include "util/histogram.h"
 
 namespace trass {
@@ -187,87 +191,108 @@ void RunServingControls(const Dataset& dataset, const std::string& dir) {
                   static_cast<double>(std::max<size_t>(attempts.load(), 1)));
 }
 
-/// Pass 3: availability under a single-replica fault — replication
-/// factor 1 (every query degrades to a skip) against factor
-/// `replication` (every query fails over and stays complete). The
-/// primary replica of every shard is fault-injected down, the hardest
-/// single-replica failure the store can see.
+/// Pass 3: availability with one shard's disk unreadable, served by a
+/// 4-shard coordinator. With replication factor 1 the dead shard's key
+/// range has no other copy, so allow_partial queries can only skip it
+/// (skip rate: answers flagged partial). With factor `replication`
+/// strict queries fail over to the surviving replicas and stay complete
+/// (failovers: QueryMetrics::shard_failovers). Copies live only at this
+/// tier; each shard store keeps one LSM per region.
 void RunFailoverVsSkip(const Dataset& dataset, const std::string& dir,
                        int replication) {
+  constexpr size_t kShards = 4;
   std::printf(
-      "\n=== Figure 18c — failover vs skip, 1 replica/shard down — %s "
-      "(%zu queries) ===\n",
-      dataset.name.c_str(), dataset.num_queries());
-  std::printf("%-22s %10s %10s %12s %12s\n", "config", "p50-ms", "p99-ms",
-              "skip-rate", "failovers");
-  PrintRule(72);
+      "\n=== Figure 18c — failover vs skip, 1 of %zu shards' disk down — "
+      "%s (%zu queries) ===\n",
+      kShards, dataset.name.c_str(), dataset.num_queries());
+  std::printf("%-22s %10s %10s %12s %12s %8s\n", "config", "p50-ms",
+              "p99-ms", "skip-rate", "failovers", "errors");
+  PrintRule(80);
   for (const int factor : {1, replication}) {
     kv::FaultInjectionEnv env(kv::Env::Default());
-    core::TrassOptions options;
-    options.degraded_scans = true;
-    options.max_scan_retries = 1;
-    options.scan_retry_backoff_ms = 1;
+    core::TrassOptions store_options;
+    store_options.max_scan_retries = 1;
+    store_options.scan_retry_backoff_ms = 1;
+    serve::CoordinatorOptions options;
+    options.max_resolution = store_options.max_resolution;
     options.replication_factor = factor;
-    options.db_options.env = &env;
-    const std::string store_dir =
-        dir + "/" + dataset.name + "_failover_f" + std::to_string(factor);
-    std::unique_ptr<core::TrassStore> store;
-    if (!core::TrassStore::Open(options, store_dir, &store).ok()) {
-      std::printf("open failed for factor %d; skipping\n", factor);
-      continue;
-    }
-    bool built = true;
-    for (const core::Trajectory& t : dataset.data) {
-      if (!store->Put(t).ok()) {
-        built = false;
+    const std::string base =
+        dir + "/" + dataset.name + "_failover_r" + std::to_string(factor);
+    (void)kv::Env::Default()->RemoveDirRecursively(base);
+    (void)kv::Env::Default()->CreateDir(base);
+    std::vector<std::unique_ptr<core::TrassStore>> stores;
+    std::vector<std::shared_ptr<serve::ShardTransport>> transports;
+    for (size_t i = 0; i < kShards; ++i) {
+      core::TrassOptions shard_options = store_options;
+      if (i == 0) shard_options.db_options.env = &env;  // the victim
+      std::unique_ptr<core::TrassStore> store;
+      if (!core::TrassStore::Open(shard_options,
+                                  base + "/shard" + std::to_string(i), &store)
+               .ok()) {
         break;
       }
+      transports.push_back(
+          std::make_shared<serve::DirectShardTransport>(store.get()));
+      stores.push_back(std::move(store));
     }
-    if (!built || !store->Flush().ok()) {
-      std::printf("build failed for factor %d; skipping\n", factor);
+    if (stores.size() != kShards) {
+      std::printf("open failed for R=%d; skipping\n", factor);
       continue;
     }
-    // Down the primary replica of every shard ("region-N/" matches only
-    // the replica-0 directories).
-    for (int shard = 0; shard < options.shards; ++shard) {
-      for (kv::FaultOp op : {kv::FaultOp::kOpenRead, kv::FaultOp::kRead}) {
-        kv::FaultPoint fault;
-        fault.op = op;
-        fault.permanent = true;
-        fault.path_substring = "region-" + std::to_string(shard) + "/";
-        env.InjectFault(fault);
-      }
+    // Declared after the stores: destroyed first.
+    serve::ShardCoordinator coordinator(options, std::move(transports));
+    bool built = coordinator.PutBatch(dataset.data).ok();
+    for (auto& store : stores) built = built && store->Flush().ok();
+    if (!built) {
+      std::printf("build failed for R=%d; skipping\n", factor);
+      continue;
     }
+    // Every table read on the victim's disk fails from here on.
+    for (kv::FaultOp op : {kv::FaultOp::kOpenRead, kv::FaultOp::kRead}) {
+      kv::FaultPoint fault;
+      fault.op = op;
+      fault.permanent = true;
+      env.InjectFault(fault);
+    }
+    serve::CoordinatorQueryOptions query_options;
+    query_options.query.allow_partial = factor == 1;
     Histogram latency;
     size_t skipped_queries = 0;
+    size_t errors = 0;
     uint64_t failovers = 0;
     for (size_t q = 0; q < dataset.num_queries(); ++q) {
       std::vector<core::SearchResult> found;
       core::QueryMetrics metrics;
-      if (store->ThresholdSearch(dataset.Query(q), EpsNorm(0.01),
-                                 core::Measure::kFrechet, &found, &metrics)
-              .ok()) {
-        latency.Add(metrics.total_ms);
-        if (metrics.skipped_regions > 0) ++skipped_queries;
-        failovers += metrics.replica_failovers;
+      if (!coordinator
+               .ThresholdSearch(dataset.Query(q), EpsNorm(0.01),
+                                core::Measure::kFrechet, &found, &metrics,
+                                query_options)
+               .ok()) {
+        ++errors;
+        continue;
       }
+      latency.Add(metrics.total_ms);
+      if (metrics.partial) ++skipped_queries;
+      failovers += metrics.shard_failovers;
     }
     char p50[32], p99[32];
     FormatMs(p50, sizeof(p50), latency, 50);
     FormatMs(p99, sizeof(p99), latency, 99);
     char config[32];
-    std::snprintf(config, sizeof(config), "replication=%d", factor);
-    std::printf("%-22s %10s %10s %11.1f%% %12llu\n", config, p50, p99,
+    std::snprintf(config, sizeof(config), "R=%d %s", factor,
+                  factor == 1 ? "allow_partial" : "strict");
+    std::printf("%-22s %10s %10s %11.1f%% %12llu %8zu\n", config, p50, p99,
                 100.0 * static_cast<double>(skipped_queries) /
                     static_cast<double>(std::max<size_t>(
                         dataset.num_queries(), 1)),
-                static_cast<unsigned long long>(failovers));
+                static_cast<unsigned long long>(failovers), errors);
     if (replication == 1) break;  // both configs would be identical
   }
 }
 
-/// Replication factor for the failover pass: --replication=N (or
-/// "--replication N"), else TRASS_BENCH_REPLICATION, else 2.
+/// Coordinator replication factor for the failover pass:
+/// --replication=N (or "--replication N"), else TRASS_BENCH_REPLICATION,
+/// else 2. Clamped to the pass's 4 shards.
 int ParseReplication(int argc, char** argv) {
   int factor = static_cast<int>(EnvSize("TRASS_BENCH_REPLICATION", 2));
   for (int i = 1; i < argc; ++i) {
@@ -278,7 +303,7 @@ int ParseReplication(int argc, char** argv) {
       factor = std::atoi(argv[++i]);
     }
   }
-  return std::max(1, std::min(8, factor));
+  return std::max(1, std::min(4, factor));
 }
 
 }  // namespace

@@ -306,10 +306,10 @@ void RunLowSpaceTable(const Dataset& dataset, const std::string& dir) {
   const auto istats = store->ingest_stats();
   const auto health = store->Health();
   std::printf("full disk: offered %zu async rows — %llu shed (Busy), %llu "
-              "commit failures, %llu read-only replicas\n",
+              "commit failures, %llu read-only regions\n",
               offered, static_cast<unsigned long long>(shed_busy),
               static_cast<unsigned long long>(istats.commit_failures),
-              static_cast<unsigned long long>(health.read_only_replicas));
+              static_cast<unsigned long long>(health.read_only_regions));
 
   // Phase 3 — "replace the disk": lift the budget and measure the wall
   // clock until the store accepts a write again.

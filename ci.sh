@@ -3,13 +3,15 @@
 # promises to keep green —
 #   release   plain Release, all targets (tests + benches + examples)
 #   asan      ASan + UBSan, tests only
-#   tsan      TSan, tests only (failover/scrub/scan concurrency races)
+#   tsan      TSan, tests only (ingest/scan/scrub and coordinator
+#             fan-out concurrency races)
 #
 # Plus one opt-in stage (never part of the default set):
-#   chaos     ASan build of the resource-exhaustion fault matrix plus
-#             the coordinator transport-fault matrix, run once per seed
-#             in a fixed schedule. A failing run prints the seed; rerun
-#             just it with TRASS_CHAOS_SEED=<seed>.
+#   chaos     ASan build of the four seeded fault matrices (single-store
+#             resource exhaustion, coordinator read faults, coordinator
+#             write faults, filter-tier crash recovery), run once per
+#             seed in a fixed schedule. A failing run prints the seed;
+#             rerun just it with TRASS_CHAOS_SEED=<seed>.
 #
 # Usage: ci.sh [release|asan|tsan|chaos ...]   (default: release asan tsan)
 #
@@ -57,6 +59,10 @@ for config in "${configs[@]}"; do
       # Ingest gate: write path + sustained ingest/query mix complete
       # with zero failed queries while compactions run in background.
       build-ci/release/bench/bench_ingest --smoke
+      # End-to-end gate: all four e2e workloads (read, top-k + filter
+      # tier, ingest under queries, 4-shard tier) on a short window;
+      # non-zero exit on any wrong answer. Builds into build-e2e/.
+      bash bench/e2e/run.sh --smoke
       echo "=== [release] bench smoke OK ==="
       ;;
     asan)
@@ -78,18 +84,20 @@ for config in "${configs[@]}"; do
       echo "=== [chaos] build ==="
       cmake --build "$dir" -j "$jobs" \
         --target resource_exhaustion_test coordinator_test filter_tier_test
-      # Fixed seed schedule so CI runs are comparable across commits;
-      # each seed drives one randomized fault/budget/crash trial of the
-      # store matrix, one randomized drop/delay/duplicate/error/wedge
-      # schedule of the coordinator read matrix, and one randomized
-      # kill/wedge-a-replica schedule of the coordinator write matrix
-      # (quorum acks + hinted handoff + replay: no acked write may be
-      # lost, no strict query may go partial), and one crash-mid-ingest
-      # schedule of the filter tier (the reopened tier must agree with
-      # whatever the WAL recovered). The ResourceExhaustionChaos matrix
-      # also carries the crash-during-background-compaction schedule
-      # (filesystem severed while the compaction thread is mid-merge;
-      # synced rows must survive the reopen).
+      # Fixed seed schedule so CI runs are comparable across commits.
+      # Each seed drives:
+      #  * ResourceExhaustionChaos — one randomized ENOSPC/budget/crash
+      #    trial of a single store's regions (no watermark-visible row
+      #    lost, Resume restores writes), plus the crash-during-
+      #    background-compaction schedule (synced rows survive reopen);
+      #  * CoordinatorChaos — one drop/delay/duplicate/error/wedge
+      #    schedule of the coordinator read path;
+      #  * CoordinatorWriteChaos — one kill/wedge-a-shard schedule under
+      #    R=2 W=1 ingest, the only replication layer (quorum acks +
+      #    hinted handoff + replay: no acked write lost, no strict query
+      #    partial);
+      #  * FilterChaos — one crash-mid-ingest schedule (the reopened
+      #    filter tier agrees with whatever the WAL recovered).
       seeds=(20240808 1 7 42 1337 99991 2718281 31415926)
       for seed in "${seeds[@]}"; do
         for matrix in \

@@ -5,9 +5,10 @@
 # silently producing a partial bench_output.txt.
 #
 # Usage: run_benches.sh [--replication N]
-#   --replication N   replication factor for the availability passes
-#                     (bench_fig18_tail_latency's failover-vs-skip
-#                     table); exported as TRASS_BENCH_REPLICATION.
+#   --replication N   coordinator replication factor for the
+#                     availability pass (bench_fig18_tail_latency's
+#                     failover-vs-skip table over 4 shards); exported
+#                     as TRASS_BENCH_REPLICATION.
 set -u
 cd /root/repo || exit 1
 

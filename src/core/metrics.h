@@ -46,24 +46,15 @@ struct QueryMetrics {
   double refine_lb_ms = 0.0;       // lower-bound cascade
   double refine_dp_ms = 0.0;       // exact DP kernels
 
-  /// Degraded-mode availability (see RegionStore::RegionOptions). When
-  /// `partial` is set, one or more store regions were skipped after
-  /// exhausting retries and the answer may be missing their rows.
+  /// Set when the answer may be missing rows: a cooperative stop under
+  /// `allow_partial` (reason in the flags below), or — at the serving
+  /// tier — shards skipped from the merge (`shards_skipped`).
   bool partial = false;
-  uint64_t skipped_regions = 0;  // region-skip events across all scans
-  uint64_t scan_retries = 0;     // scan attempts beyond the first
-
-  /// Replication (see RegionOptions::replication_factor). Failovers are
-  /// reads that moved to another replica of the same shard after a
-  /// fault; a query can fail over and still be complete (not partial),
-  /// which is the whole point of replication.
-  uint64_t replica_failovers = 0;
+  uint64_t scan_retries = 0;  // region scan attempts beyond the first
 
   /// Cooperative-stop outcome (see QueryOptions). With `allow_partial`
   /// the query returns OK with `partial` set and the reason recorded
-  /// here; the flags compose with `skipped_regions` (a query can be
-  /// partial for both reasons at once). Without `allow_partial` the
-  /// reason arrives as the returned Status instead.
+  /// here; without it the reason arrives as the returned Status instead.
   bool deadline_expired = false;   // stopped at QueryOptions::deadline_ms
   bool cancelled = false;          // stopped via QueryOptions::cancel
   bool budget_exhausted = false;   // stopped at QueryOptions::max_candidates
@@ -85,9 +76,8 @@ struct QueryMetrics {
   uint64_t hedge_wins = 0;
   uint64_t breaker_open = 0;
 
-  /// Coordinator-level replica failovers (the shard-topology analog of
-  /// `replica_failovers`): shards whose answer is missing from the
-  /// merge but whose key space was fully covered by replica shards, so
+  /// Coordinator-level failovers: shards whose answer is missing from
+  /// the merge but whose key space was fully covered by replica shards, so
   /// the merged answer is still complete — `partial` stays false and
   /// strict queries still succeed. Non-zero only with
   /// CoordinatorOptions::replication_factor > 1.
@@ -109,9 +99,9 @@ struct QueryMetrics {
   uint64_t filter_memory_bytes = 0;
 
   /// Storage-engine I/O breakdown for this query's store scans, summed
-  /// across scan fan-outs (see ScanReport: per-replica IoStats deltas,
+  /// across scan fan-outs (see ScanReport: per-region IoStats deltas,
   /// approximate under concurrent compactions/queries on the same
-  /// replica). Hits/misses/fills count block-cache traffic on the
+  /// region). Hits/misses/fills count block-cache traffic on the
   /// random-access read path; the readahead counters cover the
   /// streaming-scan path (Options::scan_readahead_bytes), which bypasses
   /// the cache by design — a scan-heavy query should show readahead
@@ -128,11 +118,11 @@ struct QueryMetrics {
   /// may not be observed (see TrassStore::SubmitAsync).
   uint64_t ingest_watermark = 0;
 
-  /// Replicas wedged read-only by a background error (disk full, write
+  /// Regions wedged read-only by a background error (disk full, write
   /// fault) when the query started. Non-zero does not make the answer
-  /// partial — read-only replicas still serve reads — but it flags that
+  /// partial — read-only regions still serve reads — but it flags that
   /// writes are degraded and the answer may predate unresumed ingest.
-  uint64_t read_only_replicas = 0;
+  uint64_t read_only_regions = 0;
 
   double precision() const {
     return candidates == 0

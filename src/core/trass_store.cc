@@ -20,13 +20,9 @@ namespace {
 // exists to spread consecutive ids over regions.
 uint64_t HashId(uint64_t id) { return id * 0x9e3779b97f4a7c15ull; }
 
-// Folds a fan-out scan's availability outcome into the query metrics so
-// callers can tell a complete answer from a degraded one.
+// Folds a fan-out scan's retries and I/O deltas into the query metrics.
 void FoldScanReport(const kv::ScanReport& report, QueryMetrics* m) {
-  m->partial = m->partial || !report.complete();
-  m->skipped_regions += report.skipped.size();
   m->scan_retries += report.retries;
-  m->replica_failovers += report.failovers;
   m->block_cache_hits += report.cache_hits;
   m->block_cache_misses += report.cache_misses;
   m->block_cache_fills += report.cache_fills;
@@ -153,7 +149,7 @@ Status TrassStore::Open(const TrassOptions& options, const std::string& path,
   std::unique_ptr<TrassStore> impl(new TrassStore(options));
   kv::RegionStore::RegionOptions region_options;
   region_options.db_options = options.db_options;
-  // Space watermarks are store-level knobs threaded into every replica
+  // Space watermarks are store-level knobs threaded into every region
   // database (each polls free space on its own write path).
   region_options.db_options.soft_space_watermark_bytes =
       options.soft_space_watermark_bytes;
@@ -161,12 +157,8 @@ Status TrassStore::Open(const TrassOptions& options, const std::string& path,
       options.hard_space_watermark_bytes;
   region_options.num_regions = options.shards;
   region_options.scan_threads = options.scan_threads;
-  region_options.degraded_scans = options.degraded_scans;
   region_options.max_scan_retries = options.max_scan_retries;
   region_options.retry_backoff_ms = options.scan_retry_backoff_ms;
-  region_options.replication_factor = options.replication_factor;
-  region_options.replica_demote_threshold = options.replica_demote_threshold;
-  region_options.replica_probe_interval = options.replica_probe_interval;
   Status s = kv::RegionStore::Open(region_options, path, &impl->store_);
   if (!s.ok()) return s;
   if (options.refine_threads > 1) {
@@ -220,8 +212,7 @@ TrassStore::~TrassStore() {
   // destructor (which runs next, pipeline_ being the last member)
   // resolves the backlog with the sticky error instead of pushing
   // stall-throttled writes at a broken disk.
-  if (pipeline_ != nullptr && store_ != nullptr &&
-      store_->WritesDegraded(options_.ingest_min_ack_replicas)) {
+  if (pipeline_ != nullptr && store_ != nullptr && store_->WritesDegraded()) {
     Status wedged = store_->FirstBackgroundError();
     if (wedged.ok()) wedged = Status::Busy("store degraded at shutdown");
     pipeline_->FailPending(wedged.WithContext("shutdown drain"));
@@ -238,7 +229,7 @@ void TrassStore::AutoResumeLoop() {
     lock.unlock();
     // Probe only when something is actually wedged; Resume() itself is
     // serialized against the write paths.
-    if (store_->ReadOnlyReplicas() > 0) (void)Resume();
+    if (store_->WritesDegraded()) (void)Resume();
     lock.lock();
   }
 }
@@ -395,7 +386,7 @@ Status TrassStore::CommitEncoded(std::vector<ingest::EncodedRow>* rows) {
   std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
 
   // One WriteBatch per touched region: each becomes a single WAL record
-  // per replica (the group-commit win over per-row Put).
+  // (the group-commit win over per-row Put).
   std::vector<kv::WriteBatch> batches(options_.shards);
   std::vector<char> touched(options_.shards, 0);
   for (const ingest::EncodedRow& row : *rows) {
@@ -406,8 +397,7 @@ Status TrassStore::CommitEncoded(std::vector<ingest::EncodedRow>* rows) {
   std::vector<char> applied(options_.shards, 0);
   for (int shard = 0; shard < options_.shards; ++shard) {
     if (!touched[shard]) continue;
-    Status s = store_->ApplyBatch(kv::WriteOptions(), shard, &batches[shard],
-                                  options_.ingest_min_ack_replicas);
+    Status s = store_->ApplyBatch(kv::WriteOptions(), shard, &batches[shard]);
     if (s.ok()) {
       applied[shard] = 1;
     } else if (first_failure.ok()) {
@@ -476,10 +466,10 @@ Status TrassStore::PutBatch(const std::vector<Trajectory>& trajectories) {
 Status TrassStore::SubmitAsync(Trajectory trajectory, uint64_t max_wait_ms,
                                uint64_t* ticket) {
   // Degraded-write backpressure: a ticket accepted now would only
-  // resolve as a commit failure (some region cannot reach its required
-  // acks), so shed it where the caller can see — and retry after
+  // resolve as a commit failure (some region is wedged read-only), so
+  // shed it where the caller can see — and retry after
   // Resume() — instead of laundering it through the queue.
-  if (store_->WritesDegraded(options_.ingest_min_ack_replicas)) {
+  if (store_->WritesDegraded()) {
     Status wedged = store_->FirstBackgroundError();
     return Status::Busy("ingest shed: writes degraded" +
                         (wedged.ok() ? std::string()
@@ -576,17 +566,16 @@ uint64_t TrassStore::CountPresentValues(
 
 Status TrassStore::Flush() { return store_->Flush(); }
 
-Status TrassStore::ScrubReplicas(kv::ScrubReport* report) {
-  // Serialized against the write paths (CommitEncoded): a rebuild
-  // snapshots a source replica and would silently miss rows written
-  // while it streams. Group commits queue behind a running scrub;
-  // SubmitAsync callers feel it as backpressure, not corruption.
+Status TrassStore::Scrub() {
+  // Serialized against the write paths (CommitEncoded): group commits
+  // queue behind a running scrub; SubmitAsync callers feel it as
+  // backpressure, not corruption.
   std::lock_guard<std::mutex> lock(ingest_mu_);
-  Status s = store_->ScrubReplicas(report);
+  Status s = store_->VerifyIntegrity();
   if (s.ok() && filter_tier_ != nullptr &&
       options_.filter_tier.rebuild_on_scrub) {
-    // Re-derive the tier from the freshly healed store and count how far
-    // the old one had drifted (filter_scrub_mismatches()). ingest_mu_ is
+    // Re-derive the tier from the verified store and count how far the
+    // old one had drifted (filter_scrub_mismatches()). ingest_mu_ is
     // held, so no commit can slip rows between the store scan and the
     // tier swap.
     std::vector<filter::FilterRowData> filter_rows;
@@ -601,7 +590,7 @@ Status TrassStore::ScrubReplicas(kv::ScrubReport* report) {
 
 Status TrassStore::Resume() {
   // Resume writes (fresh WAL, flush, manifest rewrite) into the wedged
-  // replicas, so it is a writer like CommitEncoded and ScrubReplicas.
+  // regions, so it is a writer like CommitEncoded and Scrub.
   std::lock_guard<std::mutex> lock(ingest_mu_);
   return store_->Resume();
 }
@@ -609,9 +598,8 @@ Status TrassStore::Resume() {
 HealthReport TrassStore::Health() const {
   HealthReport report;
   report.regions = store_->HealthSnapshot();
-  report.read_only_replicas = store_->ReadOnlyReplicas();
-  report.writes_degraded =
-      store_->WritesDegraded(options_.ingest_min_ack_replicas);
+  report.read_only_regions = store_->ReadOnlyRegions();
+  report.writes_degraded = report.read_only_regions > 0;
   Status wedged = store_->FirstBackgroundError();
   if (!wedged.ok()) report.first_background_error = wedged.ToString();
   report.ingest_watermark = ingest_watermark();
@@ -646,7 +634,7 @@ Status TrassStore::ThresholdSearch(const std::vector<geo::Point>& query,
   QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
   *m = QueryMetrics();
   m->ingest_watermark = ingest_watermark();
-  m->read_only_replicas = store_->ReadOnlyReplicas();
+  m->read_only_regions = store_->ReadOnlyRegions();
   double waited_ms = 0.0;
   AdmissionSlot slot(&admission_, &waited_ms);
   m->admission_wait_ms = waited_ms;
@@ -759,7 +747,7 @@ Status TrassStore::TopKSearch(const std::vector<geo::Point>& query, int k,
   QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
   *m = QueryMetrics();
   m->ingest_watermark = ingest_watermark();
-  m->read_only_replicas = store_->ReadOnlyReplicas();
+  m->read_only_regions = store_->ReadOnlyRegions();
   double waited_ms = 0.0;
   AdmissionSlot slot(&admission_, &waited_ms);
   m->admission_wait_ms = waited_ms;
@@ -1050,7 +1038,7 @@ Status TrassStore::SimilarityJoin(
   QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
   *m = QueryMetrics();
   m->ingest_watermark = ingest_watermark();
-  m->read_only_replicas = store_->ReadOnlyReplicas();
+  m->read_only_regions = store_->ReadOnlyRegions();
   double waited_ms = 0.0;
   AdmissionSlot slot(&admission_, &waited_ms);
   m->admission_wait_ms = waited_ms;
@@ -1088,7 +1076,6 @@ Status TrassStore::SimilarityJoin(
     s = ThresholdSearchInternal(t.points, eps, measure, &control,
                                 /*allow_partial=*/false, &matches, &probe);
     m->partial = m->partial || probe.partial;
-    m->skipped_regions += probe.skipped_regions;
     m->scan_retries += probe.scan_retries;
     m->retrieved += probe.retrieved;
     m->candidates += probe.candidates;
@@ -1145,7 +1132,7 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
   QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
   *m = QueryMetrics();
   m->ingest_watermark = ingest_watermark();
-  m->read_only_replicas = store_->ReadOnlyReplicas();
+  m->read_only_regions = store_->ReadOnlyRegions();
   double waited_ms = 0.0;
   AdmissionSlot slot(&admission_, &waited_ms);
   m->admission_wait_ms = waited_ms;

@@ -60,26 +60,12 @@ struct TrassOptions {
   /// comparison). Stores only; queries are unsupported in this mode.
   bool string_keys = false;
 
-  /// Opt-in availability-over-completeness: when a store region keeps
-  /// failing after retries, skip it instead of failing the query. Query
-  /// results are then flagged via QueryMetrics::partial /
-  /// skipped_regions. Off by default: a query either sees every region
-  /// or returns the region-attributed error.
-  bool degraded_scans = false;
-
-  /// Region-scan retry tuning (see RegionStore::RegionOptions).
+  /// Region-scan retry tuning (see RegionStore::RegionOptions). A
+  /// region that still fails after its retries fails the query with
+  /// the region-attributed error. Redundancy lives in the serving tier
+  /// (serve/coordinator.h), not inside one store.
   int max_scan_retries = 2;
   uint64_t scan_retry_backoff_ms = 2;
-
-  /// Replication (see RegionStore::RegionOptions): copies kept per
-  /// shard. With > 1, ingest writes every copy synchronously and a scan
-  /// whose preferred replica faults fails over to a healthy peer before
-  /// spending the region retry budget, so queries stay complete unless
-  /// *every* replica of a shard is down. 1 = no replication (seed
-  /// behavior and on-disk layout).
-  int replication_factor = 1;
-  int replica_demote_threshold = 2;    // consecutive faults -> demoted
-  uint64_t replica_probe_interval = 8;  // every Nth scan probes demoted
 
   /// Admission control for the four query APIs: at most
   /// `max_concurrent_queries` run at once (0 = unlimited), at most
@@ -97,16 +83,7 @@ struct TrassOptions {
   double ingest_batch_linger_ms = 2.0;
   size_t ingest_encode_threads = 2;
 
-  /// Replicas that must accept a group commit for it to succeed. 0 (the
-  /// default) means all of them — strict, matching Put. With 1 <= n <
-  /// replication_factor, ingest keeps flowing through a single-replica
-  /// fault: the failed replica is demoted and healed by the next
-  /// ScrubReplicas. Caveat: until that scrub, a read served by a replica
-  /// that missed a write can be stale-by-omission; keep the default when
-  /// read-your-writes matters more than ingest availability.
-  int ingest_min_ack_replicas = 0;
-
-  /// Disk-space watermarks, copied into every replica database (see
+  /// Disk-space watermarks, copied into every region database (see
   /// kv::Options). Below `soft` free bytes, writes are throttled and
   /// compactions deferred; below `hard`, writes are shed with
   /// Status::NoSpace before touching the WAL, so the store degrades
@@ -115,7 +92,7 @@ struct TrassOptions {
   uint64_t hard_space_watermark_bytes = 0;
 
   /// When > 0, a background prober wakes at this cadence and, if any
-  /// replica is wedged read-only by a background error (disk full, write
+  /// region is wedged read-only by a background error (disk full, write
   /// fault), attempts Resume() — so write availability returns on its
   /// own once the operator frees space. 0 (default) leaves resumption
   /// manual via TrassStore::Resume().
@@ -137,7 +114,7 @@ struct TrassOptions {
     int fingerprint_hashes = 16;  // minhash slots per row
     int fingerprint_bits = 32;    // bits kept per slot, in [4, 32]
     int fingerprint_grid = 1024;  // shingle discretization per axis
-    /// Rebuild the tier from a fresh store scan during ScrubReplicas and
+    /// Rebuild the tier from a fresh store scan during Scrub() and
     /// count disagreements (filter_scrub_mismatches()); when false the
     /// tier is left as-is across scrubs.
     bool rebuild_on_scrub = true;
@@ -175,18 +152,17 @@ struct QueryOptions {
 };
 
 /// Store-wide availability snapshot (see TrassStore::Health): the
-/// per-region/per-replica counters plus the degraded-write rollup.
+/// per-region counters plus the degraded-write rollup.
 struct HealthReport {
-  /// Per-region availability, including each replica's live
-  /// read_only/background_error state (kv::ReplicaHealth).
+  /// Per-region availability, including each region's live
+  /// read_only/background_error state.
   std::vector<kv::RegionHealth> regions;
-  /// Replicas currently wedged read-only by a background error.
-  uint64_t read_only_replicas = 0;
-  /// True when some region has fewer writable replicas than
-  /// ingest_min_ack_replicas requires — SubmitAsync is shedding and
-  /// synchronous writes will fail until Resume() succeeds.
+  /// Regions currently wedged read-only by a background error.
+  uint64_t read_only_regions = 0;
+  /// True when some region is read-only — SubmitAsync is shedding and
+  /// synchronous writes to that region fail until Resume() succeeds.
   bool writes_degraded = false;
-  /// First replica's sticky background error ("" when none).
+  /// First region's sticky background error ("" when none).
   std::string first_background_error;
   uint64_t ingest_watermark = 0;
 };
@@ -232,7 +208,7 @@ class TrassStore {
   /// explicit: a full queue makes the call wait up to `max_wait_ms` and
   /// then shed with Status::Busy (the admission-control convention).
   /// Also sheds with Busy — without queueing — while writes are
-  /// degraded (a region below its required acks is wedged read-only):
+  /// degraded (some region is wedged read-only):
   /// accepting a ticket whose commit is known-doomed would only turn
   /// into a recorded failure, so the shed happens up front where the
   /// caller can retry after Resume(). Callable from any thread,
@@ -262,29 +238,29 @@ class TrassStore {
   /// Forces memtables to disk.
   Status Flush();
 
-  /// Anti-entropy pass over the replicated store: cross-checks the
-  /// replicas of every shard and rebuilds corrupt or divergent ones
-  /// from a healthy peer. Safe to call concurrently with both queries
-  /// (they fail over past a replica while it is being rebuilt) and
-  /// ingest: the scrub and the ingest commit path are serialized on an
-  /// internal mutex, so group commits queue up behind a running scrub
-  /// (backpressure may shed SubmitAsync calls while it runs). No-op at
-  /// replication_factor 1 beyond integrity verification bookkeeping.
-  Status ScrubReplicas(kv::ScrubReport* report = nullptr);
+  /// Integrity pass: checksum-verifies every table of every region
+  /// (RegionStore::VerifyIntegrity) and, when the filter tier is on with
+  /// rebuild_on_scrub, rebuilds the tier from a fresh store scan and
+  /// records how far it had drifted (filter_scrub_mismatches()). Safe to
+  /// call concurrently with queries and ingest: the scrub and the ingest
+  /// commit path are serialized on an internal mutex, so group commits
+  /// queue up behind a running scrub. Returns the first corrupt region;
+  /// repair it offline with kv::DB::Repair on its `region-<i>/`
+  /// directory. Copies to heal from live in the serving tier
+  /// (ShardCoordinator::ScrubShards).
+  Status Scrub();
 
   /// Attempts to restore write availability after a resource-exhaustion
-  /// failure: calls DB::Resume on every replica wedged read-only (fresh
+  /// failure: calls DB::Resume on every region wedged read-only (fresh
   /// WAL, memtable flushed, manifest re-verified). Serialized against
-  /// the write paths like ScrubReplicas. Returns the first replica that
-  /// stayed wedged; OK when the store is fully writable again. Rows a
-  /// replica missed while read-only are healed by ScrubReplicas, not
-  /// here. Also runs automatically when auto_resume_interval_ms > 0.
+  /// the write paths like Scrub. Returns the first region that stayed
+  /// wedged; OK when the store is fully writable again. Also runs
+  /// automatically when auto_resume_interval_ms > 0.
   Status Resume();
 
-  /// Availability snapshot: per-region/per-replica health (including
-  /// live read-only state), the wedged-replica count, and whether
-  /// ingest-facing writes are degraded. Safe to call concurrently with
-  /// everything.
+  /// Availability snapshot: per-region health (including live read-only
+  /// state), the wedged-region count, and whether ingest-facing writes
+  /// are degraded. Safe to call concurrently with everything.
   HealthReport Health() const;
 
   /// Threshold similarity search (Definition 3 / Algorithm 3).
@@ -447,8 +423,8 @@ class TrassStore {
   /// and the pipeline's group commits): groups rows by region, applies
   /// one WriteBatch per region via RegionStore::ApplyBatch, then
   /// publishes statistics and a fresh value-directory snapshot for the
-  /// applied rows. Serialized on ingest_mu_ (also against
-  /// ScrubReplicas). Rows from regions whose apply failed are neither
+  /// applied rows. Serialized on ingest_mu_ (also against Scrub and
+  /// Resume). Rows from regions whose apply failed are neither
   /// stored nor published; the first failure is returned.
   Status CommitEncoded(std::vector<ingest::EncodedRow>* rows);
 
@@ -464,7 +440,7 @@ class TrassStore {
   std::unique_ptr<Refiner> refiner_;
 
   // Serializes writers: Put/PutBatch callers, the pipeline's commit
-  // thread, and ScrubReplicas (a rebuild would miss concurrent writes).
+  // thread, Resume, and Scrub (its filter rebuild must not miss rows).
   // Ordered before values_mu_ (CommitEncoded takes both, in that order).
   mutable std::mutex ingest_mu_;
 

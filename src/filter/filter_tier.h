@@ -60,7 +60,7 @@ struct FilterTierOptions {
   /// Keep per-row fingerprint records (MBR + minhash signature).
   bool fingerprints = true;
   FingerprintParams fingerprint;
-  /// Rebuild and cross-validate the tier during ScrubReplicas.
+  /// Rebuild and cross-validate the tier during TrassStore::Scrub.
   bool rebuild_on_scrub = true;
 };
 

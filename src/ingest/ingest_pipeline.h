@@ -11,7 +11,7 @@
 //      trajectories on a small worker pool (XZ* index + DP features are
 //      CPU-heavy and stay off the commit path), and hands the encoded
 //      rows to the commit callback — which groups them into per-region
-//      WriteBatches, applies them to all replicas, and publishes the
+//      WriteBatches, applies them to their regions, and publishes the
 //      value-directory/statistics updates.
 //   3. Only after the commit callback returns does the watermark advance
 //      to the batch's last ticket. A query that snapshots state at

@@ -24,12 +24,8 @@ struct IoStats {
   std::atomic<uint64_t> range_scans{0};
   std::atomic<uint64_t> checksum_verifications{0};  // blocks CRC-checked
   std::atomic<uint64_t> corruptions_detected{0};    // checksum mismatches
-  std::atomic<uint64_t> replica_failovers{0};  // reads moved to another replica
-  std::atomic<uint64_t> scrub_rounds{0};       // anti-entropy passes started
-  std::atomic<uint64_t> replicas_rebuilt{0};   // replicas restored from a peer
   std::atomic<uint64_t> batch_commits{0};      // group-commit batches applied
   std::atomic<uint64_t> batch_rows{0};         // rows inside those batches
-  std::atomic<uint64_t> degraded_writes{0};    // batches acked by < all replicas
   std::atomic<uint64_t> background_errors{0};  // sticky write-path failures
   std::atomic<uint64_t> write_stalls{0};       // writes throttled or shed
   std::atomic<uint64_t> stall_ms{0};           // total time writes spent stalled
@@ -49,12 +45,8 @@ struct IoStats {
     range_scans = 0;
     checksum_verifications = 0;
     corruptions_detected = 0;
-    replica_failovers = 0;
-    scrub_rounds = 0;
-    replicas_rebuilt = 0;
     batch_commits = 0;
     batch_rows = 0;
-    degraded_writes = 0;
     background_errors = 0;
     write_stalls = 0;
     stall_ms = 0;
@@ -75,19 +67,15 @@ struct IoStats {
     uint64_t range_scans;
     uint64_t checksum_verifications;
     uint64_t corruptions_detected;
-    uint64_t replica_failovers;
-    uint64_t scrub_rounds;
-    uint64_t replicas_rebuilt;
     uint64_t batch_commits;
     uint64_t batch_rows;
-    uint64_t degraded_writes;
     uint64_t background_errors;
     uint64_t write_stalls;
     uint64_t stall_ms;
     uint64_t resume_attempts;
-    // Gauge, not a counter: replicas currently wedged read-only. Always
+    // Gauge, not a counter: regions currently wedged read-only. Always
     // 0 at the DB level; RegionStore::TotalIoStats fills it live.
-    uint64_t read_only_replicas = 0;
+    uint64_t read_only_regions = 0;
   };
 
   Snapshot Read() const {
@@ -104,12 +92,8 @@ struct IoStats {
                     range_scans.load(),
                     checksum_verifications.load(),
                     corruptions_detected.load(),
-                    replica_failovers.load(),
-                    scrub_rounds.load(),
-                    replicas_rebuilt.load(),
                     batch_commits.load(),
                     batch_rows.load(),
-                    degraded_writes.load(),
                     background_errors.load(),
                     write_stalls.load(),
                     stall_ms.load(),

@@ -64,15 +64,13 @@ void FoldShardMetrics(const core::QueryMetrics& from, core::QueryMetrics* to) {
   to->refine_lb_ms += from.refine_lb_ms;
   to->refine_dp_ms += from.refine_dp_ms;
   to->partial = to->partial || from.partial;
-  to->skipped_regions += from.skipped_regions;
   to->scan_retries += from.scan_retries;
-  to->replica_failovers += from.replica_failovers;
   to->deadline_expired = to->deadline_expired || from.deadline_expired;
   to->cancelled = to->cancelled || from.cancelled;
   to->budget_exhausted = to->budget_exhausted || from.budget_exhausted;
   to->admission_wait_ms += from.admission_wait_ms;
   to->ingest_watermark = std::max(to->ingest_watermark, from.ingest_watermark);
-  to->read_only_replicas += from.read_only_replicas;
+  to->read_only_regions += from.read_only_regions;
   to->filter_elements_pruned += from.filter_elements_pruned;
   to->filter_mbr_pruned += from.filter_mbr_pruned;
   to->fingerprint_skips += from.fingerprint_skips;

@@ -30,7 +30,8 @@
 //   * Anti-entropy — ScrubShards fingerprints every shard per primary
 //     partition (wire-level kFingerprint op), detects divergent
 //     replica groups, and rebuilds stragglers from the union of their
-//     peers (ScrubReplicas one level up).
+//     peers. This tier is the only place copies are kept: each shard's
+//     TrassStore holds one LSM per region.
 //   * Deadline budgeting — each shard attempt gets a budget carved
 //     from the caller's remaining deadline (minus a merge reserve), so
 //     a shard self-terminates rather than relying on abandonment.
@@ -42,9 +43,8 @@
 //     exponential schedule; a backoff that would overshoot the
 //     remaining deadline fails fast with the last error.
 //   * Circuit breakers — consecutive shard failures open a per-shard
-//     breaker (closed -> open -> half-open probe, mirroring replica
-//     demotion/reinstatement) so dead shards cost one check, not a
-//     deadline budget, per query. The write path honors breakers too:
+//     breaker (closed -> open -> half-open probe) so dead shards cost
+//     one check, not a deadline budget, per query. The write path honors breakers too:
 //     a known-open shard is never retried against, its rows go
 //     straight to the hint journal.
 //   * Verified-partial merges — with allow_partial, uncovered shards
@@ -198,7 +198,7 @@ struct HintReplayReport {
   uint64_t failed = 0;                // delivery attempts that failed
 };
 
-/// ScrubShards rollup (the shard-topology ScrubReport).
+/// ScrubShards rollup.
 struct ShardScrubReport {
   uint64_t shards_unreachable = 0;  // no fingerprint: fault/breaker-open
   uint64_t groups_checked = 0;      // replica groups with >= 2 reachable

@@ -6,10 +6,15 @@ namespace trass {
 namespace serve {
 namespace {
 
-// v2 adds replication-era fields: request {num_shards, export_primary}
-// and response fingerprints (anti-entropy). A v1 peer fails loudly with
+// Frame version log. A peer on any other version fails loudly with
 // Corruption instead of misparsing, per the header contract.
-constexpr uint8_t kWireVersion = 4;  // v4: cache/readahead metric fields
+//   v1: query/ingest ops, results, ids, trajectories, metrics
+//   v2: request {num_shards, export_primary}; response fingerprints
+//   v3: response filter-tier metric fields
+//   v4: response cache/readahead metric fields
+//   v5: refine breakdown + admission wait metrics; region-replica
+//       metrics dropped; read-only gauge counts regions
+constexpr uint8_t kWireVersion = 5;
 
 // Status codes on the wire. Keep in sync with the factories in
 // util/status.h; unknown codes decode as IoError so a skewed peer
@@ -153,11 +158,14 @@ void PutMetrics(const core::QueryMetrics& m, std::string* dst) {
   PutVarint64(dst, m.results);
   PutVarint64(dst, m.lb_rejected);
   PutVarint64(dst, m.refine_dp_runs);
-  PutVarint64(dst, m.skipped_regions);
+  PutVarint64(dst, m.refine_threads);
+  PutDouble(dst, m.refine_decode_ms);
+  PutDouble(dst, m.refine_lb_ms);
+  PutDouble(dst, m.refine_dp_ms);
+  PutDouble(dst, m.admission_wait_ms);
   PutVarint64(dst, m.scan_retries);
-  PutVarint64(dst, m.replica_failovers);
   PutVarint64(dst, m.ingest_watermark);
-  PutVarint64(dst, m.read_only_replicas);
+  PutVarint64(dst, m.read_only_regions);
   PutVarint64(dst, m.filter_elements_pruned);
   PutVarint64(dst, m.filter_mbr_pruned);
   PutVarint64(dst, m.fingerprint_skips);
@@ -185,11 +193,14 @@ bool GetMetrics(Slice* input, core::QueryMetrics* m) {
       !GetVarint64(input, &m->refined) || !GetVarint64(input, &m->results) ||
       !GetVarint64(input, &m->lb_rejected) ||
       !GetVarint64(input, &m->refine_dp_runs) ||
-      !GetVarint64(input, &m->skipped_regions) ||
+      !GetVarint64(input, &m->refine_threads) ||
+      !GetDouble(input, &m->refine_decode_ms) ||
+      !GetDouble(input, &m->refine_lb_ms) ||
+      !GetDouble(input, &m->refine_dp_ms) ||
+      !GetDouble(input, &m->admission_wait_ms) ||
       !GetVarint64(input, &m->scan_retries) ||
-      !GetVarint64(input, &m->replica_failovers) ||
       !GetVarint64(input, &m->ingest_watermark) ||
-      !GetVarint64(input, &m->read_only_replicas) ||
+      !GetVarint64(input, &m->read_only_regions) ||
       !GetVarint64(input, &m->filter_elements_pruned) ||
       !GetVarint64(input, &m->filter_mbr_pruned) ||
       !GetVarint64(input, &m->fingerprint_skips) ||

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/trass_store.h"
+#include "kv/fault_injection_env.h"
 #include "serve/direct_transport.h"
 #include "serve/fault_injection_transport.h"
 #include "test_util.h"
@@ -64,14 +65,19 @@ CoordinatorOptions FastCoordinatorOptions() {
 /// behind direct transports — the setup every equivalence test shares.
 class Tier {
  public:
-  Tier(const std::string& scratch, size_t num_shards, int refine_threads)
+  /// `tune` (optional) adjusts each shard store's options before it
+  /// opens — e.g. to put one shard on a fault-injecting Env.
+  Tier(const std::string& scratch, size_t num_shards, int refine_threads,
+       const std::function<void(size_t, TrassOptions*)>& tune = {})
       : dir_(scratch) {
     EXPECT_TRUE(TrassStore::Open(SmallStoreOptions(refine_threads),
                                  dir_.path() + "/reference", &reference_)
                     .ok());
     for (size_t i = 0; i < num_shards; ++i) {
+      TrassOptions options = SmallStoreOptions(refine_threads);
+      if (tune) tune(i, &options);
       std::unique_ptr<TrassStore> store;
-      EXPECT_TRUE(TrassStore::Open(SmallStoreOptions(refine_threads),
+      EXPECT_TRUE(TrassStore::Open(options,
                                    dir_.path() + "/shard" + std::to_string(i),
                                    &store)
                       .ok());
@@ -732,7 +738,7 @@ TEST(CoordinatorChaos, SeededFaultMatrix) {
                                                   std::to_string(q));
         } else {
           partials++;
-          EXPECT_GT(m.shards_skipped + m.skipped_regions, 0u)
+          EXPECT_GT(m.shards_skipped, 0u)
               << "partial without a reported gap";
           // A partial top-k is a verified subset of the dataset ranked
           // by true distance: each entry must match the reference entry
@@ -774,7 +780,7 @@ TEST(CoordinatorChaos, SeededFaultMatrix) {
                             "chaos threshold q" + std::to_string(q));
         } else {
           partials++;
-          EXPECT_GT(m.shards_skipped + m.skipped_regions, 0u)
+          EXPECT_GT(m.shards_skipped, 0u)
               << "partial without a reported gap";
           for (const SearchResult& r : actual) {
             const auto it = std::find_if(
@@ -1217,6 +1223,110 @@ TEST(CoordinatorReplication, ScrubRebuildsDivergentReplicaFromPeers) {
     EXPECT_FALSE(m.partial);
     faults[partner]->SetOptions(FaultInjectionTransport::Options{});
   }
+  tier.Reset();
+}
+
+// Storage faults are absorbed at the shard tier, the only place copies
+// are kept: one shard's disk fills (ENOSPC on every WAL append), its
+// regions wedge read-only, and W=1 ingest acks every row through the
+// peer replicas while the misses are hinted. The failed write opens the
+// shard's breaker, so strict reads fail over to the peers instead of
+// trusting the stale shard, and stay exact. Once space frees, Resume +
+// hint replay catch the shard up and the scrub finds every replica
+// group in agreement.
+TEST(CoordinatorReplication, DiskFullShardIsCoveredThenCaughtUp) {
+  kv::FaultInjectionEnv env(kv::Env::Default());  // outlives the tier
+  constexpr size_t kVictim = 1;
+  Tier tier("coord_repl_enospc", 3, 1, [&](size_t shard, TrassOptions* o) {
+    if (shard == kVictim) o->db_options.env = &env;
+  });
+  CoordinatorOptions options = ReplicatedOptions(2, 1);
+  options.max_shard_retries = 0;
+  options.breaker_failure_threshold = 1;
+  // Long enough that no half-open probe reaches the stale shard while
+  // the strict reads below run; replay waits it out.
+  options.breaker_cooldown_ms = 1500.0;
+  options.hint_journal_dir = tier.path() + "/hints";
+  tier.BuildCoordinator(options);
+  ASSERT_TRUE(tier.coordinator()->hint_journal_status().ok());
+
+  const auto data = trass::testing::RandomDataset(97, 120);
+  const std::vector<Trajectory> before(data.begin(), data.begin() + 60);
+  const std::vector<Trajectory> during(data.begin() + 60, data.end());
+  for (const Trajectory& t : data) {
+    ASSERT_TRUE(tier.reference()->Put(t).ok());
+  }
+  ASSERT_TRUE(tier.coordinator()->PutBatch(before).ok());
+
+  kv::FaultPoint fault;
+  fault.op = kv::FaultOp::kAppend;
+  fault.kind = kv::FaultKind::kNoSpace;
+  fault.permanent = true;
+  fault.path_substring = ".log";
+  env.InjectFault(fault);
+
+  WriteReport report;
+  const Status s = tier.coordinator()->PutBatch(during, &report);
+  ASSERT_TRUE(s.ok()) << "W=1 must ack via the peer replicas: "
+                      << s.ToString();
+  EXPECT_EQ(report.acked, during.size());
+  EXPECT_EQ(report.failed, 0u);
+  EXPECT_GT(report.under_replicated, 0u);
+  EXPECT_GT(report.hinted_rows, 0u);
+  EXPECT_TRUE(tier.shard(kVictim)->Health().writes_degraded);
+  ASSERT_EQ(tier.coordinator()->breaker(kVictim)->state(),
+            CircuitBreaker::State::kOpen);
+
+  // Strict answers equal the reference while the shard is wedged: the
+  // peers cover every key range it holds, including the rows it missed.
+  for (const size_t probe : {size_t{7}, size_t{66}, size_t{113}}) {
+    SCOPED_TRACE("probe " + std::to_string(probe));
+    std::vector<SearchResult> expected, actual;
+    QueryMetrics m;
+    ASSERT_TRUE(tier.reference()
+                    ->ThresholdSearch(data[probe].points, 0.05,
+                                      Measure::kFrechet, &expected)
+                    .ok());
+    ASSERT_TRUE(tier.coordinator()
+                    ->ThresholdSearch(data[probe].points, 0.05,
+                                      Measure::kFrechet, &actual, &m)
+                    .ok());
+    ExpectSameResults(expected, actual, "strict threshold, disk full");
+    EXPECT_FALSE(m.partial);
+    EXPECT_GE(m.shard_failovers, 1u);
+    ASSERT_TRUE(tier.reference()
+                    ->TopKSearch(data[probe].points, 7, Measure::kFrechet,
+                                 &expected)
+                    .ok());
+    ASSERT_TRUE(tier.coordinator()
+                    ->TopKSearch(data[probe].points, 7, Measure::kFrechet,
+                                 &actual, &m)
+                    .ok());
+    ExpectSameResults(expected, actual, "strict top-k, disk full");
+    EXPECT_FALSE(m.partial);
+  }
+
+  // Space frees: Resume un-wedges the shard, replay delivers the hinted
+  // rows (once the breaker's cooldown lets a probe through), and the
+  // replica groups converge.
+  env.ClearFaults();
+  ASSERT_TRUE(tier.shard(kVictim)->Resume().ok());
+  EXPECT_FALSE(tier.shard(kVictim)->Health().writes_degraded);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (tier.coordinator()->hint_journal()->pending_records() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    (void)tier.coordinator()->ReplayHints();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_EQ(tier.coordinator()->hint_journal()->pending_records(), 0u);
+  for (size_t i = 0; i < tier.num_shards(); ++i) {
+    ASSERT_TRUE(tier.shard(i)->Flush().ok());
+  }
+  ShardScrubReport scrub;
+  ASSERT_TRUE(tier.coordinator()->ScrubShards(&scrub).ok());
+  EXPECT_EQ(scrub.shards_unreachable, 0u);
+  EXPECT_EQ(scrub.groups_divergent, 0u);
   tier.Reset();
 }
 

@@ -309,11 +309,10 @@ TEST_F(FaultInjectionTest, ParanoidChecksFailOnTornWalRecord) {
   ASSERT_TRUE(DB::Open(DbOptions(), DbPath(), &db).ok());
 }
 
-TEST_F(FaultInjectionTest, DegradedTrassSearchIsFlaggedPartial) {
+TEST_F(FaultInjectionTest, BrokenRegionFailsTrassSearchUntilItHeals) {
   core::TrassOptions options;
   options.shards = 4;
   options.scan_threads = 2;
-  options.degraded_scans = true;
   options.db_options.env = &env_;
   std::unique_ptr<core::TrassStore> store;
   ASSERT_TRUE(
@@ -323,8 +322,8 @@ TEST_F(FaultInjectionTest, DegradedTrassSearchIsFlaggedPartial) {
   }
   ASSERT_TRUE(store->Flush().ok());
 
-  // One region's tables become unreadable; queries must degrade to the
-  // other shards and say so instead of failing.
+  // One region's tables become unreadable; queries fail with the region
+  // named instead of silently answering from the other shards.
   for (FaultOp op : {FaultOp::kOpenRead, FaultOp::kRead}) {
     FaultPoint fault;
     fault.op = op;
@@ -335,14 +334,13 @@ TEST_F(FaultInjectionTest, DegradedTrassSearchIsFlaggedPartial) {
   std::vector<uint64_t> ids;
   core::QueryMetrics metrics;
   const geo::Mbr everywhere(0.0, 0.0, 1.0, 1.0);
-  ASSERT_TRUE(store->RangeQuery(everywhere, &ids, &metrics).ok());
-  EXPECT_TRUE(metrics.partial);
-  EXPECT_GE(metrics.skipped_regions, 1u);
-  EXPECT_FALSE(ids.empty());  // healthy shards still answer
-  EXPECT_LT(ids.size(), 60u);
+  const Status s = store->RangeQuery(everywhere, &ids, &metrics);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("region 1"), std::string::npos)
+      << s.ToString();
+  EXPECT_TRUE(ids.empty());
 
   env_.ClearFaults();
-  ids.clear();
   ASSERT_TRUE(store->RangeQuery(everywhere, &ids, &metrics).ok());
   EXPECT_FALSE(metrics.partial);
   EXPECT_EQ(ids.size(), 60u);

@@ -480,7 +480,7 @@ TEST(FilterScrub, RebuildHealsACorruptTier) {
 
   // Scrub validates against a fresh store scan, reports the drift, and
   // rebuilds; queries heal.
-  ASSERT_TRUE(store->ScrubReplicas().ok());
+  ASSERT_TRUE(store->Scrub().ok());
   EXPECT_GT(store->filter_scrub_mismatches(), 0u);
   std::vector<SearchResult> after;
   ASSERT_TRUE(
@@ -492,7 +492,7 @@ TEST(FilterScrub, RebuildHealsACorruptTier) {
   }
 
   // A clean follow-up scrub reports agreement.
-  ASSERT_TRUE(store->ScrubReplicas().ok());
+  ASSERT_TRUE(store->Scrub().ok());
   EXPECT_EQ(store->filter_scrub_mismatches(), 0u);
 }
 

@@ -2,11 +2,10 @@
 // tickets and watermarks, group-commit coalescing, atomic visibility
 // (row + statistics + value-directory entry appear together at watermark
 // advance), explicit backpressure, queries running concurrently with
-// sustained ingest (the TSan target), ingest racing the anti-entropy
-// scrub, ingest through a single-replica fault with min-ack, and the
-// crash/fault matrix for partial-ingest state (satellite: RebuildIngestState
-// restores a consistent view after a failed Put/PutBatch or a crash
-// mid-batch).
+// sustained ingest (the TSan target), ingest racing the integrity scrub
+// and its filter-tier rebuild, and the crash/fault matrix for
+// partial-ingest state (RebuildIngestState restores a consistent view
+// after a failed Put/PutBatch or a crash mid-batch).
 
 #include <gtest/gtest.h>
 
@@ -292,12 +291,12 @@ TEST(IngestPipelineTest, QueriesStayConsistentUnderConcurrentIngest) {
   EXPECT_EQ(results.size(), kCount);
 }
 
-TEST(IngestPipelineTest, IngestRacesScrubReplicasWithoutDivergence) {
+TEST(IngestPipelineTest, IngestRacesScrubWithoutFilterDrift) {
   trass::testing::ScratchDir dir("ingest_scrub_race");
   TrassOptions options;
   options.shards = 2;
-  options.replication_factor = 2;
   options.ingest_batch_linger_ms = 0.5;
+  options.filter_tier.enable = true;
   std::unique_ptr<TrassStore> store;
   ASSERT_TRUE(TrassStore::Open(options, dir.path() + "/store", &store).ok());
 
@@ -313,76 +312,21 @@ TEST(IngestPipelineTest, IngestRacesScrubReplicasWithoutDivergence) {
     }
   });
   // Scrubs and group commits serialize on the store's ingest mutex: the
-  // scrub must never observe (or manufacture) replica divergence from a
-  // half-applied batch.
+  // scrub's filter rebuild must never observe a half-applied batch, so
+  // the tier it validates always agrees with the store.
   for (int round = 0; round < 8; ++round) {
-    kv::ScrubReport report;
-    ASSERT_TRUE(store->ScrubReplicas(&report).ok());
-    EXPECT_EQ(report.divergent_replicas, 0u);
-    EXPECT_EQ(report.corrupt_replicas, 0u);
+    ASSERT_TRUE(store->Scrub().ok());
+    EXPECT_EQ(store->filter_scrub_mismatches(), 0u) << "round " << round;
   }
   producer.join();
   ASSERT_TRUE(store->DrainIngest(20000).ok());
 
-  kv::ScrubReport final_report;
-  ASSERT_TRUE(store->ScrubReplicas(&final_report).ok());
-  EXPECT_EQ(final_report.divergent_replicas, 0u);
+  ASSERT_TRUE(store->Scrub().ok());
+  EXPECT_EQ(store->filter_scrub_mismatches(), 0u);
   EXPECT_EQ(store->num_trajectories(), kCount);
   std::vector<uint64_t> ids;
   ASSERT_TRUE(store->RangeQuery(Everywhere(), &ids).ok());
   EXPECT_EQ(ids.size(), kCount);
-}
-
-TEST(IngestPipelineTest, MinAckIngestRidesThroughSingleReplicaFault) {
-  trass::testing::ScratchDir dir("ingest_min_ack");
-  kv::FaultInjectionEnv env(kv::Env::Default());
-  TrassOptions options;
-  options.shards = 2;
-  options.replication_factor = 2;
-  options.ingest_min_ack_replicas = 1;
-  options.db_options.env = &env;
-  std::unique_ptr<TrassStore> store;
-  ASSERT_TRUE(TrassStore::Open(options, dir.path() + "/store", &store).ok());
-
-  const auto data = trass::testing::RandomDataset(19, 80);
-  for (size_t i = 0; i < 40; ++i) {
-    ASSERT_TRUE(store->Put(data[i]).ok());
-  }
-
-  // Every second replica loses its disk. With min_ack_replicas = 1 the
-  // pipeline keeps committing on the surviving copies.
-  kv::FaultPoint fault;
-  fault.op = kv::FaultOp::kAppend;
-  fault.permanent = true;
-  fault.path_substring = "-replica-1";
-  env.InjectFault(fault);
-
-  uint64_t last_ticket = 0;
-  for (size_t i = 40; i < 80; ++i) {
-    ASSERT_TRUE(store->SubmitAsync(data[i], 1000, &last_ticket).ok());
-  }
-  ASSERT_TRUE(store->WaitForWatermark(last_ticket, 10000).ok());
-  EXPECT_EQ(store->ingest_stats().commit_failures, 0u);
-  EXPECT_EQ(store->num_trajectories(), 80u);
-  EXPECT_GT(store->region_store()->TotalIoStats().degraded_writes, 0u);
-
-  // Queries fail over past the stale replica and still see everything.
-  std::vector<uint64_t> ids;
-  ASSERT_TRUE(store->RangeQuery(Everywhere(), &ids).ok());
-  EXPECT_EQ(ids.size(), 80u);
-
-  // Heal: the scrub rebuilds the divergent replicas from the survivors,
-  // after which strict reads from any replica agree.
-  env.ClearFaults();
-  kv::ScrubReport report;
-  ASSERT_TRUE(store->ScrubReplicas(&report).ok());
-  EXPECT_GT(report.replicas_rebuilt, 0u);
-  ids.clear();
-  ASSERT_TRUE(store->RangeQuery(Everywhere(), &ids).ok());
-  EXPECT_EQ(ids.size(), 80u);
-  kv::ScrubReport clean;
-  ASSERT_TRUE(store->ScrubReplicas(&clean).ok());
-  EXPECT_EQ(clean.divergent_replicas, 0u);
 }
 
 TEST(IngestPipelineTest, StrictModeFailsBatchesButAdvancesWatermark) {

@@ -406,9 +406,16 @@ TEST(StoreExhaustionTest, ShedsIngestWhileWedgedAndAutoResumes) {
   // A synchronous write wedges its region...
   EXPECT_FALSE(store->Put(data[20]).ok());
   HealthReport health = store->Health();
-  EXPECT_GT(health.read_only_replicas, 0u);
+  EXPECT_GT(health.read_only_regions, 0u);
   EXPECT_TRUE(health.writes_degraded);
   EXPECT_FALSE(health.first_background_error.empty());
+  uint64_t read_only = 0;
+  for (const auto& region : health.regions) {
+    if (!region.read_only) continue;
+    ++read_only;
+    EXPECT_FALSE(region.background_error.empty());
+  }
+  EXPECT_EQ(read_only, health.read_only_regions);
   // ...SubmitAsync sheds with Busy instead of queueing doomed tickets...
   EXPECT_TRUE(store->SubmitAsync(data[21], 0).IsBusy());
   // ...and queries still work, flagged with the degraded gauge.
@@ -416,13 +423,13 @@ TEST(StoreExhaustionTest, ShedsIngestWhileWedgedAndAutoResumes) {
   QueryMetrics metrics;
   ASSERT_TRUE(store->RangeQuery(Everywhere(), &ids, &metrics).ok());
   EXPECT_EQ(ids.size(), 20u);
-  EXPECT_GT(metrics.read_only_replicas, 0u);
+  EXPECT_GT(metrics.read_only_regions, 0u);
 
   // Space frees; the auto-resume prober restores writability by itself.
   env.ClearFaults();
   bool resumed = false;
   for (int i = 0; i < 500; ++i) {  // up to ~10 s
-    if (store->Health().read_only_replicas == 0) {
+    if (store->Health().read_only_regions == 0) {
       resumed = true;
       break;
     }
@@ -436,72 +443,6 @@ TEST(StoreExhaustionTest, ShedsIngestWhileWedgedAndAutoResumes) {
   ASSERT_TRUE(store->RangeQuery(Everywhere(), &ids).ok());
   EXPECT_EQ(ids.size(), 21u);
   EXPECT_GT(store->region_store()->TotalIoStats().resume_attempts, 0u);
-}
-
-TEST(StoreExhaustionTest, ReadOnlyReplicaServesReadsAndScrubHealsIt) {
-  trass::testing::ScratchDir dir("store_ro_replica");
-  kv::FaultInjectionEnv env(kv::Env::Default());
-  TrassOptions options;
-  options.shards = 2;
-  options.replication_factor = 2;
-  options.ingest_min_ack_replicas = 1;
-  options.db_options.env = &env;
-  std::unique_ptr<TrassStore> store;
-  ASSERT_TRUE(TrassStore::Open(options, dir.path() + "/store", &store).ok());
-
-  const auto data = trass::testing::RandomDataset(59, 80);
-  for (size_t i = 0; i < 40; ++i) {
-    ASSERT_TRUE(store->Put(data[i]).ok());
-  }
-
-  // Replica 1 of every region runs out of disk; with min_acks = 1 the
-  // primaries keep accepting.
-  kv::FaultPoint fault;
-  fault.op = kv::FaultOp::kAppend;
-  fault.kind = kv::FaultKind::kNoSpace;
-  fault.permanent = true;
-  fault.path_substring = "-replica-1";
-  env.InjectFault(fault);
-
-  uint64_t last_ticket = 0;
-  for (size_t i = 40; i < 80; ++i) {
-    ASSERT_TRUE(store->SubmitAsync(data[i], 1000, &last_ticket).ok());
-  }
-  ASSERT_TRUE(store->WaitForWatermark(last_ticket, 10000).ok());
-  EXPECT_EQ(store->ingest_stats().commit_failures, 0u);
-
-  // The wedged replicas are visible in health, demoted for writes but
-  // still eligible to serve reads.
-  HealthReport health = store->Health();
-  EXPECT_GT(health.read_only_replicas, 0u);
-  bool saw_read_only = false;
-  for (const auto& region : health.regions) {
-    for (const auto& replica : region.replicas) {
-      if (replica.read_only) {
-        saw_read_only = true;
-        EXPECT_FALSE(replica.background_error.empty());
-      }
-    }
-  }
-  EXPECT_TRUE(saw_read_only);
-  std::vector<uint64_t> ids;
-  ASSERT_TRUE(store->RangeQuery(Everywhere(), &ids).ok());
-  EXPECT_EQ(ids.size(), 80u);
-
-  // Space frees: Resume restores writability, the scrub heals the rows
-  // the wedged replicas missed, and the store converges.
-  env.ClearFaults();
-  ASSERT_TRUE(store->Resume().ok());
-  EXPECT_EQ(store->Health().read_only_replicas, 0u);
-  kv::ScrubReport report;
-  ASSERT_TRUE(store->ScrubReplicas(&report).ok());
-  EXPECT_GT(report.replicas_rebuilt, 0u);
-  kv::ScrubReport clean;
-  ASSERT_TRUE(store->ScrubReplicas(&clean).ok());
-  EXPECT_EQ(clean.divergent_replicas, 0u);
-  ids.clear();
-  ASSERT_TRUE(store->RangeQuery(Everywhere(), &ids).ok());
-  EXPECT_EQ(ids.size(), 80u);
 }
 
 // Seeded chaos matrix (the opt-in `ci.sh chaos` stage runs this under
@@ -569,7 +510,7 @@ TEST(ResourceExhaustionChaos, SeededFaultMatrix) {
       env.ClearFaults();
       env.SetDiskSpaceBudget(kv::FaultInjectionEnv::kUnlimitedBudget);
       ASSERT_TRUE(store->Resume().ok());
-      ASSERT_EQ(store->Health().read_only_replicas, 0u);
+      ASSERT_EQ(store->Health().read_only_regions, 0u);
       ASSERT_TRUE(store->Put(trass::testing::RandomTrajectory(
                                  &rnd, 1000000 + trial, 10))
                       .ok());

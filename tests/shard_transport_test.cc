@@ -106,13 +106,44 @@ TEST(WireTest, ResponseRoundTripsPayloadAndStatus) {
   t.id = 9;
   t.points = {{0.4, 0.4}};
   response.trajectories.push_back(t);
-  response.metrics.retrieved = 100;
-  response.metrics.candidates = 40;
-  response.metrics.results = 2;
-  response.metrics.partial = true;
-  response.metrics.deadline_expired = true;
-  response.metrics.scan_ms = 1.5;
-  response.metrics.ingest_watermark = 77;
+  // Every field the coordinator folds across shards (FoldShardMetrics),
+  // each set to a distinct non-zero value: a field the frame drops
+  // would decode as zero and make a socket-transport query disagree
+  // with the direct transport.
+  core::QueryMetrics& m = response.metrics;
+  m.pruning_ms = 1.25;
+  m.scan_ms = 1.5;
+  m.refine_ms = 1.75;
+  m.total_ms = 2.25;
+  m.scan_ranges = 3;
+  m.index_values = 4;
+  m.retrieved = 100;
+  m.candidates = 40;
+  m.refined = 6;
+  m.results = 2;
+  m.lb_rejected = 7;
+  m.refine_dp_runs = 8;
+  m.refine_threads = 9;
+  m.refine_decode_ms = 2.5;
+  m.refine_lb_ms = 2.75;
+  m.refine_dp_ms = 3.25;
+  m.admission_wait_ms = 3.5;
+  m.scan_retries = 10;
+  m.ingest_watermark = 77;
+  m.read_only_regions = 11;
+  m.filter_elements_pruned = 12;
+  m.filter_mbr_pruned = 13;
+  m.fingerprint_skips = 14;
+  m.filter_memory_bytes = 15;
+  m.block_cache_hits = 16;
+  m.block_cache_misses = 17;
+  m.block_cache_fills = 18;
+  m.readahead_reads = 19;
+  m.readahead_bytes_read = 20;
+  m.partial = true;
+  m.deadline_expired = true;
+  m.cancelled = true;
+  m.budget_exhausted = true;
 
   std::string payload;
   EncodeShardResponse(response, Status::NoSpace("disk full"), &payload);
@@ -127,13 +158,40 @@ TEST(WireTest, ResponseRoundTripsPayloadAndStatus) {
   EXPECT_EQ(decoded.ids, response.ids);
   ASSERT_EQ(decoded.trajectories.size(), 1u);
   EXPECT_EQ(decoded.trajectories[0].id, 9u);
-  EXPECT_EQ(decoded.metrics.retrieved, 100u);
-  EXPECT_EQ(decoded.metrics.candidates, 40u);
-  EXPECT_TRUE(decoded.metrics.partial);
-  EXPECT_TRUE(decoded.metrics.deadline_expired);
-  EXPECT_FALSE(decoded.metrics.cancelled);
-  EXPECT_DOUBLE_EQ(decoded.metrics.scan_ms, 1.5);
-  EXPECT_EQ(decoded.metrics.ingest_watermark, 77u);
+  const core::QueryMetrics& d = decoded.metrics;
+  EXPECT_DOUBLE_EQ(d.pruning_ms, 1.25);
+  EXPECT_DOUBLE_EQ(d.scan_ms, 1.5);
+  EXPECT_DOUBLE_EQ(d.refine_ms, 1.75);
+  EXPECT_DOUBLE_EQ(d.total_ms, 2.25);
+  EXPECT_EQ(d.scan_ranges, 3u);
+  EXPECT_EQ(d.index_values, 4u);
+  EXPECT_EQ(d.retrieved, 100u);
+  EXPECT_EQ(d.candidates, 40u);
+  EXPECT_EQ(d.refined, 6u);
+  EXPECT_EQ(d.results, 2u);
+  EXPECT_EQ(d.lb_rejected, 7u);
+  EXPECT_EQ(d.refine_dp_runs, 8u);
+  EXPECT_EQ(d.refine_threads, 9u);
+  EXPECT_DOUBLE_EQ(d.refine_decode_ms, 2.5);
+  EXPECT_DOUBLE_EQ(d.refine_lb_ms, 2.75);
+  EXPECT_DOUBLE_EQ(d.refine_dp_ms, 3.25);
+  EXPECT_DOUBLE_EQ(d.admission_wait_ms, 3.5);
+  EXPECT_EQ(d.scan_retries, 10u);
+  EXPECT_EQ(d.ingest_watermark, 77u);
+  EXPECT_EQ(d.read_only_regions, 11u);
+  EXPECT_EQ(d.filter_elements_pruned, 12u);
+  EXPECT_EQ(d.filter_mbr_pruned, 13u);
+  EXPECT_EQ(d.fingerprint_skips, 14u);
+  EXPECT_EQ(d.filter_memory_bytes, 15u);
+  EXPECT_EQ(d.block_cache_hits, 16u);
+  EXPECT_EQ(d.block_cache_misses, 17u);
+  EXPECT_EQ(d.block_cache_fills, 18u);
+  EXPECT_EQ(d.readahead_reads, 19u);
+  EXPECT_EQ(d.readahead_bytes_read, 20u);
+  EXPECT_TRUE(d.partial);
+  EXPECT_TRUE(d.deadline_expired);
+  EXPECT_TRUE(d.cancelled);
+  EXPECT_TRUE(d.budget_exhausted);
 }
 
 TEST(WireTest, RejectsWrongVersionAndTruncation) {

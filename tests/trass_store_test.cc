@@ -569,29 +569,23 @@ TEST_F(TrassStoreDeadlineTest, ConcurrentQueriesUnderAdmissionSucceed) {
   admission->Configure(AdmissionController::Options{});
 }
 
-// ---- deadline x degraded-scan composition (fault injection) ----
+// ---- deadline x region-fault composition (fault injection) ----
 
 class TrassStoreFaultTest : public ::testing::Test {
  protected:
   TrassStoreFaultTest()
       : dir_("trass_store_fault"), env_(kv::Env::Default()) {}
 
-  void OpenDegradedStore() {
+  void OpenFaultableStore(uint64_t retry_backoff_ms = 32) {
     TrassOptions options;
     options.shards = 4;
     options.max_resolution = 12;
     options.scan_threads = 4;
-    options.degraded_scans = true;
     options.max_scan_retries = 3;
-    options.scan_retry_backoff_ms = 32;
+    options.scan_retry_backoff_ms = retry_backoff_ms;
     options.db_options.env = &env_;
     ASSERT_TRUE(
         TrassStore::Open(options, dir_.path() + "/store", &store_).ok());
-    // Long trajectories make refinement slow enough (quadratic DP per
-    // candidate) that a deadline expiring at the tail of the scan is
-    // always caught by the refine-phase checks — the scan itself ends
-    // within a millisecond of the deadline because retry backoff is
-    // clamped to the remaining budget.
     const auto data = trass::testing::RandomDataset(23, 100, 180, 220);
     for (const Trajectory& t : data) {
       ASSERT_TRUE(store_->Put(t).ok());
@@ -617,230 +611,52 @@ class TrassStoreFaultTest : public ::testing::Test {
   std::vector<geo::Point> query_;
 };
 
-TEST_F(TrassStoreFaultTest, DeadlineAndDegradedSkipAreBothReported) {
-  OpenDegradedStore();
-  BreakRegion(2);
-
-  // The deadline expires while the broken region sleeps between retries
-  // (32ms first backoff vs a 40ms budget): the region is still skipped as
-  // a *fault* (degraded mode), and the deadline is separately reported as
-  // the reason the query stopped early. Both must surface in the metrics.
-  std::vector<SearchResult> results;
-  QueryMetrics metrics;
-  QueryOptions query_options;
-  query_options.deadline_ms = 40.0;
-  query_options.allow_partial = true;
-  const Status s = store_->ThresholdSearch(query_, 0.05, Measure::kFrechet,
-                                           &results, &metrics, query_options);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_TRUE(metrics.partial);
-  EXPECT_EQ(metrics.skipped_regions, 1u);
-  EXPECT_TRUE(metrics.deadline_expired);
-  EXPECT_GE(metrics.scan_retries, 1u);
-  ExpectUniqueIds(results);
-}
-
-TEST_F(TrassStoreFaultTest, DeadlineOverFaultyRegionWithoutPartialOptIn) {
-  OpenDegradedStore();
-  BreakRegion(2);
-  std::vector<SearchResult> results;
-  QueryMetrics metrics;
-  QueryOptions query_options;
-  query_options.deadline_ms = 40.0;  // no allow_partial
-  const Status s = store_->ThresholdSearch(query_, 0.05, Measure::kFrechet,
-                                           &results, &metrics, query_options);
-  EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
-  EXPECT_TRUE(metrics.deadline_expired);
-  EXPECT_EQ(metrics.skipped_regions, 1u);  // the fault is still recorded
-}
-
-TEST_F(TrassStoreFaultTest, DegradedSkipAloneStaysOkWithoutDeadline) {
-  OpenDegradedStore();
+TEST_F(TrassStoreFaultTest, BrokenRegionFailsQueryWithAttributedError) {
+  OpenFaultableStore();
   BreakRegion(2);
   std::vector<SearchResult> results;
   QueryMetrics metrics;
   const Status s = store_->ThresholdSearch(query_, 0.05, Measure::kFrechet,
                                            &results, &metrics);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_TRUE(metrics.partial);
-  EXPECT_EQ(metrics.skipped_regions, 1u);
-  EXPECT_FALSE(metrics.deadline_expired);  // fault, not a deadline
+  ASSERT_FALSE(s.ok());
+  EXPECT_FALSE(s.IsQueryStop()) << s.ToString();
+  EXPECT_NE(s.ToString().find("region 2"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(metrics.scan_retries, 3u);
+  EXPECT_FALSE(metrics.partial);
+
+  // The region heals: the same query answers in full again.
+  env_.ClearFaults();
+  ASSERT_TRUE(store_
+                  ->ThresholdSearch(query_, 0.05, Measure::kFrechet, &results,
+                                    &metrics)
+                  .ok());
+  EXPECT_FALSE(results.empty());
   ExpectUniqueIds(results);
 }
 
-// ---- replication ----
+TEST_F(TrassStoreFaultTest, DeadlineDuringRetriesStillReportsTheFault) {
+  OpenFaultableStore(/*retry_backoff_ms=*/100);
+  BreakRegion(2);
 
-class TrassStoreReplicaTest : public ::testing::Test {
- protected:
-  TrassStoreReplicaTest()
-      : dir_("trass_store_replica"), env_(kv::Env::Default()) {}
-
-  TrassOptions ReplicatedOptions(int factor) {
-    TrassOptions options;
-    options.shards = 4;
-    options.max_resolution = 12;
-    options.scan_threads = 4;
-    options.degraded_scans = true;
-    options.max_scan_retries = 3;
-    options.scan_retry_backoff_ms = 32;
-    options.replication_factor = factor;
-    options.db_options.env = &env_;
-    return options;
-  }
-
-  void OpenReplicatedStore(int factor = 2) {
-    ASSERT_TRUE(TrassStore::Open(ReplicatedOptions(factor),
-                                 dir_.path() + "/store", &store_)
-                    .ok());
-    data_ = trass::testing::RandomDataset(23, 100, 180, 220);
-    for (const Trajectory& t : data_) {
-      ASSERT_TRUE(store_->Put(t).ok());
-    }
-    ASSERT_TRUE(store_->Flush().ok());
-    query_ = data_[0].points;
-  }
-
-  // An identical unreplicated, un-faulted store over the same dataset:
-  // the ground truth the replicated store must keep matching.
-  void OpenBaselineStore() {
-    TrassOptions options;
-    options.shards = 4;
-    options.max_resolution = 12;
-    options.scan_threads = 4;
-    ASSERT_TRUE(TrassStore::Open(options, dir_.path() + "/baseline",
-                                 &baseline_)
-                    .ok());
-    for (const Trajectory& t : data_) {
-      ASSERT_TRUE(baseline_->Put(t).ok());
-    }
-    ASSERT_TRUE(baseline_->Flush().ok());
-  }
-
-  // Breaks replica 0 of every shard; replica 1 keeps serving. The
-  // trailing separator keeps "region-N/" from matching the
-  // region-N-replica-* directories.
-  void BreakPrimaryReplicas() {
-    for (int shard = 0; shard < 4; ++shard) {
-      for (kv::FaultOp op : {kv::FaultOp::kOpenRead, kv::FaultOp::kRead}) {
-        kv::FaultPoint fault;
-        fault.op = op;
-        fault.permanent = true;
-        fault.path_substring = "region-" + std::to_string(shard) + "/";
-        env_.InjectFault(fault);
-      }
-    }
-  }
-
-  static std::vector<uint64_t> SortedIds(
-      const std::vector<SearchResult>& results) {
-    std::vector<uint64_t> ids;
-    for (const SearchResult& r : results) ids.push_back(r.id);
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  }
-
-  trass::testing::ScratchDir dir_;
-  kv::FaultInjectionEnv env_;
-  std::unique_ptr<TrassStore> store_;
-  std::unique_ptr<TrassStore> baseline_;
-  std::vector<Trajectory> data_;
-  std::vector<geo::Point> query_;
-};
-
-TEST_F(TrassStoreReplicaTest, QueriesStayCompleteWithPrimaryReplicasDown) {
-  OpenReplicatedStore();
-  OpenBaselineStore();
-  BreakPrimaryReplicas();
-
-  // Threshold: identical answer to the un-faulted baseline, not flagged
-  // partial, no skipped regions — the faults only show as failovers.
-  std::vector<SearchResult> results;
-  QueryMetrics metrics;
-  ASSERT_TRUE(store_
-                  ->ThresholdSearch(query_, 0.05, Measure::kFrechet, &results,
-                                    &metrics)
-                  .ok());
-  EXPECT_FALSE(metrics.partial);
-  EXPECT_EQ(metrics.skipped_regions, 0u);
-  EXPECT_GE(metrics.replica_failovers, 1u);
-  std::vector<SearchResult> expected;
-  ASSERT_TRUE(
-      baseline_->ThresholdSearch(query_, 0.05, Measure::kFrechet, &expected)
-          .ok());
-  EXPECT_EQ(SortedIds(results), SortedIds(expected));
-
-  // Top-k: same contract.
-  std::vector<SearchResult> topk;
-  QueryMetrics topk_metrics;
-  ASSERT_TRUE(store_
-                  ->TopKSearch(query_, 5, Measure::kFrechet, &topk,
-                               &topk_metrics)
-                  .ok());
-  EXPECT_FALSE(topk_metrics.partial);
-  EXPECT_EQ(topk_metrics.skipped_regions, 0u);
-  EXPECT_GE(topk_metrics.replica_failovers, 1u);
-  std::vector<SearchResult> topk_expected;
-  ASSERT_TRUE(
-      baseline_->TopKSearch(query_, 5, Measure::kFrechet, &topk_expected)
-          .ok());
-  EXPECT_EQ(SortedIds(topk), SortedIds(topk_expected));
-}
-
-TEST_F(TrassStoreReplicaTest, FailoverCompletesWithinGenerousDeadline) {
-  OpenReplicatedStore();
-  BreakPrimaryReplicas();
+  // The deadline expires while the broken region sleeps between retries
+  // (100ms first backoff vs a 60ms budget). The stop ends the retrying,
+  // but the fault outcome stands: even with allow_partial the query
+  // fails with the region's error instead of returning a "partial"
+  // answer that silently lacks a region.
   std::vector<SearchResult> results;
   QueryMetrics metrics;
   QueryOptions query_options;
-  query_options.deadline_ms = 5000.0;
-  ASSERT_TRUE(store_
-                  ->ThresholdSearch(query_, 0.05, Measure::kFrechet, &results,
-                                    &metrics, query_options)
-                  .ok());
-  EXPECT_FALSE(metrics.partial);
-  EXPECT_FALSE(metrics.deadline_expired);
-  EXPECT_EQ(metrics.skipped_regions, 0u);
-  EXPECT_GE(metrics.replica_failovers, 1u);
-}
-
-TEST_F(TrassStoreReplicaTest, ExpiredDeadlineWithReplicasIsTimedOutNotSkip) {
-  // With replicas available, no region is ever proven down by a query
-  // stop: an expired deadline yields TimedOut with zero skipped
-  // regions, never a degraded skip masquerading as partial data.
-  OpenReplicatedStore();
-  BreakPrimaryReplicas();
-  std::vector<SearchResult> results;
-  QueryMetrics metrics;
-  QueryOptions query_options;
-  query_options.deadline_ms = 0.001;
+  query_options.deadline_ms = 60.0;
+  query_options.allow_partial = true;
   const Status s = store_->ThresholdSearch(query_, 0.05, Measure::kFrechet,
                                            &results, &metrics, query_options);
-  EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
-  EXPECT_TRUE(metrics.deadline_expired);
-  EXPECT_EQ(metrics.skipped_regions, 0u);
-}
-
-TEST_F(TrassStoreReplicaTest, ScrubBackfillsRaisedReplicationFactor) {
-  // Grow an existing single-copy store to factor 2: the new replicas
-  // open empty, and one scrub pass populates them from the originals.
-  OpenReplicatedStore(/*factor=*/1);
-  store_.reset();
-  ASSERT_TRUE(TrassStore::Open(ReplicatedOptions(/*factor=*/2),
-                               dir_.path() + "/store", &store_)
-                  .ok());
-  kv::ScrubReport report;
-  ASSERT_TRUE(store_->ScrubReplicas(&report).ok());
-  EXPECT_EQ(report.replicas_rebuilt, 4u);  // one new replica per shard
-  EXPECT_EQ(report.rows_copied, data_.size());  // one row per trajectory
-  BreakPrimaryReplicas();
-  std::vector<SearchResult> results;
-  QueryMetrics metrics;
-  ASSERT_TRUE(store_
-                  ->ThresholdSearch(query_, 0.05, Measure::kFrechet, &results,
-                                    &metrics)
-                  .ok());
+  ASSERT_FALSE(s.ok());
+  EXPECT_FALSE(s.IsQueryStop()) << s.ToString();
+  EXPECT_NE(s.ToString().find("region 2"), std::string::npos)
+      << s.ToString();
+  EXPECT_GE(metrics.scan_retries, 1u);
   EXPECT_FALSE(metrics.partial);
-  EXPECT_EQ(metrics.skipped_regions, 0u);
 }
 
 // ------------------------------------ storage-engine knob equivalence
