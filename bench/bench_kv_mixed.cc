@@ -43,7 +43,7 @@ using trass::Stopwatch;
 namespace kv = trass::kv;
 
 std::string KeyOf(uint64_t i) {
-  char buf[24];
+  char buf[4 + 20 + 1];  // "key-", up to 20 digits, NUL
   std::snprintf(buf, sizeof(buf), "key-%012llu",
                 static_cast<unsigned long long>(i));
   return buf;

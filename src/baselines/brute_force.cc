@@ -4,7 +4,6 @@
 #include <queue>
 
 #include "core/similarity.h"
-#include "util/stopwatch.h"
 
 namespace trass {
 namespace baselines {
@@ -17,7 +16,7 @@ Status BruteForce::Threshold(const std::vector<geo::Point>& query, double eps,
   core::QueryMetrics local;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::QueryMetrics();
-  Stopwatch total;
+  core::TotalTimer total(m);
   for (const core::Trajectory& t : data_) {
     ++m->retrieved;
     ++m->candidates;
@@ -29,7 +28,6 @@ Status BruteForce::Threshold(const std::vector<geo::Point>& query, double eps,
   }
   std::sort(results->begin(), results->end());
   m->results = results->size();
-  m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }
 
@@ -42,7 +40,7 @@ Status BruteForce::TopK(const std::vector<geo::Point>& query, int k,
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::QueryMetrics();
   if (k <= 0) return Status::OK();
-  Stopwatch total;
+  core::TotalTimer total(m);
   std::priority_queue<core::SearchResult> best;
   for (const core::Trajectory& t : data_) {
     ++m->retrieved;
@@ -62,7 +60,6 @@ Status BruteForce::TopK(const std::vector<geo::Point>& query, int k,
   }
   std::sort(results->begin(), results->end());
   m->results = results->size();
-  m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }
 

@@ -37,7 +37,7 @@ Status DftBaseline::Threshold(const std::vector<geo::Point>& query,
   core::QueryMetrics local;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::QueryMetrics();
-  Stopwatch total;
+  core::TotalTimer total(m);
   Stopwatch phase;
 
   const geo::Mbr ext = geo::Mbr::Of(query).Expanded(eps);
@@ -75,7 +75,6 @@ Status DftBaseline::Threshold(const std::vector<geo::Point>& query,
   m->refine_ms = phase.ElapsedMillis();
   std::sort(results->begin(), results->end());
   m->results = results->size();
-  m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }
 
@@ -91,7 +90,7 @@ Status DftBaseline::TopK(const std::vector<geo::Point>& query, int k,
   core::QueryMetrics local;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::QueryMetrics();
-  Stopwatch total;
+  core::TotalTimer total(m);
 
   // DFT's sampling: take c*k trajectories near the query (here: the MBRs
   // intersecting the query's MBR, widening until enough) and use the k-th
@@ -127,24 +126,17 @@ Status DftBaseline::TopK(const std::vector<geo::Point>& query, int k,
     core::QueryMetrics round;
     Status s = Threshold(query, threshold, measure, &found, &round);
     if (!s.ok()) return s;
-    m->retrieved += round.retrieved;
-    m->candidates += round.candidates;
-    m->refined += round.refined;
-    m->pruning_ms += round.pruning_ms;
-    m->scan_ms += round.scan_ms;
-    m->refine_ms += round.refine_ms;
+    core::FoldMetrics(round, m);
     if (found.size() >= static_cast<size_t>(k) || threshold > 0.5) {
       if (found.size() > static_cast<size_t>(k)) {
         found.resize(static_cast<size_t>(k));
       }
       *results = std::move(found);
       m->results = results->size();
-      m->total_ms = total.ElapsedMillis();
       return Status::OK();
     }
     threshold *= 2.0;
   }
-  m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }
 

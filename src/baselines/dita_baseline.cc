@@ -71,7 +71,7 @@ Status DitaBaseline::Threshold(const std::vector<geo::Point>& query,
   core::QueryMetrics local;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::QueryMetrics();
-  Stopwatch total;
+  core::TotalTimer total(m);
   Stopwatch phase;
 
   // Level-wise trie pruning: level 0 pivots must be near the query's
@@ -137,7 +137,6 @@ Status DitaBaseline::Threshold(const std::vector<geo::Point>& query,
   m->refine_ms = phase.ElapsedMillis();
   std::sort(results->begin(), results->end());
   m->results = results->size();
-  m->total_ms = total.ElapsedMillis();
   (void)nodes_visited;
   return Status::OK();
 }
@@ -154,31 +153,24 @@ Status DitaBaseline::TopK(const std::vector<geo::Point>& query, int k,
   core::QueryMetrics local;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::QueryMetrics();
-  Stopwatch total;
+  core::TotalTimer total(m);
   double eps = 2e-6;  // ~80 m; doubles until k answers appear
   for (int round = 0; round < 24; ++round) {
     std::vector<core::SearchResult> found;
     core::QueryMetrics round_metrics;
     Status s = Threshold(query, eps, measure, &found, &round_metrics);
     if (!s.ok()) return s;
-    m->retrieved += round_metrics.retrieved;
-    m->candidates += round_metrics.candidates;
-    m->refined += round_metrics.refined;
-    m->pruning_ms += round_metrics.pruning_ms;
-    m->scan_ms += round_metrics.scan_ms;
-    m->refine_ms += round_metrics.refine_ms;
+    core::FoldMetrics(round_metrics, m);
     if (found.size() >= static_cast<size_t>(k) || eps > 0.5) {
       if (found.size() > static_cast<size_t>(k)) {
         found.resize(static_cast<size_t>(k));
       }
       *results = std::move(found);
       m->results = results->size();
-      m->total_ms = total.ElapsedMillis();
       return Status::OK();
     }
     eps *= 2.0;
   }
-  m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }
 

@@ -91,7 +91,7 @@ Status ReposeBaseline::TopK(const std::vector<geo::Point>& query, int k,
   core::QueryMetrics local;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::QueryMetrics();
-  Stopwatch total;
+  core::TotalTimer total(m);
   Stopwatch phase;
 
   // Distance to every pivot, then order members by the triangle bound
@@ -150,7 +150,6 @@ Status ReposeBaseline::TopK(const std::vector<geo::Point>& query, int k,
   }
   std::sort(results->begin(), results->end());
   m->results = results->size();
-  m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }
 

@@ -102,7 +102,7 @@ Status Xz2Store::Threshold(const std::vector<geo::Point>& query, double eps,
   core::QueryMetrics local;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::QueryMetrics();
-  Stopwatch total;
+  core::TotalTimer total(m);
   Stopwatch phase;
 
   const geo::Mbr mbr = geo::Mbr::Of(query);
@@ -142,7 +142,6 @@ Status Xz2Store::Threshold(const std::vector<geo::Point>& query, double eps,
   m->refine_ms = phase.ElapsedMillis();
   std::sort(results->begin(), results->end());
   m->results = results->size();
-  m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }
 
@@ -155,7 +154,7 @@ Status Xz2Store::TopK(const std::vector<geo::Point>& query, int k,
   core::QueryMetrics local;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local;
   *m = core::QueryMetrics();
-  Stopwatch total;
+  core::TotalTimer total(m);
 
   // Iteratively widen the threshold until k answers appear. Each round
   // re-scans, which is exactly the weakness the paper attributes to
@@ -166,25 +165,17 @@ Status Xz2Store::TopK(const std::vector<geo::Point>& query, int k,
     core::QueryMetrics round_metrics;
     Status s = Threshold(query, eps, measure, &found, &round_metrics);
     if (!s.ok()) return s;
-    m->pruning_ms += round_metrics.pruning_ms;
-    m->scan_ms += round_metrics.scan_ms;
-    m->refine_ms += round_metrics.refine_ms;
-    m->retrieved += round_metrics.retrieved;
-    m->candidates += round_metrics.candidates;
-    m->refined += round_metrics.refined;
-    m->index_values += round_metrics.index_values;
+    core::FoldMetrics(round_metrics, m);
     if (found.size() >= static_cast<size_t>(k) || eps > 0.5) {
       if (found.size() > static_cast<size_t>(k)) {
         found.resize(static_cast<size_t>(k));
       }
       *results = std::move(found);
       m->results = results->size();
-      m->total_ms = total.ElapsedMillis();
       return Status::OK();
     }
     eps *= 2.0;
   }
-  m->total_ms = total.ElapsedMillis();
   return Status::OK();
 }
 

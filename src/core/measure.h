@@ -6,6 +6,8 @@
 namespace trass {
 namespace core {
 
+// The wire codec (serve/wire.cc) rejects values past kDtw: a new
+// measure goes last and widens that check.
 enum class Measure {
   kFrechet,    // discrete Fréchet (the paper's default)
   kHausdorff,  // symmetric Hausdorff

@@ -1,134 +1,182 @@
 // Per-query metrics matching what the paper's evaluation reports:
 // pruning/filtering times, trajectories retrieved from the store (global
 // pruning quality), candidates surviving local filtering, and precision.
+//
+// One field table, TRASS_QUERY_METRICS, declares QueryMetrics: a row per
+// field gives its type, name and fold rule, beside its doc comment. The
+// table generates the members, FoldMetrics and the serve/wire.cc metrics
+// frame (in table order). To add a metric, add one row with its fold
+// rule and bump kWireVersion in serve/wire.cc; nothing else lists fields.
 
 #ifndef TRASS_CORE_METRICS_H_
 #define TRASS_CORE_METRICS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <type_traits>
+
+#include "util/status.h"
+#include "util/stopwatch.h"
 
 namespace trass {
 namespace core {
 
+/// How FoldMetrics merges a field of a sub-query (a shard's answer, a
+/// join probe) into the caller's rollup.
+enum class MetricFold {
+  kSum,    // counters and CPU times add
+  kMax,    // parallelism and watermarks take the larger
+  kOr,     // stop/degradation flags: one degraded part degrades the whole
+  kOwned,  // set by the caller for its own query; never folded
+};
+
+// X(type, name, fold) per field.
+#define TRASS_QUERY_METRICS(X)                                                \
+  /* Phase wall times; total_ms (the query after admission) is written by     \
+     TotalTimer on every return path. */                                      \
+  X(double, pruning_ms, kSum) /* global pruning (range generation) */         \
+  X(double, scan_ms, kSum)    /* store scan incl. pushdown local filter */    \
+  X(double, refine_ms, kSum)  /* exact similarity computations */             \
+  X(double, total_ms, kOwned)                                                 \
+  X(uint64_t, scan_ranges, kSum) /* key ranges issued to the store */         \
+  /* Index values the store was asked to read: for threshold/range/join,      \
+     the present (directory-held) values in the final scanned ranges, after   \
+     directory intersection and the filter tier; for top-k, drained index     \
+     spaces handed to a store round-trip, minus filter-tier prunes. */        \
+  X(uint64_t, index_values, kSum)                                             \
+  X(uint64_t, retrieved, kSum)  /* rows scanned in the store (I/O) */         \
+  X(uint64_t, candidates, kSum) /* rows surviving local filtering */          \
+  X(uint64_t, refined, kSum)    /* candidates entering exact refinement */    \
+  X(uint64_t, results, kOwned)  /* final answers */                           \
+  /* Refinement engine (core/refiner.h): of the `refined` candidates,         \
+     `lb_rejected` were disposed of by the lower-bound cascade and            \
+     `refine_dp_runs` ran the O(n*m) DP. The refine_*_ms fields are CPU       \
+     time summed across workers, so they can exceed refine_ms. */             \
+  X(uint64_t, lb_rejected, kSum)                                              \
+  X(uint64_t, refine_dp_runs, kSum)                                           \
+  X(uint64_t, refine_threads, kMax) /* engine parallelism */                  \
+  X(double, refine_decode_ms, kSum) /* row decode + SoA flatten */            \
+  X(double, refine_lb_ms, kSum)     /* lower-bound cascade */                 \
+  X(double, refine_dp_ms, kSum)     /* exact DP kernels */                    \
+  /* The answer may be missing rows: a cooperative stop under allow_partial   \
+     (reason in the flags below), or shards skipped from a merge. */          \
+  X(bool, partial, kOr)                                                       \
+  X(uint64_t, scan_retries, kSum) /* region scan attempts beyond the first */ \
+  /* Cooperative-stop reason (QueryOptions). With allow_partial the query     \
+     returns OK with `partial` set; without it the stop is the Status. */     \
+  X(bool, deadline_expired, kOr) /* QueryOptions::deadline_ms */              \
+  X(bool, cancelled, kOr)        /* QueryOptions::cancel */                   \
+  X(bool, budget_exhausted, kOr) /* QueryOptions::max_candidates */           \
+  X(double, admission_wait_ms, kSum) /* queued in admission control */        \
+  /* Serving tier (serve/coordinator.h); zero on single-store queries.        \
+     shards_skipped: answers missing from the merge (allow_partial only,      \
+     always with `partial`). hedges_sent/hedge_wins: straggler hedges and     \
+     how many beat their primary. breaker_open: fan-outs an open breaker      \
+     rejected. shard_failovers: missing answers whose key space replica       \
+     shards fully covered, so the answer stays complete. */                   \
+  X(uint64_t, shards_contacted, kSum)                                         \
+  X(uint64_t, shards_skipped, kSum)                                           \
+  X(uint64_t, hedges_sent, kSum)                                              \
+  X(uint64_t, hedge_wins, kSum)                                               \
+  X(uint64_t, breaker_open, kSum)                                             \
+  X(uint64_t, shard_failovers, kSum)                                          \
+  /* Filter tier (src/filter/); zero when disabled. Index values proven       \
+     empty by the element summary; values (top-k: subtrees/spaces) killed     \
+     by the aggregate-MBR bound; rows a fingerprint proved misses unread.     \
+     filter_memory_bytes is a gauge, the RAM of the snapshot consulted: a     \
+     coordinator sums it across shards, the join keeps one store's. */        \
+  X(uint64_t, filter_elements_pruned, kSum)                                   \
+  X(uint64_t, filter_mbr_pruned, kSum)                                        \
+  X(uint64_t, fingerprint_skips, kSum)                                        \
+  X(uint64_t, filter_memory_bytes, kSum)                                      \
+  /* Storage-engine I/O of the query's scans (ScanReport deltas; approximate  \
+     under concurrent work). Cache counters cover random-access reads;        \
+     streaming scans read ahead and bypass the cache by design. */            \
+  X(uint64_t, block_cache_hits, kSum)                                         \
+  X(uint64_t, block_cache_misses, kSum)                                       \
+  X(uint64_t, block_cache_fills, kSum)                                        \
+  X(uint64_t, readahead_reads, kSum)                                          \
+  X(uint64_t, readahead_bytes_read, kSum)                                     \
+  /* Every trajectory with ticket <= this was fully visible to the query      \
+     (see TrassStore::SubmitAsync). */                                        \
+  X(uint64_t, ingest_watermark, kMax)                                         \
+  /* Regions wedged read-only when the query started: writes are degraded;    \
+     reads, and so the answer, are not. */                                    \
+  X(uint64_t, read_only_regions, kSum)
+
 struct QueryMetrics {
-  double pruning_ms = 0.0;    // global pruning (range generation)
-  double scan_ms = 0.0;       // store scan incl. pushdown local filter
-  double refine_ms = 0.0;     // exact similarity computations
-  double total_ms = 0.0;
-
-  uint64_t scan_ranges = 0;     // key ranges issued to the store
-
-  /// Index values the query actually submitted to store scans. For the
-  /// threshold/range/join paths this counts the *present* values (ones
-  /// the value directory holds) inside the final scanned ranges — after
-  /// directory intersection and, when enabled, after the filter tier;
-  /// candidate values that were empty or pruned before any scan are
-  /// excluded. For top-k it counts drained index spaces handed to a
-  /// store round-trip (the PR 5 definition), with spaces the filter
-  /// tier pruned at drain time likewise excluded. Either way: an index
-  /// value counts here iff the store was asked to read it.
-  uint64_t index_values = 0;
-  uint64_t retrieved = 0;       // rows scanned in the store (I/O)
-  uint64_t candidates = 0;      // rows surviving local filtering
-  uint64_t refined = 0;         // candidates entering exact refinement
-  uint64_t results = 0;         // final answers
-
-  /// Refinement-engine breakdown (see core/refiner.h). `refined` above
-  /// counts candidates the engine decoded; of those, `lb_rejected` were
-  /// disposed of by the lower-bound cascade without running the O(n*m)
-  /// DP and `refine_dp_runs` ran it. The *_ms fields are summed across
-  /// refine workers (CPU time; with refine_threads > 1 they can exceed
-  /// the wall-clock refine_ms).
-  uint64_t lb_rejected = 0;        // cascade proved dist > bound, DP skipped
-  uint64_t refine_dp_runs = 0;     // exact DP kernels executed
-  uint64_t refine_threads = 0;     // engine parallelism for this query
-  double refine_decode_ms = 0.0;   // row decode + SoA flatten
-  double refine_lb_ms = 0.0;       // lower-bound cascade
-  double refine_dp_ms = 0.0;       // exact DP kernels
-
-  /// Set when the answer may be missing rows: a cooperative stop under
-  /// `allow_partial` (reason in the flags below), or — at the serving
-  /// tier — shards skipped from the merge (`shards_skipped`).
-  bool partial = false;
-  uint64_t scan_retries = 0;  // region scan attempts beyond the first
-
-  /// Cooperative-stop outcome (see QueryOptions). With `allow_partial`
-  /// the query returns OK with `partial` set and the reason recorded
-  /// here; without it the reason arrives as the returned Status instead.
-  bool deadline_expired = false;   // stopped at QueryOptions::deadline_ms
-  bool cancelled = false;          // stopped via QueryOptions::cancel
-  bool budget_exhausted = false;   // stopped at QueryOptions::max_candidates
-  double admission_wait_ms = 0.0;  // time queued in admission control
-
-  /// Scatter-gather serving tier (serve/coordinator.h). Zero on
-  /// single-store queries. `shards_contacted` counts shards the
-  /// coordinator fanned the query out to; `shards_skipped` counts
-  /// shards whose answer is missing from the merge (breaker-open,
-  /// failed after retries, or unresolved at the deadline) — non-zero
-  /// only with allow_partial, and always accompanied by `partial` so
-  /// degradation is observable, never silent. `hedges_sent`/`hedge_wins`
-  /// count straggler hedge requests and how many beat their primary;
-  /// `breaker_open` counts fan-outs rejected by an open circuit
-  /// breaker during this query.
-  uint64_t shards_contacted = 0;
-  uint64_t shards_skipped = 0;
-  uint64_t hedges_sent = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t breaker_open = 0;
-
-  /// Coordinator-level failovers: shards whose answer is missing from
-  /// the merge but whose key space was fully covered by replica shards, so
-  /// the merged answer is still complete — `partial` stays false and
-  /// strict queries still succeed. Non-zero only with
-  /// CoordinatorOptions::replication_factor > 1.
-  uint64_t shard_failovers = 0;
-
-  /// Memory-resident filter tier (src/filter/, TrassOptions::filter_tier).
-  /// All zero when the tier is disabled. `filter_elements_pruned` counts
-  /// candidate index values skipped because the element summary index
-  /// proved them empty; `filter_mbr_pruned` counts present values (or,
-  /// in top-k, whole subtrees/spaces) killed by the aggregate-MBR edge
-  /// bound before any scan; `fingerprint_skips` counts rows whose
-  /// per-row fingerprint record proved them misses without reading
-  /// their bytes. `filter_memory_bytes` is a gauge: RAM held by the
-  /// filter snapshot the query consulted (coordinator merges sum the
-  /// per-shard gauges).
-  uint64_t filter_elements_pruned = 0;
-  uint64_t filter_mbr_pruned = 0;
-  uint64_t fingerprint_skips = 0;
-  uint64_t filter_memory_bytes = 0;
-
-  /// Storage-engine I/O breakdown for this query's store scans, summed
-  /// across scan fan-outs (see ScanReport: per-region IoStats deltas,
-  /// approximate under concurrent compactions/queries on the same
-  /// region). Hits/misses/fills count block-cache traffic on the
-  /// random-access read path; the readahead counters cover the
-  /// streaming-scan path (Options::scan_readahead_bytes), which bypasses
-  /// the cache by design — a scan-heavy query should show readahead
-  /// traffic and near-zero fills.
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
-  uint64_t block_cache_fills = 0;
-  uint64_t readahead_reads = 0;
-  uint64_t readahead_bytes_read = 0;
-
-  /// Ingest watermark snapshot taken when the query started: every
-  /// trajectory with ticket <= this value was fully visible (row +
-  /// features + value-directory entry) to the query; later ingest may or
-  /// may not be observed (see TrassStore::SubmitAsync).
-  uint64_t ingest_watermark = 0;
-
-  /// Regions wedged read-only by a background error (disk full, write
-  /// fault) when the query started. Non-zero does not make the answer
-  /// partial — read-only regions still serve reads — but it flags that
-  /// writes are degraded and the answer may predate unresumed ingest.
-  uint64_t read_only_regions = 0;
+#define TRASS_METRIC_MEMBER(type, name, fold) type name = type();
+  TRASS_QUERY_METRICS(TRASS_METRIC_MEMBER)
+#undef TRASS_METRIC_MEMBER
 
   double precision() const {
     return candidates == 0
                ? 1.0
                : static_cast<double>(results) / static_cast<double>(candidates);
   }
+};
+
+/// Calls `f(name, fold, member)` per field in table order: `fold` is a
+/// std::integral_constant<MetricFold, ...>, `member` a pointer to member.
+template <typename F>
+void ForEachMetricField(F&& f) {
+#define TRASS_METRIC_VISIT(type, name, fold)                       \
+  f(#name, std::integral_constant<MetricFold, MetricFold::fold>(), \
+    &QueryMetrics::name);
+  TRASS_QUERY_METRICS(TRASS_METRIC_VISIT)
+#undef TRASS_METRIC_VISIT
+}
+
+/// Folds a sub-query's metrics into `to`, each field by its table rule.
+inline void FoldMetrics(const QueryMetrics& from, QueryMetrics* to) {
+  ForEachMetricField(
+      [&]<typename T>(const char*, auto fold, T QueryMetrics::*member) {
+        constexpr MetricFold kFold = decltype(fold)::value;
+        static_assert((kFold == MetricFold::kOr) == std::is_same_v<T, bool> ||
+                          kFold == MetricFold::kOwned,
+                      "flags, and only flags, fold by OR");
+        T& dst = to->*member;
+        if constexpr (kFold == MetricFold::kSum) {
+          dst += from.*member;
+        } else if constexpr (kFold == MetricFold::kMax) {
+          dst = std::max(dst, from.*member);
+        } else if constexpr (kFold == MetricFold::kOr) {
+          dst = dst || from.*member;
+        }
+      });
+}
+
+/// Resolves a cooperative stop: records the reason in `m`; with
+/// `allow_partial` flags `partial` and reports OK (the results verified
+/// so far stand), without it returns the stop status.
+inline Status ResolveStop(const Status& stop, bool allow_partial,
+                          QueryMetrics* m) {
+  if (stop.IsTimedOut()) {
+    m->deadline_expired = true;
+  } else if (stop.IsCancelled()) {
+    m->cancelled = true;
+  } else if (stop.IsBusy()) {
+    m->budget_exhausted = true;
+  }
+  if (!allow_partial) return stop;
+  m->partial = true;
+  return Status::OK();
+}
+
+/// Writes the elapsed wall time to `m->total_ms` when it goes out of
+/// scope, so every return path reports it. Construct it where the query's
+/// own work starts, after admission (queueing is admission_wait_ms).
+class TotalTimer {
+ public:
+  explicit TotalTimer(QueryMetrics* m) : m_(m) {}
+  ~TotalTimer() { m_->total_ms = watch_.ElapsedMillis(); }
+
+  TotalTimer(const TotalTimer&) = delete;
+  TotalTimer& operator=(const TotalTimer&) = delete;
+
+ private:
+  QueryMetrics* const m_;
+  const Stopwatch watch_;
 };
 
 }  // namespace core

@@ -606,20 +606,6 @@ HealthReport TrassStore::Health() const {
   return report;
 }
 
-Status TrassStore::ResolveStop(const Status& stop, bool allow_partial,
-                               QueryMetrics* m) {
-  if (stop.IsTimedOut()) {
-    m->deadline_expired = true;
-  } else if (stop.IsCancelled()) {
-    m->cancelled = true;
-  } else if (stop.IsBusy()) {
-    m->budget_exhausted = true;
-  }
-  if (!allow_partial) return stop;
-  m->partial = true;
-  return Status::OK();
-}
-
 Status TrassStore::ThresholdSearch(const std::vector<geo::Point>& query,
                                    double eps, Measure measure,
                                    std::vector<SearchResult>* results,
@@ -635,9 +621,7 @@ Status TrassStore::ThresholdSearch(const std::vector<geo::Point>& query,
   *m = QueryMetrics();
   m->ingest_watermark = ingest_watermark();
   m->read_only_regions = store_->ReadOnlyRegions();
-  double waited_ms = 0.0;
-  AdmissionSlot slot(&admission_, &waited_ms);
-  m->admission_wait_ms = waited_ms;
+  AdmissionSlot slot(&admission_, &m->admission_wait_ms);
   if (!slot.status().ok()) return slot.status();
   // The deadline starts after admission: a queued query gets its full
   // budget once it runs (admission_wait_ms records the queueing).
@@ -651,7 +635,7 @@ Status TrassStore::ThresholdSearchInternal(
     const std::vector<geo::Point>& query, double eps, Measure measure,
     const QueryContext* control, bool allow_partial,
     std::vector<SearchResult>* results, QueryMetrics* m) {
-  Stopwatch total;
+  TotalTimer total(m);
 
   // Global pruning (Algorithm 1), data-directed via the value directory.
   // One immutable directory snapshot serves the whole query (snapshot
@@ -679,10 +663,7 @@ Status TrassStore::ThresholdSearchInternal(
                                    /*check_rows=*/true, control, &filtered,
                                    &filter_stats);
     FoldFilterStats(filter_stats, m);
-    if (!fs.ok()) {
-      m->total_ms = total.ElapsedMillis();
-      return ResolveStop(fs, allow_partial, m);
-    }
+    if (!fs.ok()) return ResolveStop(fs, allow_partial, m);
     present_ranges = std::move(filtered);
   }
   m->pruning_ms = phase.ElapsedMillis();
@@ -691,7 +672,6 @@ Status TrassStore::ThresholdSearchInternal(
   if (Status stop = control->Check(); !stop.ok()) {
     // An abandoned traversal leaves the ranges incomplete; nothing has
     // been verified yet, so even a partial answer is empty.
-    m->total_ms = total.ElapsedMillis();
     return ResolveStop(stop, allow_partial, m);
   }
 
@@ -706,10 +686,7 @@ Status TrassStore::ThresholdSearchInternal(
   m->scan_ms = phase.ElapsedMillis();
   m->retrieved = filter.scanned();
   m->candidates = filter.kept();
-  if (s.IsQueryStop()) {
-    m->total_ms = total.ElapsedMillis();
-    return ResolveStop(s, allow_partial, m);
-  }
+  if (s.IsQueryStop()) return ResolveStop(s, allow_partial, m);
   if (!s.ok()) return s;
 
   // Refine: the engine decodes the survivors into SoA buffers and runs
@@ -727,7 +704,6 @@ Status TrassStore::ThresholdSearchInternal(
   m->refine_ms = phase.ElapsedMillis();
   std::sort(results->begin(), results->end());
   m->results = results->size();
-  m->total_ms = total.ElapsedMillis();
   if (stopped.IsQueryStop()) return ResolveStop(stopped, allow_partial, m);
   return stopped;
 }
@@ -748,9 +724,7 @@ Status TrassStore::TopKSearch(const std::vector<geo::Point>& query, int k,
   *m = QueryMetrics();
   m->ingest_watermark = ingest_watermark();
   m->read_only_regions = store_->ReadOnlyRegions();
-  double waited_ms = 0.0;
-  AdmissionSlot slot(&admission_, &waited_ms);
-  m->admission_wait_ms = waited_ms;
+  AdmissionSlot slot(&admission_, &m->admission_wait_ms);
   if (!slot.status().ok()) return slot.status();
   QueryContext control;
   ArmControl(query_options, &control);
@@ -764,7 +738,7 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
                                       bool allow_partial,
                                       std::vector<SearchResult>* results,
                                       QueryMetrics* m) {
-  Stopwatch total;
+  TotalTimer total(m);
 
   const auto directory = value_directory();  // one snapshot per query
   // Taken after the directory so the tier is a superset of it (see
@@ -1021,7 +995,6 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
 
   topk.Drain(results);  // ascending (distance, id), thread-count agnostic
   m->results = results->size();
-  m->total_ms = total.ElapsedMillis();
   if (!stopped.ok()) return ResolveStop(stopped, allow_partial, m);
   return Status::OK();
 }
@@ -1039,13 +1012,11 @@ Status TrassStore::SimilarityJoin(
   *m = QueryMetrics();
   m->ingest_watermark = ingest_watermark();
   m->read_only_regions = store_->ReadOnlyRegions();
-  double waited_ms = 0.0;
-  AdmissionSlot slot(&admission_, &waited_ms);
-  m->admission_wait_ms = waited_ms;
+  AdmissionSlot slot(&admission_, &m->admission_wait_ms);
   if (!slot.status().ok()) return slot.status();
   QueryContext control;
   ArmControl(query_options, &control);
-  Stopwatch total;
+  TotalTimer total(m);
 
   // Stream every stored trajectory once, then probe the index with each.
   // (A production join would partition by element and join partitions;
@@ -1057,10 +1028,7 @@ Status TrassStore::SimilarityJoin(
   Status s = store_->Scan({kv::ScanRange{"", ""}}, nullptr, &rows, &report,
                           &control);
   FoldScanReport(report, m);
-  if (s.IsQueryStop()) {
-    m->total_ms = total.ElapsedMillis();
-    return ResolveStop(s, query_options.allow_partial, m);
-  }
+  if (s.IsQueryStop()) return ResolveStop(s, query_options.allow_partial, m);
   if (!s.ok()) return s;
   Status stopped;
   for (const kv::Row& row : rows) {
@@ -1075,29 +1043,9 @@ Status TrassStore::SimilarityJoin(
     QueryMetrics probe;
     s = ThresholdSearchInternal(t.points, eps, measure, &control,
                                 /*allow_partial=*/false, &matches, &probe);
-    m->partial = m->partial || probe.partial;
-    m->scan_retries += probe.scan_retries;
-    m->retrieved += probe.retrieved;
-    m->candidates += probe.candidates;
-    m->refined += probe.refined;
-    m->lb_rejected += probe.lb_rejected;
-    m->refine_dp_runs += probe.refine_dp_runs;
-    m->refine_threads = probe.refine_threads;
-    m->pruning_ms += probe.pruning_ms;
-    m->scan_ms += probe.scan_ms;
-    m->refine_ms += probe.refine_ms;
-    m->refine_decode_ms += probe.refine_decode_ms;
-    m->refine_lb_ms += probe.refine_lb_ms;
-    m->refine_dp_ms += probe.refine_dp_ms;
-    m->filter_elements_pruned += probe.filter_elements_pruned;
-    m->filter_mbr_pruned += probe.filter_mbr_pruned;
-    m->fingerprint_skips += probe.fingerprint_skips;
-    m->filter_memory_bytes = probe.filter_memory_bytes;  // gauge, not a sum
-    m->block_cache_hits += probe.block_cache_hits;
-    m->block_cache_misses += probe.block_cache_misses;
-    m->block_cache_fills += probe.block_cache_fills;
-    m->readahead_reads += probe.readahead_reads;
-    m->readahead_bytes_read += probe.readahead_bytes_read;
+    FoldMetrics(probe, m);
+    // The probes share this store's filter snapshot: a gauge, not a sum.
+    m->filter_memory_bytes = probe.filter_memory_bytes;
     if (s.IsQueryStop()) {
       // Pairs from completed probes are exact; the stopped probe's
       // partial matches are discarded (they could miss pairs).
@@ -1113,7 +1061,6 @@ Status TrassStore::SimilarityJoin(
   }
   std::sort(pairs->begin(), pairs->end());
   m->results = pairs->size();
-  m->total_ms = total.ElapsedMillis();
   if (!stopped.ok()) {
     return ResolveStop(stopped, query_options.allow_partial, m);
   }
@@ -1133,13 +1080,11 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
   *m = QueryMetrics();
   m->ingest_watermark = ingest_watermark();
   m->read_only_regions = store_->ReadOnlyRegions();
-  double waited_ms = 0.0;
-  AdmissionSlot slot(&admission_, &waited_ms);
-  m->admission_wait_ms = waited_ms;
+  AdmissionSlot slot(&admission_, &m->admission_wait_ms);
   if (!slot.status().ok()) return slot.status();
   QueryContext control;
   ArmControl(query_options, &control);
-  Stopwatch total;
+  TotalTimer total(m);
   Stopwatch phase;
 
   // Candidate index spaces: every element whose enlarged element
@@ -1214,17 +1159,13 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
     Status fs = fsnap->ProbeRangesWindow(present, window, &control,
                                          &filtered, &filter_stats);
     FoldFilterStats(filter_stats, m);
-    if (!fs.ok()) {
-      m->total_ms = total.ElapsedMillis();
-      return ResolveStop(fs, query_options.allow_partial, m);
-    }
+    if (!fs.ok()) return ResolveStop(fs, query_options.allow_partial, m);
     present = std::move(filtered);
   }
   m->pruning_ms = phase.ElapsedMillis();
   m->scan_ranges = present.size();
   m->index_values = CountPresentValues(present, *directory);
   if (Status stop = control.Check(); !stop.ok()) {
-    m->total_ms = total.ElapsedMillis();
     return ResolveStop(stop, query_options.allow_partial, m);
   }
 
@@ -1238,10 +1179,7 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
   m->scan_ms = phase.ElapsedMillis();
   m->retrieved = filter.scanned();
   m->candidates = rows.size();
-  if (s.IsQueryStop()) {
-    m->total_ms = total.ElapsedMillis();
-    return ResolveStop(s, query_options.allow_partial, m);
-  }
+  if (s.IsQueryStop()) return ResolveStop(s, query_options.allow_partial, m);
   if (!s.ok()) return s;
 
   Status stopped;
@@ -1259,7 +1197,6 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
   }
   std::sort(ids->begin(), ids->end());
   m->results = ids->size();
-  m->total_ms = total.ElapsedMillis();
   if (!stopped.ok()) {
     return ResolveStop(stopped, query_options.allow_partial, m);
   }

@@ -365,12 +365,6 @@ class TrassStore {
                             std::vector<SearchResult>* results,
                             QueryMetrics* m);
 
-  /// Resolves a cooperative stop: with allow_partial, flags the metrics
-  /// with the reason and reports OK (partial results stand); without,
-  /// returns the stop status.
-  static Status ResolveStop(const Status& stop, bool allow_partial,
-                            QueryMetrics* m);
-
   /// Narrows candidate [lo, hi] value ranges to the values actually
   /// present in `directory`, re-merged into contiguous runs.
   static std::vector<std::pair<int64_t, int64_t>> IntersectWithDirectory(

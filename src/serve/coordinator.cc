@@ -29,60 +29,6 @@ std::string ShardLabel(size_t shard, const ShardTransport& transport) {
   return "shard " + std::to_string(shard) + " (" + transport.Describe() + ")";
 }
 
-/// Mirrors TrassStore::ResolveStop so coordinator queries report stops
-/// the same way single-store queries do.
-Status ResolveStop(const Status& stop, bool allow_partial,
-                   core::QueryMetrics* m) {
-  if (stop.IsTimedOut()) {
-    m->deadline_expired = true;
-  } else if (stop.IsCancelled()) {
-    m->cancelled = true;
-  } else if (stop.IsBusy()) {
-    m->budget_exhausted = true;
-  }
-  if (!allow_partial) return stop;
-  m->partial = true;
-  return Status::OK();
-}
-
-/// Folds one shard's QueryMetrics into the coordinator-level rollup:
-/// counters and CPU times sum, degradation flags OR (a partial shard
-/// answer makes the merged answer partial — never an unreported gap).
-void FoldShardMetrics(const core::QueryMetrics& from, core::QueryMetrics* to) {
-  to->pruning_ms += from.pruning_ms;
-  to->scan_ms += from.scan_ms;
-  to->refine_ms += from.refine_ms;
-  to->scan_ranges += from.scan_ranges;
-  to->index_values += from.index_values;
-  to->retrieved += from.retrieved;
-  to->candidates += from.candidates;
-  to->refined += from.refined;
-  to->lb_rejected += from.lb_rejected;
-  to->refine_dp_runs += from.refine_dp_runs;
-  to->refine_threads = std::max(to->refine_threads, from.refine_threads);
-  to->refine_decode_ms += from.refine_decode_ms;
-  to->refine_lb_ms += from.refine_lb_ms;
-  to->refine_dp_ms += from.refine_dp_ms;
-  to->partial = to->partial || from.partial;
-  to->scan_retries += from.scan_retries;
-  to->deadline_expired = to->deadline_expired || from.deadline_expired;
-  to->cancelled = to->cancelled || from.cancelled;
-  to->budget_exhausted = to->budget_exhausted || from.budget_exhausted;
-  to->admission_wait_ms += from.admission_wait_ms;
-  to->ingest_watermark = std::max(to->ingest_watermark, from.ingest_watermark);
-  to->read_only_regions += from.read_only_regions;
-  to->filter_elements_pruned += from.filter_elements_pruned;
-  to->filter_mbr_pruned += from.filter_mbr_pruned;
-  to->fingerprint_skips += from.fingerprint_skips;
-  // Per-shard RAM gauges sum to the fleet's filter footprint.
-  to->filter_memory_bytes += from.filter_memory_bytes;
-  to->block_cache_hits += from.block_cache_hits;
-  to->block_cache_misses += from.block_cache_misses;
-  to->block_cache_fills += from.block_cache_fills;
-  to->readahead_reads += from.readahead_reads;
-  to->readahead_bytes_read += from.readahead_bytes_read;
-}
-
 void ArmControl(const core::QueryOptions& options, QueryContext* control) {
   control->SetDeadlineAfterMillis(options.deadline_ms);
   if (options.cancel != nullptr) control->SetCancelFlag(options.cancel);
@@ -575,7 +521,9 @@ Status ShardCoordinator::FanOut(const ShardRequest& base,
     const Status doom = attribute_doom();
     if (!doom.ok()) return doom;
     const Status stop = control->Check();
-    if (!stop.ok()) return ResolveStop(stop, /*allow_partial=*/false, m);
+    if (!stop.ok()) {
+      return core::ResolveStop(stop, /*allow_partial=*/false, m);
+    }
     return Status::IoError("shards unresolved");  // defensive; unreachable
   }
 
@@ -584,7 +532,7 @@ Status ShardCoordinator::FanOut(const ShardRequest& base,
   m->partial = true;
   m->shards_skipped += skipped;
   const Status stop = control->Check();
-  if (!stop.ok()) ResolveStop(stop, /*allow_partial=*/true, m);
+  if (!stop.ok()) core::ResolveStop(stop, /*allow_partial=*/true, m);
   return Status::OK();
 }
 
@@ -934,7 +882,7 @@ Status ShardCoordinator::ThresholdSearch(const std::vector<geo::Point>& query,
   if (transports_.empty()) {
     return Status::InvalidArgument("coordinator has no shards");
   }
-  Stopwatch total;
+  core::TotalTimer total(m);
   if (Status admit = quota_.Acquire(options.tenant); !admit.ok()) return admit;
   QueryContext control;
   ArmControl(options.query, &control);
@@ -953,7 +901,7 @@ Status ShardCoordinator::ThresholdSearch(const std::vector<geo::Point>& query,
     std::lock_guard<std::mutex> lock(state->mu);
     for (QueryState::Slot& slot : state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      core::FoldMetrics(slot.response.metrics, m);
       results->insert(results->end(), slot.response.results.begin(),
                       slot.response.results.end());
     }
@@ -965,7 +913,6 @@ Status ShardCoordinator::ThresholdSearch(const std::vector<geo::Point>& query,
     if (partitioner_.num_replicas() > 1) DedupResultsById(results);
     m->results = results->size();
   }
-  m->total_ms = total.ElapsedMillis();
   return s;
 }
 
@@ -983,7 +930,7 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
   if (transports_.empty()) {
     return Status::InvalidArgument("coordinator has no shards");
   }
-  Stopwatch total;
+  core::TotalTimer total(m);
   if (Status admit = quota_.Acquire(options.tenant); !admit.ok()) return admit;
   QueryContext control;
   ArmControl(options.query, &control);
@@ -1002,7 +949,7 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
     std::lock_guard<std::mutex> lock(state->mu);
     for (QueryState::Slot& slot : state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      core::FoldMetrics(slot.response.metrics, m);
       results->insert(results->end(), slot.response.results.begin(),
                       slot.response.results.end());
     }
@@ -1018,7 +965,6 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
     }
     m->results = results->size();
   }
-  m->total_ms = total.ElapsedMillis();
   return s;
 }
 
@@ -1033,7 +979,7 @@ Status ShardCoordinator::RangeQuery(const geo::Mbr& window,
   if (transports_.empty()) {
     return Status::InvalidArgument("coordinator has no shards");
   }
-  Stopwatch total;
+  core::TotalTimer total(m);
   if (Status admit = quota_.Acquire(options.tenant); !admit.ok()) return admit;
   QueryContext control;
   ArmControl(options.query, &control);
@@ -1050,7 +996,7 @@ Status ShardCoordinator::RangeQuery(const geo::Mbr& window,
     std::lock_guard<std::mutex> lock(state->mu);
     for (QueryState::Slot& slot : state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      core::FoldMetrics(slot.response.metrics, m);
       ids->insert(ids->end(), slot.response.ids.begin(),
                   slot.response.ids.end());
     }
@@ -1058,7 +1004,6 @@ Status ShardCoordinator::RangeQuery(const geo::Mbr& window,
     ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
     m->results = ids->size();
   }
-  m->total_ms = total.ElapsedMillis();
   return s;
 }
 
@@ -1073,7 +1018,7 @@ Status ShardCoordinator::SimilarityJoin(
   if (transports_.empty()) {
     return Status::InvalidArgument("coordinator has no shards");
   }
-  Stopwatch total;
+  core::TotalTimer total(m);
   // One quota token covers the whole join (the single-store join holds
   // one admission slot the same way); the probes below skip the quota.
   if (Status admit = quota_.Acquire(options.tenant); !admit.ok()) return admit;
@@ -1087,17 +1032,14 @@ Status ShardCoordinator::SimilarityJoin(
   export_request.allow_partial = allow_partial;
   std::shared_ptr<QueryState> export_state;
   Status s = FanOut(export_request, options, &control, &export_state, m);
-  if (!s.ok()) {
-    m->total_ms = total.ElapsedMillis();
-    return s;
-  }
+  if (!s.ok()) return s;
   std::vector<core::Trajectory> all;
   {
     std::lock_guard<std::mutex> lock(export_state->mu);
     std::unordered_set<uint64_t> seen;
     for (QueryState::Slot& slot : export_state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      core::FoldMetrics(slot.response.metrics, m);
       for (core::Trajectory& t : slot.response.trajectories) {
         // Replicated rows export from every live replica; probe each
         // trajectory once.
@@ -1136,14 +1078,11 @@ Status ShardCoordinator::SimilarityJoin(
       stopped = s;
       break;
     }
-    if (!s.ok()) {
-      m->total_ms = total.ElapsedMillis();
-      return s;
-    }
+    if (!s.ok()) return s;
     std::lock_guard<std::mutex> lock(probe_state->mu);
     for (QueryState::Slot& slot : probe_state->slots) {
       if (slot.state != QueryState::Slot::S::kDone) continue;
-      FoldShardMetrics(slot.response.metrics, m);
+      core::FoldMetrics(slot.response.metrics, m);
       for (const core::SearchResult& match : slot.response.results) {
         if (match.id > t.id) pairs->emplace_back(t.id, match.id);
       }
@@ -1154,8 +1093,7 @@ Status ShardCoordinator::SimilarityJoin(
   // unordered pair once, like the single-store join.
   pairs->erase(std::unique(pairs->begin(), pairs->end()), pairs->end());
   m->results = pairs->size();
-  m->total_ms = total.ElapsedMillis();
-  if (!stopped.ok()) return ResolveStop(stopped, allow_partial, m);
+  if (!stopped.ok()) return core::ResolveStop(stopped, allow_partial, m);
   return Status::OK();
 }
 

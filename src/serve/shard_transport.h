@@ -52,6 +52,8 @@
 namespace trass {
 namespace serve {
 
+// Contiguous from kThreshold to kFingerprint: the wire codec rejects
+// any other byte, so a new op goes last and widens that check.
 enum class ShardOp : uint8_t {
   kThreshold = 1,    // threshold similarity search
   kTopK = 2,         // top-k similarity search

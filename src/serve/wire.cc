@@ -1,5 +1,7 @@
 #include "serve/wire.h"
 
+#include <type_traits>
+
 #include "util/coding.h"
 
 namespace trass {
@@ -14,7 +16,9 @@ namespace {
 //   v4: response cache/readahead metric fields
 //   v5: refine breakdown + admission wait metrics; region-replica
 //       metrics dropped; read-only gauge counts regions
-constexpr uint8_t kWireVersion = 5;
+//   v6: metrics are the core/metrics.h field table in table order
+//       (serving-tier fields included), flags byte first
+constexpr uint8_t kWireVersion = 6;
 
 // Status codes on the wire. Keep in sync with the factories in
 // util/status.h; unknown codes decode as IoError so a skewed peer
@@ -143,83 +147,43 @@ bool GetTrajectories(Slice* input,
   return true;
 }
 
-// The QueryMetrics fields the coordinator folds across shards. Encoded
-// as a fixed field list behind the frame version.
+// QueryMetrics crosses the wire as its field table (core/metrics.h) in
+// table order: a flags byte packing the bools (bit i = i-th bool), then
+// each double as 8 bytes and each counter as a varint.
 void PutMetrics(const core::QueryMetrics& m, std::string* dst) {
-  PutDouble(dst, m.pruning_ms);
-  PutDouble(dst, m.scan_ms);
-  PutDouble(dst, m.refine_ms);
-  PutDouble(dst, m.total_ms);
-  PutVarint64(dst, m.scan_ranges);
-  PutVarint64(dst, m.index_values);
-  PutVarint64(dst, m.retrieved);
-  PutVarint64(dst, m.candidates);
-  PutVarint64(dst, m.refined);
-  PutVarint64(dst, m.results);
-  PutVarint64(dst, m.lb_rejected);
-  PutVarint64(dst, m.refine_dp_runs);
-  PutVarint64(dst, m.refine_threads);
-  PutDouble(dst, m.refine_decode_ms);
-  PutDouble(dst, m.refine_lb_ms);
-  PutDouble(dst, m.refine_dp_ms);
-  PutDouble(dst, m.admission_wait_ms);
-  PutVarint64(dst, m.scan_retries);
-  PutVarint64(dst, m.ingest_watermark);
-  PutVarint64(dst, m.read_only_regions);
-  PutVarint64(dst, m.filter_elements_pruned);
-  PutVarint64(dst, m.filter_mbr_pruned);
-  PutVarint64(dst, m.fingerprint_skips);
-  PutVarint64(dst, m.filter_memory_bytes);
-  PutVarint64(dst, m.block_cache_hits);
-  PutVarint64(dst, m.block_cache_misses);
-  PutVarint64(dst, m.block_cache_fills);
-  PutVarint64(dst, m.readahead_reads);
-  PutVarint64(dst, m.readahead_bytes_read);
-  const uint8_t flags = static_cast<uint8_t>(
-      (m.partial ? 1 : 0) | (m.deadline_expired ? 2 : 0) |
-      (m.cancelled ? 4 : 0) | (m.budget_exhausted ? 8 : 0));
-  dst->push_back(static_cast<char>(flags));
+  const size_t flags_at = dst->size();
+  dst->push_back(0);
+  int bit = 0;
+  core::ForEachMetricField(
+      [&]<typename T>(const char*, auto, T core::QueryMetrics::*member) {
+        if constexpr (std::is_same_v<T, bool>) {
+          if (m.*member) (*dst)[flags_at] |= static_cast<char>(1 << bit);
+          ++bit;
+        } else if constexpr (std::is_same_v<T, double>) {
+          PutDouble(dst, m.*member);
+        } else {
+          PutVarint64(dst, m.*member);
+        }
+      });
 }
 
 bool GetMetrics(Slice* input, core::QueryMetrics* m) {
-  if (!GetDouble(input, &m->pruning_ms) || !GetDouble(input, &m->scan_ms) ||
-      !GetDouble(input, &m->refine_ms) || !GetDouble(input, &m->total_ms)) {
-    return false;
-  }
-  if (!GetVarint64(input, &m->scan_ranges) ||
-      !GetVarint64(input, &m->index_values) ||
-      !GetVarint64(input, &m->retrieved) ||
-      !GetVarint64(input, &m->candidates) ||
-      !GetVarint64(input, &m->refined) || !GetVarint64(input, &m->results) ||
-      !GetVarint64(input, &m->lb_rejected) ||
-      !GetVarint64(input, &m->refine_dp_runs) ||
-      !GetVarint64(input, &m->refine_threads) ||
-      !GetDouble(input, &m->refine_decode_ms) ||
-      !GetDouble(input, &m->refine_lb_ms) ||
-      !GetDouble(input, &m->refine_dp_ms) ||
-      !GetDouble(input, &m->admission_wait_ms) ||
-      !GetVarint64(input, &m->scan_retries) ||
-      !GetVarint64(input, &m->ingest_watermark) ||
-      !GetVarint64(input, &m->read_only_regions) ||
-      !GetVarint64(input, &m->filter_elements_pruned) ||
-      !GetVarint64(input, &m->filter_mbr_pruned) ||
-      !GetVarint64(input, &m->fingerprint_skips) ||
-      !GetVarint64(input, &m->filter_memory_bytes) ||
-      !GetVarint64(input, &m->block_cache_hits) ||
-      !GetVarint64(input, &m->block_cache_misses) ||
-      !GetVarint64(input, &m->block_cache_fills) ||
-      !GetVarint64(input, &m->readahead_reads) ||
-      !GetVarint64(input, &m->readahead_bytes_read)) {
-    return false;
-  }
   if (input->size() < 1) return false;
   const uint8_t flags = static_cast<uint8_t>((*input)[0]);
   input->remove_prefix(1);
-  m->partial = (flags & 1) != 0;
-  m->deadline_expired = (flags & 2) != 0;
-  m->cancelled = (flags & 4) != 0;
-  m->budget_exhausted = (flags & 8) != 0;
-  return true;
+  bool ok = true;
+  int bit = 0;
+  core::ForEachMetricField(
+      [&]<typename T>(const char*, auto, T core::QueryMetrics::*member) {
+        if constexpr (std::is_same_v<T, bool>) {
+          m->*member = ((flags >> bit++) & 1) != 0;
+        } else if constexpr (std::is_same_v<T, double>) {
+          ok = ok && GetDouble(input, &(m->*member));
+        } else {
+          ok = ok && GetVarint64(input, &(m->*member));
+        }
+      });
+  return ok && (flags >> bit) == 0;  // no unknown flag bits
 }
 
 Status Malformed(const char* what) {
@@ -262,7 +226,12 @@ Status DecodeShardRequest(Slice payload, ShardRequest* request) {
   if (static_cast<uint8_t>(payload[0]) != kWireVersion) {
     return Status::Corruption("wire: unknown request version");
   }
-  request->op = static_cast<ShardOp>(payload[1]);
+  const uint8_t op = static_cast<uint8_t>(payload[1]);
+  if (op < static_cast<uint8_t>(ShardOp::kThreshold) ||
+      op > static_cast<uint8_t>(ShardOp::kFingerprint)) {
+    return Malformed("op");
+  }
+  request->op = static_cast<ShardOp>(op);
   payload.remove_prefix(2);
   if (!GetPoints(&payload, &request->query)) return Malformed("query points");
   uint32_t k = 0;
@@ -270,7 +239,11 @@ Status DecodeShardRequest(Slice payload, ShardRequest* request) {
     return Malformed("eps/k");
   }
   request->k = static_cast<int>(k);
-  if (payload.size() < 1) return Malformed("measure");
+  if (payload.size() < 1 ||
+      static_cast<uint8_t>(payload[0]) >
+          static_cast<uint8_t>(core::Measure::kDtw)) {
+    return Malformed("measure");
+  }
   request->measure = static_cast<core::Measure>(payload[0]);
   payload.remove_prefix(1);
   double min_x, min_y, max_x, max_y;
@@ -296,6 +269,7 @@ Status DecodeShardRequest(Slice payload, ShardRequest* request) {
     return Malformed("placement fields");
   }
   request->export_primary = static_cast<int64_t>(export_primary_biased) - 1;
+  if (!payload.empty()) return Malformed("request trailer");
   return Status::OK();
 }
 
@@ -371,6 +345,7 @@ Status DecodeShardResponse(Slice payload, ShardResponse* response,
     payload.remove_prefix(4);
     response->fingerprints.push_back(fp);
   }
+  if (!payload.empty()) return Malformed("response trailer");
   return Status::OK();
 }
 

@@ -146,7 +146,9 @@ TEST(BoundedQueueTest, MultiProducerTicketsAreUniqueAndNothingIsLost) {
   std::vector<bool> seen(popped + 1, false);
   for (const auto& per : tickets) {
     for (size_t i = 0; i < per.size(); ++i) {
-      if (i > 0) EXPECT_GT(per[i], per[i - 1]);
+      if (i > 0) {
+        EXPECT_GT(per[i], per[i - 1]);
+      }
       ASSERT_GE(per[i], 1u);
       ASSERT_LE(per[i], popped);
       ASSERT_FALSE(seen[per[i]]);

@@ -175,7 +175,9 @@ TEST_F(FaultInjectionTest, RepeatedCrashReopenCyclesStayConsistent) {
       ASSERT_TRUE(db->Put(synced, KeyOf(acked), ValueOf(acked)).ok());
       ++acked;
     }
-    if (round % 2 == 0) ASSERT_TRUE(db->Flush().ok());
+    if (round % 2 == 0) {
+      ASSERT_TRUE(db->Flush().ok());
+    }
     Crash(&db);
   }
   ExpectAckedWritesSurvive(acked);

@@ -210,7 +210,9 @@ TEST_F(GlobalPrunerTest, RangesAreSortedDisjoint) {
   const auto ranges = pruner.CandidateRanges(0.01);
   for (size_t i = 0; i < ranges.size(); ++i) {
     EXPECT_LE(ranges[i].first, ranges[i].second);
-    if (i > 0) EXPECT_GT(ranges[i].first, ranges[i - 1].second + 1);
+    if (i > 0) {
+      EXPECT_GT(ranges[i].first, ranges[i - 1].second + 1);
+    }
   }
 }
 

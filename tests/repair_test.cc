@@ -37,7 +37,9 @@ class RepairTest : public ::testing::Test {
       ASSERT_TRUE(
           db->Put(WriteOptions(), KeyOf(prefix, i), ValueOf(i)).ok());
     }
-    if (flush) ASSERT_TRUE(db->Flush().ok());
+    if (flush) {
+      ASSERT_TRUE(db->Flush().ok());
+    }
   }
 
   std::vector<std::string> FilesOfType(FileType want) {

@@ -10,7 +10,9 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/trass_store.h"
@@ -106,45 +108,6 @@ TEST(WireTest, ResponseRoundTripsPayloadAndStatus) {
   t.id = 9;
   t.points = {{0.4, 0.4}};
   response.trajectories.push_back(t);
-  // Every field the coordinator folds across shards (FoldShardMetrics),
-  // each set to a distinct non-zero value: a field the frame drops
-  // would decode as zero and make a socket-transport query disagree
-  // with the direct transport.
-  core::QueryMetrics& m = response.metrics;
-  m.pruning_ms = 1.25;
-  m.scan_ms = 1.5;
-  m.refine_ms = 1.75;
-  m.total_ms = 2.25;
-  m.scan_ranges = 3;
-  m.index_values = 4;
-  m.retrieved = 100;
-  m.candidates = 40;
-  m.refined = 6;
-  m.results = 2;
-  m.lb_rejected = 7;
-  m.refine_dp_runs = 8;
-  m.refine_threads = 9;
-  m.refine_decode_ms = 2.5;
-  m.refine_lb_ms = 2.75;
-  m.refine_dp_ms = 3.25;
-  m.admission_wait_ms = 3.5;
-  m.scan_retries = 10;
-  m.ingest_watermark = 77;
-  m.read_only_regions = 11;
-  m.filter_elements_pruned = 12;
-  m.filter_mbr_pruned = 13;
-  m.fingerprint_skips = 14;
-  m.filter_memory_bytes = 15;
-  m.block_cache_hits = 16;
-  m.block_cache_misses = 17;
-  m.block_cache_fills = 18;
-  m.readahead_reads = 19;
-  m.readahead_bytes_read = 20;
-  m.partial = true;
-  m.deadline_expired = true;
-  m.cancelled = true;
-  m.budget_exhausted = true;
-
   std::string payload;
   EncodeShardResponse(response, Status::NoSpace("disk full"), &payload);
   ShardResponse decoded;
@@ -158,40 +121,61 @@ TEST(WireTest, ResponseRoundTripsPayloadAndStatus) {
   EXPECT_EQ(decoded.ids, response.ids);
   ASSERT_EQ(decoded.trajectories.size(), 1u);
   EXPECT_EQ(decoded.trajectories[0].id, 9u);
-  const core::QueryMetrics& d = decoded.metrics;
-  EXPECT_DOUBLE_EQ(d.pruning_ms, 1.25);
-  EXPECT_DOUBLE_EQ(d.scan_ms, 1.5);
-  EXPECT_DOUBLE_EQ(d.refine_ms, 1.75);
-  EXPECT_DOUBLE_EQ(d.total_ms, 2.25);
-  EXPECT_EQ(d.scan_ranges, 3u);
-  EXPECT_EQ(d.index_values, 4u);
-  EXPECT_EQ(d.retrieved, 100u);
-  EXPECT_EQ(d.candidates, 40u);
-  EXPECT_EQ(d.refined, 6u);
-  EXPECT_EQ(d.results, 2u);
-  EXPECT_EQ(d.lb_rejected, 7u);
-  EXPECT_EQ(d.refine_dp_runs, 8u);
-  EXPECT_EQ(d.refine_threads, 9u);
-  EXPECT_DOUBLE_EQ(d.refine_decode_ms, 2.5);
-  EXPECT_DOUBLE_EQ(d.refine_lb_ms, 2.75);
-  EXPECT_DOUBLE_EQ(d.refine_dp_ms, 3.25);
-  EXPECT_DOUBLE_EQ(d.admission_wait_ms, 3.5);
-  EXPECT_EQ(d.scan_retries, 10u);
-  EXPECT_EQ(d.ingest_watermark, 77u);
-  EXPECT_EQ(d.read_only_regions, 11u);
-  EXPECT_EQ(d.filter_elements_pruned, 12u);
-  EXPECT_EQ(d.filter_mbr_pruned, 13u);
-  EXPECT_EQ(d.fingerprint_skips, 14u);
-  EXPECT_EQ(d.filter_memory_bytes, 15u);
-  EXPECT_EQ(d.block_cache_hits, 16u);
-  EXPECT_EQ(d.block_cache_misses, 17u);
-  EXPECT_EQ(d.block_cache_fills, 18u);
-  EXPECT_EQ(d.readahead_reads, 19u);
-  EXPECT_EQ(d.readahead_bytes_read, 20u);
-  EXPECT_TRUE(d.partial);
-  EXPECT_TRUE(d.deadline_expired);
-  EXPECT_TRUE(d.cancelled);
-  EXPECT_TRUE(d.budget_exhausted);
+}
+
+// Field i (table order, from 1) holds salt * 100 + i, plus 0.5 if it is
+// a double; flag i is set iff i + salt is odd, so salts 1 and 2 set
+// complementary flags.
+core::QueryMetrics FilledMetrics(uint64_t salt) {
+  core::QueryMetrics m;
+  uint64_t i = 0;
+  core::ForEachMetricField(
+      [&]<typename T>(const char*, auto, T core::QueryMetrics::*member) {
+        ++i;
+        if constexpr (std::is_same_v<T, bool>) {
+          m.*member = (i + salt) % 2 == 1;
+        } else {
+          m.*member = static_cast<T>(static_cast<double>(salt * 100 + i) + .5);
+        }
+      });
+  return m;
+}
+
+// Driven by the core/metrics.h field table, so a new row is covered
+// without editing this test: every field survives the wire, and
+// FoldMetrics applies each field's rule.
+TEST(WireTest, MetricsFieldTableRoundTripsAndFolds) {
+  for (const uint64_t salt : {1, 2}) {
+    ShardResponse response;
+    response.metrics = FilledMetrics(salt);
+    std::string payload;
+    EncodeShardResponse(response, Status::OK(), &payload);
+    ShardResponse decoded;
+    Status exec;
+    ASSERT_TRUE(DecodeShardResponse(Slice(payload), &decoded, &exec).ok());
+    core::ForEachMetricField([&](const char* name, auto, auto member) {
+      EXPECT_EQ(decoded.metrics.*member, response.metrics.*member) << name;
+    });
+  }
+
+  // Every from-field exceeds its to-field; their flags complement.
+  const core::QueryMetrics before = FilledMetrics(1);
+  const core::QueryMetrics from = FilledMetrics(2);
+  core::QueryMetrics to = before;
+  core::FoldMetrics(from, &to);
+  core::ForEachMetricField([&]<typename T>(const char* name, auto fold,
+                                           T core::QueryMetrics::*member) {
+    constexpr core::MetricFold kFold = decltype(fold)::value;
+    T want = before.*member;  // kOwned
+    if constexpr (kFold == core::MetricFold::kSum) {
+      want += from.*member;
+    } else if constexpr (kFold == core::MetricFold::kMax) {
+      want = from.*member;
+    } else if constexpr (kFold == core::MetricFold::kOr) {
+      want = true;
+    }
+    EXPECT_EQ(to.*member, want) << name;
+  });
 }
 
 TEST(WireTest, RejectsWrongVersionAndTruncation) {
@@ -236,6 +220,60 @@ TEST(WireTest, RejectsCountsLargerThanThePayload) {
   evil_ids += "\xff\xff\xff\x7f";
   EXPECT_TRUE(
       DecodeShardResponse(Slice(evil_ids), &decoded, &exec).IsCorruption());
+}
+
+size_t FirstDifference(const std::string& a, const std::string& b) {
+  return std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+         a.begin();
+}
+
+TEST(WireTest, RejectsUnknownOp) {
+  std::string payload;
+  EncodeShardRequest(ShardRequest(), &payload);
+  ShardRequest decoded;
+  for (const char op : {'\x00', '\x08', '\xff'}) {
+    payload[1] = op;
+    EXPECT_TRUE(DecodeShardRequest(Slice(payload), &decoded).IsCorruption());
+  }
+}
+
+TEST(WireTest, RejectsUnknownMeasure) {
+  ShardRequest request;
+  std::string payload, dtw;
+  EncodeShardRequest(request, &payload);
+  request.measure = Measure::kDtw;
+  EncodeShardRequest(request, &dtw);
+  const size_t at = FirstDifference(payload, dtw);
+  ShardRequest decoded;
+  for (const char measure : {'\x03', '\x07', '\xff'}) {
+    payload[at] = measure;
+    EXPECT_TRUE(DecodeShardRequest(Slice(payload), &decoded).IsCorruption());
+  }
+}
+
+TEST(WireTest, RejectsUnknownMetricFlagBits) {
+  ShardResponse response;
+  std::string payload, partial;
+  EncodeShardResponse(response, Status::OK(), &payload);
+  response.metrics.partial = true;
+  EncodeShardResponse(response, Status::OK(), &partial);
+  payload[FirstDifference(payload, partial)] = '\xf0';
+  Status exec;
+  EXPECT_TRUE(
+      DecodeShardResponse(Slice(payload), &response, &exec).IsCorruption());
+}
+
+TEST(WireTest, RejectsTrailingBytes) {
+  std::string payload;
+  EncodeShardRequest(ShardRequest(), &payload);
+  ShardRequest request;
+  EXPECT_TRUE(DecodeShardRequest(Slice(payload + '\0'), &request)
+                  .IsCorruption());
+  EncodeShardResponse(ShardResponse(), Status::OK(), &payload);
+  ShardResponse response;
+  Status exec;
+  EXPECT_TRUE(DecodeShardResponse(Slice(payload + '\0'), &response, &exec)
+                  .IsCorruption());
 }
 
 TEST(WireTest, PlacementFieldsAndFingerprintsRoundTrip) {

@@ -14,6 +14,7 @@
 #include "kv/fault_injection_env.h"
 #include "test_util.h"
 #include "util/random.h"
+#include "workload/generator.h"
 
 namespace trass {
 namespace core {
@@ -319,6 +320,37 @@ TEST_F(TrassStoreTest, SimilarityJoinMatchesBruteForce) {
   EXPECT_GT(got.size(), 0u);  // the dataset must exercise the join
 }
 
+TEST_F(TrassStoreTest, SimilarityJoinMetricsSumItsProbes) {
+  OpenStore();
+  const auto data = workload::TDriveLike(100, 7);
+  Load(data);
+  const double eps = 0.003;
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  QueryMetrics join;
+  ASSERT_TRUE(
+      store_->SimilarityJoin(eps, Measure::kFrechet, &pairs, &join).ok());
+  // The join probes the index once per stored row with the threshold
+  // query; its pruning counters are those probes' sum.
+  uint64_t index_values = 0;
+  uint64_t scan_ranges = 0;
+  for (const Trajectory& t : data) {
+    std::vector<SearchResult> matches;
+    QueryMetrics probe;
+    ASSERT_TRUE(store_
+                    ->ThresholdSearch(t.points, eps, Measure::kFrechet,
+                                      &matches, &probe)
+                    .ok());
+    index_values += probe.index_values;
+    scan_ranges += probe.scan_ranges;
+  }
+  EXPECT_GT(join.index_values, 0u);
+  EXPECT_EQ(join.index_values, index_values);
+  EXPECT_EQ(join.scan_ranges, scan_ranges);
+  EXPECT_EQ(join.results, pairs.size());
+  EXPECT_GT(join.total_ms, 0.0);
+  EXPECT_GE(join.total_ms, join.pruning_ms + join.scan_ms + join.refine_ms);
+}
+
 TEST_F(TrassStoreTest, RejectsEmptyTrajectory) {
   OpenStore();
   Trajectory empty;
@@ -483,6 +515,45 @@ TEST_F(TrassStoreDeadlineTest, TopKAllowPartialKeepsVerifiedHeap) {
   // The heap's contents are exact distances, sorted ascending.
   for (size_t i = 1; i < results.size(); ++i) {
     EXPECT_LE(results[i - 1].distance, results[i].distance);
+  }
+}
+
+// total_ms is written on every return path and spans the phases, on
+// completed queries and on allow_partial deadline stops alike.
+TEST_F(TrassStoreDeadlineTest, TotalMsCoversPhasesOnEveryPath) {
+  QueryOptions stop_early;
+  stop_early.deadline_ms = 1.0;
+  stop_early.allow_partial = true;
+  for (const QueryOptions& options : {QueryOptions(), stop_early}) {
+    QueryMetrics m;
+    auto expect_total = [&](const Status& s, const char* query) {
+      ASSERT_TRUE(s.ok()) << query << ": " << s.ToString();
+      EXPECT_EQ(m.deadline_expired, options.allow_partial) << query;
+      EXPECT_EQ(m.partial, options.allow_partial) << query;
+      EXPECT_GT(m.total_ms, 0.0) << query;
+      // The slack absorbs only floating-point rounding of the sum.
+      EXPECT_GE(m.total_ms + 1e-9, m.pruning_ms + m.scan_ms + m.refine_ms)
+          << query;
+    };
+    std::vector<SearchResult> results;
+    expect_total(store_->ThresholdSearch(query_, kEps, Measure::kFrechet,
+                                         &results, &m, options),
+                 "threshold");
+    expect_total(store_->TopKSearch(query_, 500, Measure::kFrechet, &results,
+                                    &m, options),
+                 "top-k");
+    std::vector<uint64_t> ids;
+    expect_total(store_->RangeQuery(geo::Mbr(0.3, 0.3, 0.7, 0.7), &ids, &m,
+                                    options),
+                 "range");
+    // A completed join over this store is too slow for a unit test;
+    // SimilarityJoinMetricsSumItsProbes covers that path.
+    std::vector<std::pair<uint64_t, uint64_t>> pairs;
+    if (options.allow_partial) {
+      expect_total(store_->SimilarityJoin(kEps, Measure::kFrechet, &pairs, &m,
+                                          options),
+                   "join");
+    }
   }
 }
 
