@@ -73,7 +73,7 @@ VariantResult RunVariant(core::TrassStore* store,
   std::vector<kv::ScanRange> scan_ranges;
   if (global_pruning) {
     const auto directory = store->value_directory();
-    core::GlobalPruner pruner(&store->xz_index(), &ctx, directory.get());
+    core::GlobalPruner pruner(&store->xz_index(), &ctx, &directory->values());
     const auto ranges = pruner.CandidateRanges(
         eps, core::GlobalPruner::kDefaultVisitBudget, position_codes);
     for (const auto& [lo, hi] : ranges) {

@@ -80,11 +80,13 @@ enum class MetricFold {
   X(uint64_t, hedge_wins, kSum)                                               \
   X(uint64_t, breaker_open, kSum)                                             \
   X(uint64_t, shard_failovers, kSum)                                          \
-  /* Filter tier (src/filter/); zero when disabled. Index values proven       \
-     empty by the element summary; values (top-k: subtrees/spaces) killed     \
-     by the aggregate-MBR bound; rows a fingerprint proved misses unread.     \
-     filter_memory_bytes is a gauge, the RAM of the snapshot consulted: a     \
-     coordinator sums it across shards, the join keeps one store's. */        \
+  /* Filter tier (src/filter/). Candidate values inside the scan ranges      \
+     the snapshot proved empty (with or without columns); values (top-k:      \
+     subtrees/spaces) killed by the aggregate-MBR bound and rows a per-row    \
+     record proved misses, both zero without columns. filter_memory_bytes     \
+     is a gauge, the RAM of the whole snapshot consulted (value array         \
+     included): a coordinator sums it across shards, the join keeps one       \
+     store's. */                                                              \
   X(uint64_t, filter_elements_pruned, kSum)                                   \
   X(uint64_t, filter_mbr_pruned, kSum)                                        \
   X(uint64_t, fingerprint_skips, kSum)                                        \

@@ -6,12 +6,13 @@ namespace trass {
 namespace core {
 
 namespace {
-constexpr size_t kIntKeyLength = 1 + 8 + 8;
+constexpr size_t kPointBytes = 2 * sizeof(double);
+constexpr size_t kBoxBytes = 4 * kPointBytes;
 }  // namespace
 
 std::string EncodeRowKey(uint8_t shard, int64_t index_value, uint64_t tid) {
   std::string key;
-  key.reserve(kIntKeyLength);
+  key.reserve(kRowKeyLength);
   key.push_back(static_cast<char>(shard));
   PutBigEndian64(&key, static_cast<uint64_t>(index_value));
   PutBigEndian64(&key, tid);
@@ -20,7 +21,7 @@ std::string EncodeRowKey(uint8_t shard, int64_t index_value, uint64_t tid) {
 
 Status DecodeRowKey(const Slice& key, uint8_t* shard, int64_t* index_value,
                     uint64_t* tid) {
-  if (key.size() != kIntKeyLength) {
+  if (key.size() != kRowKeyLength) {
     return Status::Corruption("bad row key length");
   }
   *shard = static_cast<uint8_t>(key[0]);
@@ -76,7 +77,11 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
                       DpFeatures* features) {
   Slice input = value;
   uint32_t n = 0;
-  if (!GetVarint32(&input, &n)) return Status::Corruption("bad point count");
+  // Every count is checked against the bytes left before it sizes an
+  // allocation: a stored value is untrusted input.
+  if (!GetVarint32(&input, &n) || n > input.size() / kPointBytes) {
+    return Status::Corruption("bad point count");
+  }
   points->clear();
   points->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -87,7 +92,7 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
     points->push_back(p);
   }
   uint32_t n_rep = 0;
-  if (!GetVarint32(&input, &n_rep)) {
+  if (!GetVarint32(&input, &n_rep) || n_rep > input.size()) {
     return Status::Corruption("bad dp-point count");
   }
   features->rep_indices.clear();
@@ -108,7 +113,7 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
     features->rep_points.push_back((*points)[idx]);
   }
   uint32_t n_boxes = 0;
-  if (!GetVarint32(&input, &n_boxes)) {
+  if (!GetVarint32(&input, &n_boxes) || n_boxes > input.size() / kBoxBytes) {
     return Status::Corruption("bad dp-mbr count");
   }
   features->boxes.clear();
@@ -123,6 +128,7 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
     }
     features->boxes.emplace_back(corners);
   }
+  if (!input.empty()) return Status::Corruption("trailing bytes in row value");
   return Status::OK();
 }
 

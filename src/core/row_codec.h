@@ -38,6 +38,9 @@ struct StoredTrajectory {
 
 // ---- keys ----
 
+/// Length of every integer row key: shard, index value, tid.
+inline constexpr size_t kRowKeyLength = 1 + 8 + 8;
+
 std::string EncodeRowKey(uint8_t shard, int64_t index_value, uint64_t tid);
 
 /// Parses a key produced by EncodeRowKey.

@@ -61,17 +61,6 @@ void FoldFilterStats(const filter::ProbeStats& stats, QueryMetrics* m) {
   m->fingerprint_skips += stats.fingerprint_skips;
 }
 
-filter::FilterTierOptions MakeFilterOptions(const TrassOptions& options) {
-  filter::FilterTierOptions f;
-  f.enable = options.filter_tier.enable;
-  f.fingerprints = options.filter_tier.fingerprints;
-  f.fingerprint.hashes = options.filter_tier.fingerprint_hashes;
-  f.fingerprint.bits = options.filter_tier.fingerprint_bits;
-  f.fingerprint.grid = options.filter_tier.fingerprint_grid;
-  f.rebuild_on_scrub = options.filter_tier.rebuild_on_scrub;
-  return f;
-}
-
 // Arms a QueryContext from the caller's per-query options.
 void ArmControl(const QueryOptions& query_options, QueryContext* control) {
   control->SetDeadlineAfterMillis(query_options.deadline_ms);
@@ -81,21 +70,63 @@ void ArmControl(const QueryOptions& query_options, QueryContext* control) {
   control->SetCandidateBudget(query_options.max_candidates);
 }
 
-// Collects row keys server-side without materializing values (used to
-// rebuild ingest state when opening an existing store).
-class KeyCollectorFilter final : public kv::ScanFilter {
+// Collects, server-side and without materializing the scan result,
+// the filter-tier record of every integer-keyed row (open / recovery /
+// scrub), and counts string-keyed rows. Row values are decoded only for
+// the tier's columns; a row whose value does not decode keeps a
+// degenerate box, which only loosens bounds — the scan paths drop the
+// row itself.
+class StoredRowCollector final : public kv::ScanFilter {
  public:
-  bool Keep(const Slice& key, const Slice&) const override {
+  StoredRowCollector(bool string_keys, bool columns)
+      : string_keys_(string_keys), columns_(columns) {}
+
+  bool Keep(const Slice& key, const Slice& value) const override {
+    filter::FilterRowData row;
+    Status s;
+    if (!string_keys_) {
+      uint8_t shard;
+      uint64_t tid;
+      s = DecodeRowKey(key, &shard, &row.index_value, &tid);
+      row.tid = static_cast<int64_t>(tid);
+      StoredTrajectory t;
+      if (s.ok() && columns_ && DecodeRow(key, value, &t).ok()) {
+        row.mbr = geo::Mbr::Of(t.points);
+        row.fingerprint =
+            filter::MinhashSignature(t.points, filter::kFingerprintParams);
+      }
+    }
     std::lock_guard<std::mutex> lock(mu_);
-    keys_.push_back(key.ToString());
-    return false;  // drop the row; only the key matters
+    if (string_keys_) {
+      ++string_rows_;
+      string_key_bytes_ += key.size();
+    } else if (s.ok()) {
+      rows_.push_back(std::move(row));
+    } else if (status_.ok()) {
+      status_ = s;
+    }
+    return false;  // drop the row; the collected summary is the result
   }
 
-  std::vector<std::string> TakeKeys() { return std::move(keys_); }
+  /// One full scan of `store`; the first scan or key-decoding error.
+  Status Run(kv::RegionStore* store) {
+    std::vector<kv::Row> ignored;
+    Status s = store->Scan({kv::ScanRange{"", ""}}, this, &ignored);
+    return s.ok() ? status_ : s;
+  }
+
+  std::vector<filter::FilterRowData> TakeRows() { return std::move(rows_); }
+  uint64_t string_rows() const { return string_rows_; }
+  uint64_t string_key_bytes() const { return string_key_bytes_; }
 
  private:
+  const bool string_keys_;
+  const bool columns_;
   mutable std::mutex mu_;
-  mutable std::vector<std::string> keys_;
+  mutable Status status_;
+  mutable std::vector<filter::FilterRowData> rows_;
+  mutable uint64_t string_rows_ = 0;
+  mutable uint64_t string_key_bytes_ = 0;
 };
 
 // Pushdown filter for the spatial range query: keep rows with at least
@@ -128,7 +159,9 @@ TrassStore::TrassStore(const TrassOptions& options)
       xz_(options.max_resolution),
       resolution_histogram_(options.max_resolution + 1, 0),
       position_histogram_(11, 0),
-      directory_(std::make_shared<std::vector<int64_t>>()) {
+      // String-key mode serves no queries, so columns there would only
+      // cost RAM.
+      filter_tier_(options.filter_tier.enable && !options.string_keys) {
   AdmissionController::Options admission;
   admission.max_concurrent = options.max_concurrent_queries;
   admission.max_queue = options.admission_queue;
@@ -166,12 +199,6 @@ Status TrassStore::Open(const TrassOptions& options, const std::string& path,
   }
   impl->refiner_ = std::make_unique<Refiner>(impl->refine_pool_.get(),
                                              options.refine_threads);
-  // Queries are unsupported in string-key mode, so a filter tier there
-  // would only cost RAM.
-  if (options.filter_tier.enable && !options.string_keys) {
-    impl->filter_tier_ =
-        std::make_unique<filter::FilterTier>(MakeFilterOptions(options));
-  }
   s = impl->RebuildIngestState();
   if (!s.ok()) return s;
   ingest::IngestOptions ingest_options;
@@ -235,118 +262,32 @@ void TrassStore::AutoResumeLoop() {
 }
 
 Status TrassStore::RebuildIngestState() {
-  // Re-opening an existing store: reconstruct the value directory and the
-  // ingest statistics from the stored row keys (a full key scan, done
-  // once at open — the moral equivalent of reading region metadata).
-  KeyCollectorFilter collector;
-  std::vector<kv::Row> ignored;
-  Status s = store_->Scan({kv::ScanRange{"", ""}}, &collector, &ignored);
+  // Re-opening an existing store: reconstruct the filter tier and the
+  // ingest statistics from one full scan (done once at open — the moral
+  // equivalent of reading region metadata). Also the crash-recovery
+  // path: whatever rows the WAL replay kept are re-derived into a tier
+  // that agrees with the recovered store, never the pre-crash one.
+  StoredRowCollector collector(options_.string_keys, filter_tier_.columns());
+  Status s = collector.Run(store_.get());
   if (!s.ok()) return s;
-  uint64_t count = 0;
-  uint64_t key_bytes = 0;
-  std::lock_guard<std::mutex> lock(values_mu_);
-  for (const std::string& key : collector.TakeKeys()) {
-    if (options_.string_keys) {  // stats only in integer mode
-      ++count;
-      key_bytes += key.size();
-      continue;
-    }
-    uint8_t shard;
-    int64_t value;
-    uint64_t tid;
-    s = DecodeRowKey(Slice(key), &shard, &value, &tid);
-    if (!s.ok()) return s;
-    seen_values_.push_back(value);
+  std::vector<filter::FilterRowData> rows = collector.TakeRows();
+  uint64_t count = collector.string_rows();
+  uint64_t key_bytes = collector.string_key_bytes();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  for (const filter::FilterRowData& row : rows) {
     // Distinct row keys normally mean distinct ids; the guard mirrors
     // CommitEncoded so a recovered store counts ids, not rows.
-    if (!seen_ids_.insert(tid).second) continue;
+    if (!seen_ids_.insert(static_cast<uint64_t>(row.tid)).second) continue;
     ++count;
-    key_bytes += key.size();
-    const index::XzStar::IndexSpace space = xz_.Decode(value);
+    key_bytes += kRowKeyLength;
+    const index::XzStar::IndexSpace space = xz_.Decode(row.index_value);
     resolution_histogram_[space.seq.length()] += 1;
     position_histogram_[space.pos] += 1;
   }
   num_trajectories_.store(count, std::memory_order_relaxed);
   total_key_bytes_.store(key_bytes, std::memory_order_relaxed);
-  values_dirty_ = !seen_values_.empty();
-  if (filter_tier_ != nullptr) {
-    // Second pass decoding row *values* (the key scan above drops them):
-    // per-element aggregates and per-row fingerprints need the points.
-    // Open-time only, and the crash-recovery path — whatever rows the
-    // WAL replay kept are re-derived into a tier that agrees with the
-    // recovered store, never the pre-crash one.
-    std::vector<filter::FilterRowData> filter_rows;
-    s = CollectFilterRows(&filter_rows);
-    if (!s.ok()) return s;
-    filter_tier_->RebuildFrom(std::move(filter_rows));
-  }
+  filter_tier_.RebuildFrom(std::move(rows));
   return Status::OK();
-}
-
-Status TrassStore::CollectFilterRows(
-    std::vector<filter::FilterRowData>* out) const {
-  // Decodes rows server-side into filter records without materializing
-  // the scan result (the tier needs summaries, not bytes).
-  class Collector final : public kv::ScanFilter {
-   public:
-    Collector(bool fingerprints, const filter::FingerprintParams& params)
-        : fingerprints_(fingerprints), params_(params) {}
-
-    bool Keep(const Slice& key, const Slice& value) const override {
-      uint8_t shard;
-      filter::FilterRowData row;
-      uint64_t tid;
-      if (!DecodeRowKey(key, &shard, &row.index_value, &tid).ok()) {
-        return false;
-      }
-      StoredTrajectory t;
-      // Undecodable values stay out of the tier; the scan paths drop
-      // them the same way, so filter-on/off answers still agree.
-      if (!DecodeRow(key, value, &t).ok()) return false;
-      row.tid = static_cast<int64_t>(tid);
-      row.mbr = geo::Mbr::Of(t.points);
-      if (fingerprints_) {
-        row.fingerprint = filter::MinhashSignature(t.points, params_);
-      }
-      std::lock_guard<std::mutex> lock(mu_);
-      rows_.push_back(std::move(row));
-      return false;
-    }
-
-    std::vector<filter::FilterRowData> Take() { return std::move(rows_); }
-
-   private:
-    const bool fingerprints_;
-    const filter::FingerprintParams params_;
-    mutable std::mutex mu_;
-    mutable std::vector<filter::FilterRowData> rows_;
-  };
-
-  out->clear();
-  Collector collector(filter_tier_->options().fingerprints,
-                      filter_tier_->options().fingerprint);
-  std::vector<kv::Row> ignored;
-  Status s = store_->Scan({kv::ScanRange{"", ""}}, &collector, &ignored);
-  if (!s.ok()) return s;
-  *out = collector.Take();
-  return Status::OK();
-}
-
-void TrassStore::PublishFilterRows(const std::vector<ingest::EncodedRow>& rows,
-                                   const std::vector<char>& applied) {
-  if (filter_tier_ == nullptr) return;
-  std::vector<filter::FilterRowData> filter_rows;
-  filter_rows.reserve(rows.size());
-  for (const ingest::EncodedRow& row : rows) {
-    if (!applied[row.shard]) continue;
-    filter::FilterRowData fr;
-    fr.index_value = row.index_value;
-    fr.tid = static_cast<int64_t>(row.tid);
-    fr.mbr = row.mbr;
-    fr.fingerprint = row.fingerprint;
-    filter_rows.push_back(std::move(fr));
-  }
-  filter_tier_->AddRows(filter_rows);
 }
 
 uint8_t TrassStore::ShardOf(uint64_t tid) const {
@@ -374,9 +315,9 @@ Status TrassStore::EncodeTrajectory(const Trajectory& trajectory,
                  : EncodeRowKey(shard, value, trajectory.id);
   row->value = EncodeRowValue(trajectory.points, features);
   row->mbr = geo::Mbr::Of(trajectory.points);
-  if (filter_tier_ != nullptr && options_.filter_tier.fingerprints) {
-    row->fingerprint = filter::MinhashSignature(
-        trajectory.points, filter_tier_->options().fingerprint);
+  if (filter_tier_.columns()) {
+    row->fingerprint =
+        filter::MinhashSignature(trajectory.points, filter::kFingerprintParams);
   }
   return Status::OK();
 }
@@ -405,44 +346,37 @@ Status TrassStore::CommitEncoded(std::vector<ingest::EncodedRow>* rows) {
     }
   }
 
-  // Publish the applied rows' statistics and directory entries. The rows
-  // are already readable in the store, so publish-before-watermark makes
-  // the whole trajectory (row + features + directory entry) visible
-  // atomically from a query's point of view: queries snapshot the
-  // directory once, and the pipeline advances the watermark only after
-  // this returns. Rows in regions whose apply failed publish nothing —
-  // they were never stored.
+  // Publish in the order rows -> stats -> filter tier -> watermark. The
+  // rows are already readable in the store, and the pipeline advances
+  // the watermark only after this returns, so a query whose snapshot is
+  // taken once the watermark covers a trajectory sees all of it (row,
+  // features, present value). Rows in regions whose apply failed
+  // publish nothing — they were never stored.
   uint64_t count = 0;
   uint64_t key_bytes = 0;
+  std::vector<filter::FilterRowData> tier_rows;
+  tier_rows.reserve(rows->size());
   {
-    std::lock_guard<std::mutex> lock(values_mu_);
+    std::lock_guard<std::mutex> lock(stats_mu_);
     for (const ingest::EncodedRow& row : *rows) {
       if (!applied[row.shard]) continue;
+      tier_rows.push_back(filter::FilterRowData{
+          row.index_value, static_cast<int64_t>(row.tid), row.mbr,
+          row.fingerprint});
       // Re-delivery of a stored id (hint replay, duplicated transport
-      // delivery) overwrote the identical row above; the directory
-      // entry is refreshed but the counters and histograms must not
-      // double-count — idempotency is what lets replay be
-      // at-least-once.
-      if (!seen_ids_.insert(row.tid).second) {
-        seen_values_.push_back(row.index_value);
-        values_dirty_ = true;
-        continue;
-      }
+      // delivery) overwrote the identical row above; the tier replaces
+      // its record, but the counters and histograms must not
+      // double-count — idempotency is what lets replay be at-least-once.
+      if (!seen_ids_.insert(row.tid).second) continue;
       ++count;
       key_bytes += row.key.size();
       resolution_histogram_[row.resolution] += 1;
       position_histogram_[row.position_code] += 1;
-      seen_values_.push_back(row.index_value);
-      values_dirty_ = true;
     }
   }
   num_trajectories_.fetch_add(count, std::memory_order_relaxed);
   total_key_bytes_.fetch_add(key_bytes, std::memory_order_relaxed);
-  // Step 3 of the publish order (rows -> stats -> filter -> watermark):
-  // by the time the pipeline advances the watermark past these tickets,
-  // the filter tier already covers them — so the tier can never claim
-  // emptiness for a watermark-visible row.
-  PublishFilterRows(*rows, applied);
+  filter_tier_.AddRows(std::move(tier_rows));
   return first_failure;
 }
 
@@ -499,69 +433,18 @@ Status TrassStore::ingest_last_error() const {
   return pipeline_->last_error();
 }
 
-std::shared_ptr<const std::vector<int64_t>> TrassStore::value_directory()
-    const {
-  // Queries race to perform the lazy sort, so it is serialized here; the
-  // published snapshot is immutable, so a query holding it is unaffected
-  // by later commits (they publish a *new* snapshot).
-  std::lock_guard<std::mutex> lock(values_mu_);
-  if (values_dirty_) {
-    std::sort(seen_values_.begin(), seen_values_.end());
-    seen_values_.erase(std::unique(seen_values_.begin(), seen_values_.end()),
-                       seen_values_.end());
-    directory_ = std::make_shared<const std::vector<int64_t>>(seen_values_);
-    values_dirty_ = false;
-  }
-  return directory_;
-}
-
 uint64_t TrassStore::distinct_index_values() const {
-  return value_directory()->size();
+  return value_directory()->values().size();
 }
 
 std::vector<uint64_t> TrassStore::resolution_histogram() const {
-  std::lock_guard<std::mutex> lock(values_mu_);
+  std::lock_guard<std::mutex> lock(stats_mu_);
   return resolution_histogram_;
 }
 
 std::vector<uint64_t> TrassStore::position_code_histogram() const {
-  std::lock_guard<std::mutex> lock(values_mu_);
+  std::lock_guard<std::mutex> lock(stats_mu_);
   return position_histogram_;
-}
-
-std::vector<std::pair<int64_t, int64_t>> TrassStore::IntersectWithDirectory(
-    const std::vector<std::pair<int64_t, int64_t>>& ranges,
-    const std::vector<int64_t>& directory) {
-  // Every value inside an input range is a candidate, so within one range
-  // the optimal scan is the single interval [first present, last present]:
-  // empty candidate values in between cost nothing to scan over. Distinct
-  // input ranges are NOT merged — the gap between them holds
-  // non-candidate values that may contain rows.
-  std::vector<std::pair<int64_t, int64_t>> present;
-  for (const auto& [lo, hi] : ranges) {
-    const auto first = std::lower_bound(directory.begin(), directory.end(),
-                                        lo);
-    if (first == directory.end() || *first > hi) continue;
-    auto last = std::upper_bound(first, directory.end(), hi);
-    --last;
-    present.emplace_back(*first, *last);
-  }
-  index::MergeRanges(&present);
-  return present;
-}
-
-uint64_t TrassStore::CountPresentValues(
-    const std::vector<std::pair<int64_t, int64_t>>& ranges,
-    const std::vector<int64_t>& directory) {
-  // Ranges are disjoint (post-merge), so present values count once.
-  uint64_t count = 0;
-  for (const auto& [lo, hi] : ranges) {
-    const auto first =
-        std::lower_bound(directory.begin(), directory.end(), lo);
-    const auto last = std::upper_bound(first, directory.end(), hi);
-    count += static_cast<uint64_t>(last - first);
-  }
-  return count;
 }
 
 Status TrassStore::Flush() { return store_->Flush(); }
@@ -572,20 +455,21 @@ Status TrassStore::Scrub() {
   // backpressure, not corruption.
   std::lock_guard<std::mutex> lock(ingest_mu_);
   Status s = store_->VerifyIntegrity();
-  if (s.ok() && filter_tier_ != nullptr &&
-      options_.filter_tier.rebuild_on_scrub) {
-    // Re-derive the tier from the verified store and count how far the
-    // old one had drifted (filter_scrub_mismatches()). ingest_mu_ is
-    // held, so no commit can slip rows between the store scan and the
-    // tier swap.
-    std::vector<filter::FilterRowData> filter_rows;
-    Status fs = CollectFilterRows(&filter_rows);
-    if (!fs.ok()) return fs;
-    filter_scrub_mismatches_.store(
-        filter_tier_->ValidateAndRebuild(std::move(filter_rows)),
-        std::memory_order_relaxed);
-  }
-  return s;
+  // String-key rows carry no decodable index value: their value set is
+  // ingest-only, as at Open, so there is nothing to validate it against.
+  if (!s.ok() || options_.string_keys) return s;
+  // Re-derive the tier — value set included — from the verified store
+  // and count how far the old one had drifted
+  // (filter_scrub_mismatches()). ingest_mu_ is held, so no commit can
+  // slip rows between the store scan and the tier swap.
+  StoredRowCollector collector(/*string_keys=*/false,
+                               filter_tier_.columns());
+  s = collector.Run(store_.get());
+  if (!s.ok()) return s;
+  filter_scrub_mismatches_.store(
+      filter_tier_.RebuildFrom(collector.TakeRows()),
+      std::memory_order_relaxed);
+  return Status::OK();
 }
 
 Status TrassStore::Resume() {
@@ -638,37 +522,30 @@ Status TrassStore::ThresholdSearchInternal(
   TotalTimer total(m);
 
   // Global pruning (Algorithm 1), data-directed via the value directory.
-  // One immutable directory snapshot serves the whole query (snapshot
-  // consistency under concurrent ingest).
+  // One immutable snapshot serves the whole query (snapshot consistency
+  // under concurrent ingest).
   Stopwatch phase;
-  const auto directory = value_directory();
-  // Filter snapshot second: the tier only grows under ingest, so taking
-  // it after the directory makes it a superset — "absent in the tier"
-  // then soundly means "empty element" for every directory value.
-  const auto fsnap = FilterSnapshotForQuery();
+  const auto snap = value_directory();
+  m->filter_memory_bytes = snap->memory_bytes();
   const QueryGeometry ctx = QueryGeometry::Make(query, options_.dp_tolerance);
-  GlobalPruner pruner(&xz_, &ctx, directory.get(), control);
+  GlobalPruner pruner(&xz_, &ctx, &snap->values(), control);
   const auto value_ranges = pruner.CandidateRanges(eps);
   // Skip ranges the value directory proves empty (free in HBase, a real
   // round-trip here).
-  auto present_ranges = IntersectWithDirectory(value_ranges, *directory);
-  // Filter tier: kill surviving values whose aggregate (or every
+  const auto present_ranges = snap->IntersectWithDirectory(value_ranges);
+  // Filter columns: kill surviving values whose aggregate (or every
   // per-row) MBR is provably farther than eps, splitting the scan
   // ranges at the kills so their bytes are never read.
   filter::ProbeStats filter_stats;
-  if (fsnap != nullptr) {
-    m->filter_memory_bytes = fsnap->memory_bytes();
-    std::vector<std::pair<int64_t, int64_t>> filtered;
-    Status fs = fsnap->ProbeRanges(present_ranges, ctx.mbr, eps,
-                                   /*check_rows=*/true, control, &filtered,
-                                   &filter_stats);
-    FoldFilterStats(filter_stats, m);
-    if (!fs.ok()) return ResolveStop(fs, allow_partial, m);
-    present_ranges = std::move(filtered);
-  }
+  std::vector<std::pair<int64_t, int64_t>> scan_ranges;
+  Status fs = snap->ProbeRanges(present_ranges, ctx.mbr, eps,
+                                /*check_rows=*/true, control, &scan_ranges,
+                                &filter_stats);
+  FoldFilterStats(filter_stats, m);
+  if (!fs.ok()) return ResolveStop(fs, allow_partial, m);
   m->pruning_ms = phase.ElapsedMillis();
-  m->scan_ranges = present_ranges.size();
-  m->index_values = CountPresentValues(present_ranges, *directory);
+  m->scan_ranges = scan_ranges.size();
+  m->index_values = snap->CountPresentValues(scan_ranges);
   if (Status stop = control->Check(); !stop.ok()) {
     // An abandoned traversal leaves the ranges incomplete; nothing has
     // been verified yet, so even a partial answer is empty.
@@ -680,7 +557,7 @@ Status TrassStore::ThresholdSearchInternal(
   LocalScanFilter filter(&ctx, eps, measure);
   std::vector<kv::Row> rows;
   kv::ScanReport report;
-  Status s = store_->Scan(ToScanRanges(present_ranges), &filter, &rows,
+  Status s = store_->Scan(ToScanRanges(scan_ranges), &filter, &rows,
                           &report, control);
   FoldScanReport(report, m);
   m->scan_ms = phase.ElapsedMillis();
@@ -740,23 +617,17 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
                                       QueryMetrics* m) {
   TotalTimer total(m);
 
-  const auto directory = value_directory();  // one snapshot per query
-  // Taken after the directory so the tier is a superset of it (see
-  // ThresholdSearchInternal).
-  const auto fsnap = FilterSnapshotForQuery();
+  const auto snap = value_directory();  // one snapshot per query
+  m->filter_memory_bytes = snap->memory_bytes();
   filter::ProbeStats filter_stats;
   // Query-side minhash signature, computed once: orders candidate rows
   // by estimated sketch similarity so likely winners refine first.
   std::vector<uint32_t> query_sig;
-  if (fsnap != nullptr) {
-    m->filter_memory_bytes = fsnap->memory_bytes();
-    if (fsnap->has_fingerprints()) {
-      query_sig =
-          filter::MinhashSignature(query, fsnap->fingerprint_params());
-    }
+  if (snap->has_columns()) {
+    query_sig = filter::MinhashSignature(query, filter::kFingerprintParams);
   }
   const QueryGeometry ctx = QueryGeometry::Make(query, options_.dp_tolerance);
-  GlobalPruner pruner(&xz_, &ctx, directory.get(), control);
+  GlobalPruner pruner(&xz_, &ctx, &snap->values(), control);
   const int r = xz_.max_resolution();
 
   struct ElementEntry {
@@ -796,17 +667,15 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
     const int64_t base = xz_.ElementBaseValue(seq);
     const int64_t span =
         seq.length() == 0 ? 10 : xz_.NumIndexSpaces(seq.length());
-    if (!SortedContainsRange(*directory, base, base + span - 1)) {
+    if (!SortedContainsRange(snap->values(), base, base + span - 1)) {
       return false;
     }
-    // Filter tier: the union MBR over the subtree's present values
+    // Filter columns: the union MBR over the subtree's present values
     // (segment tree) can kill the whole subtree long before its element
     // bound would — the current k-th bound only tightens, so the skip
     // stays valid for the rest of the query.
-    return fsnap == nullptr ||
-           fsnap->ProbeSubtree(base, base + span - 1, ctx.mbr,
-                               current_eps(),
-                               &filter_stats) == filter::ProbeResult::kKeep;
+    return snap->ProbeSubtree(base, base + span - 1, ctx.mbr, current_eps(),
+                              &filter_stats) == filter::ProbeResult::kKeep;
   };
 
   // Seed with the root overflow bucket and the four top-level elements.
@@ -859,14 +728,12 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
         // since this space was pushed, and the row-level proof gets its
         // chance here. A space the filter kills is never submitted and
         // — per the index_values contract in metrics.h — not counted.
-        if (fsnap != nullptr) {
-          const filter::ProbeResult probe =
-              fsnap->ProbeValue(value, ctx.mbr, current_eps(),
-                                /*check_rows=*/true, &filter_stats);
-          if (probe == filter::ProbeResult::kMbrPruned ||
-              probe == filter::ProbeResult::kFingerprintPruned) {
-            continue;
-          }
+        const filter::ProbeResult probe =
+            snap->ProbeValue(value, ctx.mbr, current_eps(),
+                             /*check_rows=*/true, &filter_stats);
+        if (probe == filter::ProbeResult::kMbrPruned ||
+            probe == filter::ProbeResult::kFingerprintPruned) {
+          continue;
         }
         batch_values.emplace_back(value, value);
         ++drained;
@@ -904,19 +771,18 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
           int64_t value;
           uint64_t tid;
           if (DecodeRowKey(Slice(rows[i].key), &shard, &value, &tid).ok()) {
-            size_t count = 0;
-            const filter::RowRecord* records =
-                fsnap->RowsForValue(value, &count);
-            const filter::RowRecord* end = records + count;
+            const filter::RowSpan records = snap->RowsForValue(value);
+            const filter::RowRecord* end = records.rows + records.count;
             const filter::RowRecord* hit = std::lower_bound(
-                records, end, static_cast<int64_t>(tid),
+                records.rows, end, static_cast<int64_t>(tid),
                 [](const filter::RowRecord& record, int64_t t) {
                   return record.tid < t;
                 });
             if (hit != end && hit->tid == static_cast<int64_t>(tid)) {
-              sim = filter::EstimateSimilarity(query_sig.data(),
-                                               fsnap->RowSignature(hit),
-                                               query_sig.size());
+              sim = filter::EstimateSimilarity(
+                  query_sig.data(),
+                  records.sigs + (hit - records.rows) * query_sig.size(),
+                  query_sig.size());
             }
           }
           order[i] = {-sim, i};
@@ -958,17 +824,14 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
         const int max_pos = (l == r || l == 0) ? 10 : 9;
         for (int pos = 1; pos <= max_pos; ++pos) {
           const int64_t value = base + pos - 1;
-          if (!SortedContainsRange(*directory, value, value)) {
+          if (!SortedContainsRange(snap->values(), value, value)) {
             continue;  // nothing stored
           }
           // Aggregate-MBR check at push keeps provably-too-far spaces
-          // out of the queue entirely (kAbsent cannot happen here — the
-          // tier is a superset of the directory — but keeping it would
-          // be the conservative reaction anyway).
-          if (fsnap != nullptr &&
-              fsnap->ProbeValue(value, ctx.mbr, current_eps(),
-                                /*check_rows=*/false, &filter_stats) ==
-                  filter::ProbeResult::kMbrPruned) {
+          // out of the queue entirely.
+          if (snap->ProbeValue(value, ctx.mbr, current_eps(),
+                               /*check_rows=*/false, &filter_stats) ==
+              filter::ProbeResult::kMbrPruned) {
             continue;
           }
           const double bound = pruner.IndexSpaceLowerBound(entry.seq, pos);
@@ -1091,10 +954,8 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
   // intersects the window, restricted to position codes whose sub-quad
   // union still touches the window (a trajectory intersecting the window
   // has a point in one of its occupied sub-quads).
-  const auto directory = value_directory();  // one snapshot per query
-  // Taken after the directory so the tier is a superset of it (see
-  // ThresholdSearchInternal).
-  const auto fsnap = FilterSnapshotForQuery();
+  const auto snap = value_directory();  // one snapshot per query
+  m->filter_memory_bytes = snap->memory_bytes();
   std::vector<std::pair<int64_t, int64_t>> values;
   struct Walker {
     const index::XzStar* xz;
@@ -1143,28 +1004,24 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
       }
     }
   };
-  Walker walker{&xz_, directory.get(), &window, &control, &values};
+  Walker walker{&xz_, &snap->values(), &window, &control, &values};
   walker.Emit(index::QuadSeq());  // root overflow bucket
   for (int q = 0; q < 4; ++q) {
     walker.Visit(index::QuadSeq().Child(q));
   }
   index::MergeRanges(&values);
-  auto present = IntersectWithDirectory(values, *directory);
-  // Filter tier: a value whose aggregate MBR misses the window cannot
+  const auto present = snap->IntersectWithDirectory(values);
+  // Filter columns: a value whose aggregate MBR misses the window cannot
   // hold a trajectory with a point inside it — drop it before the scan.
   filter::ProbeStats filter_stats;
-  if (fsnap != nullptr) {
-    m->filter_memory_bytes = fsnap->memory_bytes();
-    std::vector<std::pair<int64_t, int64_t>> filtered;
-    Status fs = fsnap->ProbeRangesWindow(present, window, &control,
-                                         &filtered, &filter_stats);
-    FoldFilterStats(filter_stats, m);
-    if (!fs.ok()) return ResolveStop(fs, query_options.allow_partial, m);
-    present = std::move(filtered);
-  }
+  std::vector<std::pair<int64_t, int64_t>> scan_ranges;
+  Status fs = snap->ProbeRangesWindow(present, window, &control, &scan_ranges,
+                                      &filter_stats);
+  FoldFilterStats(filter_stats, m);
+  if (!fs.ok()) return ResolveStop(fs, query_options.allow_partial, m);
   m->pruning_ms = phase.ElapsedMillis();
-  m->scan_ranges = present.size();
-  m->index_values = CountPresentValues(present, *directory);
+  m->scan_ranges = scan_ranges.size();
+  m->index_values = snap->CountPresentValues(scan_ranges);
   if (Status stop = control.Check(); !stop.ok()) {
     return ResolveStop(stop, query_options.allow_partial, m);
   }
@@ -1174,7 +1031,8 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
   std::vector<kv::Row> rows;
   kv::ScanReport report;
   Status s =
-      store_->Scan(ToScanRanges(present), &filter, &rows, &report, &control);
+      store_->Scan(ToScanRanges(scan_ranges), &filter, &rows, &report,
+                   &control);
   FoldScanReport(report, m);
   m->scan_ms = phase.ElapsedMillis();
   m->retrieved = filter.scanned();

@@ -98,26 +98,16 @@ struct TrassOptions {
   /// manual via TrassStore::Resume().
   uint64_t auto_resume_interval_ms = 0;
 
-  /// Memory-resident filter tier (src/filter/): succinct per-element
-  /// summaries (Elias-Fano value universe + count + aggregate MBR) and
-  /// optional per-row fingerprints, consulted between global pruning and
-  /// the store scans so empty or provably-too-far index values never
-  /// cost a KV read. Never changes query results (equivalence-tested);
-  /// costs RAM (QueryMetrics::filter_memory_bytes) and a small publish
-  /// step per ingest commit. Off by default (seed behavior).
+  /// Memory-resident filter tier (src/filter/). Its snapshot is always
+  /// the store's present-value set; `enable` adds the probe columns —
+  /// per-value aggregate MBRs with a segment tree, and per-row records
+  /// (quantized MBR + minhash signature) — so index values and rows
+  /// provably too far from a query never cost a KV read. Never changes
+  /// query results (equivalence-tested); costs RAM
+  /// (QueryMetrics::filter_memory_bytes) and a decode of every stored
+  /// row at open and scrub. Off by default (the paper's pipeline).
   struct FilterTierKnobs {
     bool enable = false;
-    /// Keep per-row records (quantized MBR + minhash signature): row-
-    /// level miss proofs on the threshold path, candidate ordering for
-    /// top-k. Summaries-only when false (smaller RAM).
-    bool fingerprints = true;
-    int fingerprint_hashes = 16;  // minhash slots per row
-    int fingerprint_bits = 32;    // bits kept per slot, in [4, 32]
-    int fingerprint_grid = 1024;  // shingle discretization per axis
-    /// Rebuild the tier from a fresh store scan during Scrub() and
-    /// count disagreements (filter_scrub_mismatches()); when false the
-    /// tier is left as-is across scrubs.
-    bool rebuild_on_scrub = true;
   } filter_tier;
 
   /// Underlying LSM engine tuning.
@@ -184,7 +174,7 @@ class TrassStore {
   /// Thread-safe: writes are serialized internally and may run
   /// concurrently with queries — a query started before the Put returns
   /// sees either none of the trajectory or all of it (row, features,
-  /// value-directory entry), never a torn state.
+  /// present value), never a torn state.
   ///
   /// Idempotent on re-delivery: re-putting an id already stored (same
   /// points) overwrites the identical row and leaves statistics, the
@@ -198,7 +188,7 @@ class TrassStore {
   /// commit per touched region (one WAL record per region instead of one
   /// per trajectory), which is where batched ingest beats repeated Put.
   /// All-or-nothing per region; thread-safe like Put. The batch becomes
-  /// visible to queries atomically (directory + statistics publish after
+  /// visible to queries atomically (statistics + value set publish after
   /// every region applied).
   Status PutBatch(const std::vector<Trajectory>& trajectories);
 
@@ -239,8 +229,8 @@ class TrassStore {
   Status Flush();
 
   /// Integrity pass: checksum-verifies every table of every region
-  /// (RegionStore::VerifyIntegrity) and, when the filter tier is on with
-  /// rebuild_on_scrub, rebuilds the tier from a fresh store scan and
+  /// (RegionStore::VerifyIntegrity), then, in integer-key mode, rebuilds
+  /// the filter tier — value set included — from a fresh store scan and
   /// records how far it had drifted (filter_scrub_mismatches()). Safe to
   /// call concurrently with queries and ingest: the scrub and the ingest
   /// commit path are serialized on an internal mutex, so group commits
@@ -321,30 +311,30 @@ class TrassStore {
                         total_key_bytes_.load(std::memory_order_relaxed)) /
                         static_cast<double>(n);
   }
-  /// Distinct index values seen during ingest (selectivity numerator for
-  /// Figures 14/15).
+  /// Distinct index values present in the store (selectivity numerator
+  /// for Figures 14/15).
   uint64_t distinct_index_values() const;
 
-  /// Sorted distinct index values — the *value directory*. This is the
+  /// The *value directory*: the filter tier's current snapshot, whose
+  /// sorted values() are the index values actually present. This is the
   /// in-process analog of the region/SST metadata a key-value cluster
   /// uses to skip empty key ranges for free: query processing consults it
   /// so that neither the threshold scan nor the best-first top-k pays a
   /// store round-trip for an index space that holds no trajectories.
-  /// Returns an immutable snapshot: each query takes one at its start and
+  /// The snapshot is immutable: each query takes one at its start and
   /// consults only it, so a concurrent group commit (which publishes a
-  /// fresh snapshot) can never mutate a directory mid-query.
-  std::shared_ptr<const std::vector<int64_t>> value_directory() const;
+  /// fresh snapshot) can never change it mid-query.
+  std::shared_ptr<const filter::FilterSnapshot> value_directory() const {
+    return filter_tier_.snapshot();
+  }
 
-  /// The memory-resident filter tier, or null when
-  /// TrassOptions::filter_tier.enable is false (or in string-key mode).
-  /// Queries consult immutable snapshots of it; see filter/filter_tier.h
-  /// for the consistency contract.
-  filter::FilterTier* filter_tier() { return filter_tier_.get(); }
+  /// The memory-resident filter tier behind value_directory(); see
+  /// filter/filter_tier.h for the consistency contract.
+  filter::FilterTier* filter_tier() { return &filter_tier_; }
 
-  /// Elements the last scrub-time filter validation found disagreeing
-  /// with the store (0 when never scrubbed, the tier is disabled, or
-  /// rebuild_on_scrub is off). A non-zero value means the rebuilt tier
-  /// replaced a stale/corrupt one — the scrub healed it.
+  /// Values the last scrub-time validation found disagreeing with the
+  /// store (0 when never scrubbed). A non-zero value means the rebuilt
+  /// tier replaced a stale/corrupt one — the scrub healed it.
   uint64_t filter_scrub_mismatches() const {
     return filter_scrub_mismatches_.load(std::memory_order_relaxed);
   }
@@ -365,45 +355,15 @@ class TrassStore {
                             std::vector<SearchResult>* results,
                             QueryMetrics* m);
 
-  /// Narrows candidate [lo, hi] value ranges to the values actually
-  /// present in `directory`, re-merged into contiguous runs.
-  static std::vector<std::pair<int64_t, int64_t>> IntersectWithDirectory(
-      const std::vector<std::pair<int64_t, int64_t>>& ranges,
-      const std::vector<int64_t>& directory);
-
-  /// Present (directory-held) index values inside `ranges` — the
-  /// QueryMetrics::index_values definition for the scan-based paths.
-  static uint64_t CountPresentValues(
-      const std::vector<std::pair<int64_t, int64_t>>& ranges,
-      const std::vector<int64_t>& directory);
-
-  /// Filter-tier snapshot for a query, or null when the tier is off.
-  /// Must be taken *after* the query's directory snapshot: the tier only
-  /// grows under ingest, so a later tier snapshot is a superset of any
-  /// earlier directory — absent-in-tier then soundly implies empty.
-  std::shared_ptr<const filter::FilterSnapshot> FilterSnapshotForQuery()
-      const {
-    return filter_tier_ != nullptr ? filter_tier_->snapshot() : nullptr;
-  }
-
-  /// Converts applied encoded rows into filter-tier row records and
-  /// publishes them (step 3 of rows -> stats -> filter -> watermark).
-  void PublishFilterRows(const std::vector<ingest::EncodedRow>& rows,
-                         const std::vector<char>& applied);
-
-  /// Full store scan -> filter-tier row records (open/recovery/scrub
-  /// rebuild). Caller must hold ingest_mu_ or be inside Open.
-  Status CollectFilterRows(std::vector<filter::FilterRowData>* rows) const;
-
   TrassStore(const TrassOptions& options);
 
   /// Body of the auto-resume prober thread (auto_resume_interval_ms).
   void AutoResumeLoop();
 
-  /// Reconstructs the value directory and ingest statistics from stored
-  /// row keys when opening an existing store. Also the crash-recovery
-  /// path: after a crash mid-batch, whatever rows the WAL replay kept
-  /// are re-derived into a consistent directory + statistics view.
+  /// Reconstructs the filter tier and ingest statistics from the stored
+  /// rows when opening an existing store. Also the crash-recovery path:
+  /// after a crash mid-batch, whatever rows the WAL replay kept are
+  /// re-derived into a consistent value set + statistics view.
   Status RebuildIngestState();
 
   uint8_t ShardOf(uint64_t tid) const;
@@ -416,10 +376,10 @@ class TrassStore {
   /// The single commit path every write funnels through (Put, PutBatch,
   /// and the pipeline's group commits): groups rows by region, applies
   /// one WriteBatch per region via RegionStore::ApplyBatch, then
-  /// publishes statistics and a fresh value-directory snapshot for the
-  /// applied rows. Serialized on ingest_mu_ (also against Scrub and
-  /// Resume). Rows from regions whose apply failed are neither
-  /// stored nor published; the first failure is returned.
+  /// publishes statistics and hands the applied rows to the filter tier
+  /// (merged into its next snapshot). Serialized on ingest_mu_ (also
+  /// against Scrub and Resume). Rows from regions whose apply failed are
+  /// neither stored nor published; the first failure is returned.
   Status CommitEncoded(std::vector<ingest::EncodedRow>* rows);
 
   TrassOptions options_;
@@ -435,16 +395,13 @@ class TrassStore {
 
   // Serializes writers: Put/PutBatch callers, the pipeline's commit
   // thread, Resume, and Scrub (its filter rebuild must not miss rows).
-  // Ordered before values_mu_ (CommitEncoded takes both, in that order).
+  // Ordered before stats_mu_ (CommitEncoded takes both, in that order).
   mutable std::mutex ingest_mu_;
 
   std::atomic<uint64_t> num_trajectories_{0};
   std::atomic<uint64_t> total_key_bytes_{0};
-  // Guards the histograms, the raw seen-values pool, and the published
-  // directory snapshot. Queries take the snapshot (a shared_ptr to an
-  // immutable vector) once and never touch the guarded state again, so
-  // ingest publishing a new snapshot never races a running query.
-  mutable std::mutex values_mu_;
+  // Guards the histograms and seen_ids_.
+  mutable std::mutex stats_mu_;
   std::vector<uint64_t> resolution_histogram_;
   std::vector<uint64_t> position_histogram_;
   // Ids already counted into the statistics above. Re-applied rows
@@ -452,14 +409,11 @@ class TrassStore {
   // row but must not double-count num_trajectories_/histograms — this
   // is what makes Put idempotent end to end.
   std::unordered_set<uint64_t> seen_ids_;
-  mutable std::vector<int64_t> seen_values_;  // sorted-unique lazily
-  mutable bool values_dirty_ = false;
-  mutable std::shared_ptr<const std::vector<int64_t>> directory_;
 
-  // Memory-resident filter tier (null when disabled). Mutated on the
-  // commit path after the directory publish and before the watermark
-  // advance; queries share immutable snapshots.
-  std::unique_ptr<filter::FilterTier> filter_tier_;
+  // The present-value set and probe columns. Fed on the commit path
+  // after the statistics and before the watermark advance; queries share
+  // immutable snapshots.
+  filter::FilterTier filter_tier_;
   std::atomic<uint64_t> filter_scrub_mismatches_{0};
 
   // Auto-resume prober (joined by the destructor before any member

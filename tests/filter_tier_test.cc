@@ -1,10 +1,11 @@
-// Filter-tier suite: Elias-Fano and fingerprint units, snapshot probe
-// semantics, the filter-on/off equivalence matrix (measures × query
-// paths × refine_threads — results must be byte-identical), ingest
-// visibility (the tier never claims emptiness for a watermark-visible
-// row), scrub-after-corruption rebuild, and the seeded crash-mid-ingest
-// chaos stage (FilterChaos.*, rerun one schedule with
-// TRASS_CHAOS_SEED=<seed>).
+// Filter-tier suite: fingerprint units, snapshot probe semantics, the
+// merge publish against a full rebuild, the filter-on/off equivalence
+// matrix (measures × query paths × refine_threads — results must be
+// byte-identical to each other and agree with a brute-force oracle),
+// ingest visibility (the tier never claims emptiness for a
+// watermark-visible row), scrub-after-corruption rebuild, and the
+// seeded crash-mid-ingest chaos stage (FilterChaos.*, rerun one
+// schedule with TRASS_CHAOS_SEED=<seed>).
 
 #include "filter/filter_tier.h"
 
@@ -13,12 +14,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
+#include "baselines/brute_force.h"
+#include "core/row_codec.h"
 #include "core/trass_store.h"
-#include "filter/elias_fano.h"
 #include "filter/fingerprint.h"
 #include "kv/fault_injection_env.h"
 #include "test_util.h"
@@ -35,44 +36,6 @@ using core::TrassOptions;
 using core::TrassStore;
 
 // ---------------------------------------------------------------- units
-
-TEST(EliasFanoTest, MatchesReferenceAcrossShapes) {
-  Random rnd(20260809);
-  const struct {
-    size_t count;
-    int64_t universe;
-  } shapes[] = {{0, 100}, {1, 1}, {1, int64_t{1} << 40},  {50, 60},
-                {1000, 1000},  // fully dense
-                {500, int64_t{1} << 35}, {3000, 1 << 20}};
-  for (const auto& shape : shapes) {
-    std::set<int64_t> unique;
-    while (unique.size() < shape.count) {
-      unique.insert(static_cast<int64_t>(
-          rnd.Uniform(static_cast<uint64_t>(shape.universe))));
-    }
-    std::vector<int64_t> values(unique.begin(), unique.end());
-    filter::EliasFano ef;
-    ef.Build(values);
-    ASSERT_EQ(ef.size(), values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      ASSERT_EQ(ef.Get(i), values[i]) << "i=" << i;
-    }
-    // LowerBound against the std reference on hits, misses, and ends.
-    for (int probe = 0; probe < 200; ++probe) {
-      const int64_t x = static_cast<int64_t>(
-          rnd.Uniform(static_cast<uint64_t>(shape.universe + 2)));
-      const size_t expected = static_cast<size_t>(
-          std::lower_bound(values.begin(), values.end(), x) - values.begin());
-      ASSERT_EQ(ef.LowerBound(x), expected) << "x=" << x;
-    }
-    if (!values.empty()) {
-      EXPECT_EQ(ef.LowerBound(values.back() + 1), values.size());
-      EXPECT_EQ(ef.CountInRange(values.front(), values.back()),
-                values.size());
-    }
-    EXPECT_EQ(ef.CountInRange(5, 4), 0u);  // inverted range
-  }
-}
 
 TEST(FingerprintTest, QuantizeOutwardContains) {
   Random rnd(7);
@@ -113,74 +76,166 @@ TEST(FingerprintTest, SignatureSimilarityOrdersByOverlap) {
   EXPECT_LT(far_sim, 0.5);
 }
 
+// Rows stored under `value` per the snapshot's per-row records.
+size_t RowsAt(const filter::FilterSnapshot& snap, int64_t value) {
+  return snap.RowsForValue(value).count;
+}
+
+// Without columns every probe is a presence check: the far value stays.
 TEST(FilterTierTest, SnapshotProbesAndIdempotentAdds) {
-  filter::FilterTierOptions options;
-  options.enable = true;
-  filter::FilterTier tier(options);
+  for (const bool columns : {true, false}) {
+    SCOPED_TRACE(columns ? "columns" : "values only");
+    filter::FilterTier tier(columns);
+    auto row = [](int64_t value, int64_t tid, double x, double y) {
+      filter::FilterRowData r;
+      r.index_value = value;
+      r.tid = tid;
+      r.mbr = geo::Mbr(x, y, x + 0.01, y + 0.01);
+      return r;
+    };
+    tier.AddRows({row(10, 1, 0.1, 0.1), row(10, 2, 0.12, 0.12),
+                  row(40, 3, 0.9, 0.9)});
+    tier.AddRows({row(10, 1, 0.1, 0.1)});  // re-delivery must not double count
 
-  auto row = [](int64_t value, int64_t tid, double x, double y) {
-    filter::FilterRowData r;
-    r.index_value = value;
-    r.tid = tid;
-    r.mbr = geo::Mbr(x, y, x + 0.01, y + 0.01);
-    return r;
+    auto snap = tier.snapshot();
+    EXPECT_EQ(snap->values(), (std::vector<int64_t>{10, 40}));
+    EXPECT_EQ(RowsAt(*snap, 10), columns ? 2u : 0u);
+    EXPECT_EQ(RowsAt(*snap, 40), columns ? 1u : 0u);
+    EXPECT_EQ(RowsAt(*snap, 11), 0u);
+    EXPECT_GT(snap->memory_bytes(), 0u);
+    const std::vector<std::pair<int64_t, int64_t>> ranges = {{0, 20},
+                                                             {30, 100}};
+    EXPECT_EQ(snap->IntersectWithDirectory(ranges),
+              (std::vector<std::pair<int64_t, int64_t>>{{10, 10}, {40, 40}}));
+    EXPECT_EQ(snap->CountPresentValues(ranges), 2u);
+
+    const geo::Mbr query(0.1, 0.1, 0.15, 0.15);
+    const filter::ProbeResult far =
+        columns ? filter::ProbeResult::kMbrPruned : filter::ProbeResult::kKeep;
+    filter::ProbeStats stats;
+    // Absent value.
+    EXPECT_EQ(snap->ProbeValue(11, query, 1.0, true, &stats),
+              filter::ProbeResult::kAbsent);
+    // Present and near.
+    EXPECT_EQ(snap->ProbeValue(10, query, 0.05, true, &stats),
+              filter::ProbeResult::kKeep);
+    // Present but provably far at small eps.
+    EXPECT_EQ(snap->ProbeValue(40, query, 0.05, true, &stats), far);
+    EXPECT_EQ(stats.elements_pruned, 1u);
+    EXPECT_EQ(stats.mbr_pruned, columns ? 1u : 0u);
+
+    // Range probe: the far value splits out of the candidate range, the
+    // absent values only shrink it.
+    std::vector<std::pair<int64_t, int64_t>> surviving;
+    filter::ProbeStats range_stats;
+    ASSERT_TRUE(snap->ProbeRanges({{0, 100}}, query, 0.05, true, nullptr,
+                                  &surviving, &range_stats)
+                    .ok());
+    EXPECT_EQ(surviving, (std::vector<std::pair<int64_t, int64_t>>{
+                             {10, columns ? 10 : 40}}));
+    EXPECT_EQ(range_stats.elements_pruned, 99u);  // 101 candidates, 2 present
+    EXPECT_EQ(range_stats.mbr_pruned, columns ? 1u : 0u);
+
+    // Subtree probe spanning only the far value.
+    filter::ProbeStats subtree_stats;
+    EXPECT_EQ(snap->ProbeSubtree(20, 60, query, 0.05, &subtree_stats), far);
+    EXPECT_EQ(snap->ProbeSubtree(50, 60, query, 0.05, &subtree_stats),
+              filter::ProbeResult::kAbsent);
+
+    // Validation: a fresh image missing value 40 and adding 50 counts both.
+    std::vector<filter::FilterRowData> fresh = {
+        row(10, 1, 0.1, 0.1), row(10, 2, 0.12, 0.12), row(50, 4, 0.5, 0.5)};
+    EXPECT_EQ(tier.RebuildFrom(std::move(fresh)), 2u);
+    EXPECT_EQ(tier.snapshot()->values(), (std::vector<int64_t>{10, 50}));
+    EXPECT_EQ(RowsAt(*tier.snapshot(), 50), columns ? 1u : 0u);
+  }
+}
+
+// Field-by-field equality of two snapshots: values, aggregate MBRs and
+// per-row records (tid, MBR, signature).
+void ExpectSameSnapshot(const filter::FilterSnapshot& got,
+                        const filter::FilterSnapshot& want) {
+  ASSERT_EQ(got.values(), want.values());
+  auto same_box = [](const geo::Mbr& a, const geo::Mbr& b) {
+    return a.min_x() == b.min_x() && a.min_y() == b.min_y() &&
+           a.max_x() == b.max_x() && a.max_y() == b.max_y();
   };
-  tier.AddRows({row(10, 1, 0.1, 0.1), row(10, 2, 0.12, 0.12),
-                row(40, 3, 0.9, 0.9)});
-  tier.AddRows({row(10, 1, 0.1, 0.1)});  // re-delivery must not double count
+  for (const int64_t value : want.values()) {
+    EXPECT_TRUE(same_box(got.ValueMbr(value), want.ValueMbr(value)))
+        << "value " << value;
+    const filter::RowSpan r_got = got.RowsForValue(value);
+    const filter::RowSpan r_want = want.RowsForValue(value);
+    ASSERT_EQ(r_got.count, r_want.count) << "value " << value;
+    const size_t hashes = filter::kFingerprintParams.hashes;
+    for (size_t i = 0; i < r_want.count; ++i) {
+      EXPECT_EQ(r_got.rows[i].tid, r_want.rows[i].tid);
+      EXPECT_TRUE(
+          same_box(r_got.rows[i].mbr.ToMbr(), r_want.rows[i].mbr.ToMbr()));
+      EXPECT_TRUE(std::equal(r_got.sigs + i * hashes,
+                             r_got.sigs + (i + 1) * hashes,
+                             r_want.sigs + i * hashes))
+          << "value " << value << " tid " << r_want.rows[i].tid;
+    }
+  }
+}
 
-  auto snap = tier.snapshot();
-  EXPECT_EQ(snap->element_count(), 2u);
-  EXPECT_EQ(snap->CountForValue(10), 2u);
-  EXPECT_EQ(snap->CountForValue(40), 1u);
-  EXPECT_EQ(snap->CountForValue(11), 0u);
-  EXPECT_GT(snap->memory_bytes(), 0u);
-
-  const geo::Mbr query(0.1, 0.1, 0.15, 0.15);
-  filter::ProbeStats stats;
-  // Absent value.
-  EXPECT_EQ(snap->ProbeValue(11, query, 1.0, true, &stats),
-            filter::ProbeResult::kAbsent);
-  // Present and near.
-  EXPECT_EQ(snap->ProbeValue(10, query, 0.05, true, &stats),
-            filter::ProbeResult::kKeep);
-  // Present but provably far at small eps.
-  EXPECT_EQ(snap->ProbeValue(40, query, 0.05, true, &stats),
-            filter::ProbeResult::kMbrPruned);
-  EXPECT_EQ(stats.elements_pruned, 1u);
-  EXPECT_EQ(stats.mbr_pruned, 1u);
-
-  // Range probe: the far value splits out of the candidate range, the
-  // absent values only shrink it.
-  std::vector<std::pair<int64_t, int64_t>> surviving;
-  filter::ProbeStats range_stats;
-  ASSERT_TRUE(snap->ProbeRanges({{0, 100}}, query, 0.05, true, nullptr,
-                                &surviving, &range_stats)
-                  .ok());
-  ASSERT_EQ(surviving.size(), 1u);
-  EXPECT_EQ(surviving[0], (std::pair<int64_t, int64_t>{10, 10}));
-  EXPECT_EQ(range_stats.elements_pruned, 99u);  // 101 candidates, 2 present
-  EXPECT_EQ(range_stats.mbr_pruned, 1u);
-
-  // Subtree probe spanning only the far value.
-  filter::ProbeStats subtree_stats;
-  EXPECT_EQ(snap->ProbeSubtree(20, 60, query, 0.05, &subtree_stats),
-            filter::ProbeResult::kMbrPruned);
-  EXPECT_EQ(snap->ProbeSubtree(50, 60, query, 0.05, &subtree_stats),
-            filter::ProbeResult::kAbsent);
-
-  // Validation: a fresh image missing value 40 and adding 50 counts both.
-  std::vector<filter::FilterRowData> fresh = {
-      row(10, 1, 0.1, 0.1), row(10, 2, 0.12, 0.12), row(50, 4, 0.5, 0.5)};
-  EXPECT_EQ(tier.ValidateAndRebuild(std::move(fresh)), 2u);
-  EXPECT_EQ(tier.snapshot()->CountForValue(50), 1u);
-  EXPECT_EQ(tier.snapshot()->CountForValue(40), 0u);
+// Property: every merge-published snapshot equals RebuildFrom over all
+// rows added so far, with and without columns — under re-delivered
+// (value, tid) pairs (newest record wins, aggregate keeps both extents),
+// same-tid-new-value rows, and several batches pending per publish.
+TEST(FilterTierTest, MergePublishMatchesRebuild) {
+  for (const bool columns : {false, true}) {
+    SCOPED_TRACE(columns ? "columns" : "values only");
+    Random rnd(columns ? 20261017 : 20261018);
+    auto random_row = [&](int64_t value, int64_t tid) {
+      filter::FilterRowData r;
+      r.index_value = value;
+      r.tid = tid;
+      const double x = rnd.UniformDouble(0, 0.9);
+      const double y = rnd.UniformDouble(0, 0.9);
+      r.mbr = geo::Mbr(x, y, x + rnd.UniformDouble(0, 0.1),
+                       y + rnd.UniformDouble(0, 0.1));
+      // Mostly full signatures; now and then a short one (padded).
+      const size_t len = rnd.Bernoulli(0.9) ? 16 : rnd.Uniform(16);
+      for (size_t h = 0; h < len; ++h) {
+        r.fingerprint.push_back(static_cast<uint32_t>(rnd.Next()));
+      }
+      return r;
+    };
+    filter::FilterTier tier(columns);
+    std::vector<filter::FilterRowData> all;
+    int64_t next_tid = 1;
+    for (int batch = 0; batch < 150; ++batch) {
+      std::vector<filter::FilterRowData> rows;
+      const int n = 1 + static_cast<int>(rnd.Uniform(12));
+      for (int i = 0; i < n; ++i) {
+        const uint64_t kind = all.empty() ? 2 : rnd.Uniform(4);
+        if (kind == 0) {  // exact re-delivery
+          rows.push_back(all[rnd.Uniform(all.size())]);
+        } else if (kind == 1) {  // same (value, tid), new record
+          const auto& old = all[rnd.Uniform(all.size())];
+          rows.push_back(random_row(old.index_value, old.tid));
+        } else if (kind == 2) {  // a new trajectory
+          rows.push_back(
+              random_row(static_cast<int64_t>(rnd.Uniform(600)), next_tid++));
+        } else {  // same tid under a new value
+          rows.push_back(random_row(static_cast<int64_t>(rnd.Uniform(600)),
+                                    all[rnd.Uniform(all.size())].tid));
+        }
+      }
+      all.insert(all.end(), rows.begin(), rows.end());
+      tier.AddRows(std::move(rows));
+      if (rnd.Bernoulli(0.3)) continue;  // let batches pile up
+      filter::FilterTier rebuilt(columns);
+      rebuilt.RebuildFrom(all);
+      ExpectSameSnapshot(*tier.snapshot(), *rebuilt.snapshot());
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(FilterTierTest, ProbeRangesHonorsCancel) {
-  filter::FilterTierOptions options;
-  options.enable = true;
-  filter::FilterTier tier(options);
+  filter::FilterTier tier(/*columns=*/true);
   std::vector<filter::FilterRowData> rows;
   for (int64_t v = 0; v < 4096; ++v) {
     filter::FilterRowData r;
@@ -236,6 +291,45 @@ std::vector<Trajectory> ClusteredDataset(uint64_t seed, size_t count) {
   return data;
 }
 
+// Independent oracle checks: an exhaustive scan agrees with the store
+// on ids, and on distances up to kernel rounding.
+void ExpectMatchesOracle(const std::vector<SearchResult>& got,
+                         const std::vector<SearchResult>& oracle) {
+  ASSERT_EQ(got.size(), oracle.size());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(got[i].id, oracle[i].id);
+    EXPECT_NEAR(got[i].distance, oracle[i].distance, 1e-9);
+  }
+}
+
+// Top-k variant: ids may differ only on exact distance ties.
+void ExpectTopKMatchesOracle(const std::vector<SearchResult>& got,
+                             const std::vector<SearchResult>& oracle) {
+  ASSERT_EQ(got.size(), oracle.size());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_NEAR(got[i].distance, oracle[i].distance, 1e-9);
+  }
+}
+
+void ExpectByteIdentical(const std::vector<SearchResult>& a,
+                         const std::vector<SearchResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].distance, b[i].distance);
+  }
+}
+
+std::vector<SearchResult> BruteThreshold(const std::vector<Trajectory>& data,
+                                         const std::vector<geo::Point>& q,
+                                         double eps, Measure measure) {
+  baselines::BruteForce brute;
+  EXPECT_TRUE(brute.Build(data).ok());
+  std::vector<SearchResult> out;
+  EXPECT_TRUE(brute.Threshold(q, eps, measure, &out, nullptr).ok());
+  return out;
+}
+
 // ------------------------------------------------------- equivalence
 
 TEST(FilterEquivalence, AllPathsByteIdentical) {
@@ -255,6 +349,10 @@ TEST(FilterEquivalence, AllPathsByteIdentical) {
   const geo::Mbr windows[] = {geo::Mbr(0.2, 0.2, 0.3, 0.3),
                               geo::Mbr(0.55, 0.55, 0.65, 0.65),
                               geo::Mbr(0.05, 0.05, 0.95, 0.95)};
+  // On and off share one value set, so they are also checked against an
+  // exhaustive scan of the loaded data.
+  baselines::BruteForce brute;
+  ASSERT_TRUE(brute.Build(data).ok());
 
   for (const size_t refine_threads : {size_t{1}, size_t{8}}) {
     // Reference store: filter off.
@@ -281,26 +379,25 @@ TEST(FilterEquivalence, AllPathsByteIdentical) {
               off->ThresholdSearch(q, eps, measure, &r_off, &m_off).ok());
           ASSERT_TRUE(
               on->ThresholdSearch(q, eps, measure, &r_on, &m_on).ok());
-          ASSERT_EQ(r_off.size(), r_on.size());
-          for (size_t i = 0; i < r_off.size(); ++i) {
-            EXPECT_EQ(r_off[i].id, r_on[i].id);
-            EXPECT_EQ(r_off[i].distance, r_on[i].distance);  // byte-identical
-          }
+          ExpectByteIdentical(r_off, r_on);
+          std::vector<SearchResult> oracle;
+          ASSERT_TRUE(brute.Threshold(q, eps, measure, &oracle, nullptr).ok());
+          ExpectMatchesOracle(r_off, oracle);
           // The filter may only shrink what the store is asked to read.
           EXPECT_LE(m_on.index_values, m_off.index_values);
-          EXPECT_GT(m_on.filter_memory_bytes, 0u);
-          EXPECT_EQ(m_off.filter_memory_bytes, 0u);
+          // Off, the snapshot is the value array alone; on adds columns.
+          EXPECT_GT(m_off.filter_memory_bytes, 0u);
+          EXPECT_GT(m_on.filter_memory_bytes, m_off.filter_memory_bytes);
         }
         for (const int k : {1, 5, 25}) {
           std::vector<SearchResult> r_off, r_on;
           QueryMetrics m_off, m_on;
           ASSERT_TRUE(off->TopKSearch(q, k, measure, &r_off, &m_off).ok());
           ASSERT_TRUE(on->TopKSearch(q, k, measure, &r_on, &m_on).ok());
-          ASSERT_EQ(r_off.size(), r_on.size());
-          for (size_t i = 0; i < r_off.size(); ++i) {
-            EXPECT_EQ(r_off[i].id, r_on[i].id);
-            EXPECT_EQ(r_off[i].distance, r_on[i].distance);
-          }
+          ExpectByteIdentical(r_off, r_on);
+          std::vector<SearchResult> oracle;
+          ASSERT_TRUE(brute.TopK(q, k, measure, &oracle, nullptr).ok());
+          ExpectTopKMatchesOracle(r_off, oracle);
           EXPECT_LE(m_on.index_values, m_off.index_values);
         }
       }
@@ -411,6 +508,18 @@ TEST(FilterIngestConsistency, WatermarkVisibleRowsNeverClaimedEmpty) {
         [&](const SearchResult& r) { return r.id == t.id; });
     ASSERT_TRUE(found) << "tier hid watermark-visible trajectory " << t.id;
   }
+  // Every committed row is visible at the final watermark: wider
+  // queries agree with an exhaustive scan of everything submitted.
+  Random rnd(17);
+  for (int i = 0; i < 6; ++i) {
+    const auto q =
+        trass::testing::RandomTrajectory(&rnd, 9000 + i, 8, 0.1, 0.9).points;
+    std::vector<SearchResult> results;
+    ASSERT_TRUE(
+        store->ThresholdSearch(q, 0.05, Measure::kFrechet, &results).ok());
+    ExpectMatchesOracle(results,
+                        BruteThreshold(data, q, 0.05, Measure::kFrechet));
+  }
 }
 
 TEST(FilterIngestConsistency, ConcurrentQueriesDuringIngest) {
@@ -439,7 +548,18 @@ TEST(FilterIngestConsistency, ConcurrentQueriesDuringIngest) {
   done.store(true, std::memory_order_relaxed);
   querier.join();
 
-  // After the dust settles: filter-on answers match a filter-off open.
+  // After the dust settles: the store's answers match an exhaustive
+  // scan, and a filter-off open of the same rows holds every row.
+  Random rnd(23);
+  for (int i = 0; i < 6; ++i) {
+    const auto q =
+        trass::testing::RandomTrajectory(&rnd, 9500 + i, 8, 0.1, 0.5).points;
+    std::vector<SearchResult> results;
+    ASSERT_TRUE(
+        store->ThresholdSearch(q, 0.05, Measure::kFrechet, &results).ok());
+    ExpectMatchesOracle(results,
+                        BruteThreshold(data, q, 0.05, Measure::kFrechet));
+  }
   ASSERT_TRUE(store->Flush().ok());
   store.reset();
   std::unique_ptr<TrassStore> off;
@@ -455,54 +575,58 @@ TEST(FilterIngestConsistency, ConcurrentQueriesDuringIngest) {
 
 TEST(FilterScrub, RebuildHealsACorruptTier) {
   const auto data = ClusteredDataset(20260814, 150);
-  trass::testing::ScratchDir dir("filter_scrub");
-  std::unique_ptr<TrassStore> store;
-  ASSERT_TRUE(
-      TrassStore::Open(BaseOptions(true, 2), dir.path() + "/store", &store)
-          .ok());
-  LoadAll(store.get(), data);
+  // The value set is validated with or without columns.
+  for (const bool filter_on : {true, false}) {
+    SCOPED_TRACE(filter_on ? "filter on" : "filter off");
+    trass::testing::ScratchDir dir(filter_on ? "filter_scrub_on"
+                                             : "filter_scrub_off");
+    std::unique_ptr<TrassStore> store;
+    ASSERT_TRUE(TrassStore::Open(BaseOptions(filter_on, 2),
+                                 dir.path() + "/store", &store)
+                    .ok());
+    LoadAll(store.get(), data);
 
-  Random rnd(21);
-  const auto q =
-      trass::testing::RandomTrajectory(&rnd, 6000, 10, 0.2, 0.35).points;
-  std::vector<SearchResult> before;
-  ASSERT_TRUE(
-      store->ThresholdSearch(q, 0.1, Measure::kFrechet, &before).ok());
-  ASSERT_FALSE(before.empty());
+    Random rnd(21);
+    const auto q =
+        trass::testing::RandomTrajectory(&rnd, 6000, 10, 0.2, 0.35).points;
+    std::vector<SearchResult> before;
+    ASSERT_TRUE(
+        store->ThresholdSearch(q, 0.1, Measure::kFrechet, &before).ok());
+    ASSERT_FALSE(before.empty());
 
-  // Simulate tier corruption/drift: wipe it. Every element is now
-  // claimed empty — the worst possible stale-emptiness state.
-  store->filter_tier()->Clear();
-  std::vector<SearchResult> corrupted;
-  ASSERT_TRUE(
-      store->ThresholdSearch(q, 0.1, Measure::kFrechet, &corrupted).ok());
-  EXPECT_TRUE(corrupted.empty());  // demonstrates the drift is observable
+    // Simulate tier corruption/drift: wipe it. Every element is now
+    // claimed empty — the worst possible stale-emptiness state.
+    store->filter_tier()->RebuildFrom({});
+    std::vector<SearchResult> corrupted;
+    ASSERT_TRUE(
+        store->ThresholdSearch(q, 0.1, Measure::kFrechet, &corrupted).ok());
+    EXPECT_TRUE(corrupted.empty());  // demonstrates the drift is observable
 
-  // Scrub validates against a fresh store scan, reports the drift, and
-  // rebuilds; queries heal.
-  ASSERT_TRUE(store->Scrub().ok());
-  EXPECT_GT(store->filter_scrub_mismatches(), 0u);
-  std::vector<SearchResult> after;
-  ASSERT_TRUE(
-      store->ThresholdSearch(q, 0.1, Measure::kFrechet, &after).ok());
-  ASSERT_EQ(before.size(), after.size());
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i].id, after[i].id);
-    EXPECT_EQ(before[i].distance, after[i].distance);
+    // Scrub validates against a fresh store scan, reports the drift, and
+    // rebuilds; queries heal.
+    ASSERT_TRUE(store->Scrub().ok());
+    EXPECT_GT(store->filter_scrub_mismatches(), 0u);
+    std::vector<SearchResult> after;
+    ASSERT_TRUE(
+        store->ThresholdSearch(q, 0.1, Measure::kFrechet, &after).ok());
+    ExpectByteIdentical(before, after);
+
+    // A clean follow-up scrub reports agreement.
+    ASSERT_TRUE(store->Scrub().ok());
+    EXPECT_EQ(store->filter_scrub_mismatches(), 0u);
   }
-
-  // A clean follow-up scrub reports agreement.
-  ASSERT_TRUE(store->Scrub().ok());
-  EXPECT_EQ(store->filter_scrub_mismatches(), 0u);
 }
 
 // ------------------------------------------------------- seeded chaos
 
 // Crash mid-ingest, reopen, and require the rebuilt tier to agree with
 // the recovered store: filter-on answers must be byte-identical to
-// filter-off answers over the same recovered data — no stale emptiness
-// claims for rows the WAL replay kept. Reproducible via
-// TRASS_CHAOS_SEED (one trial with that exact seed).
+// filter-off answers over the same recovered data, and both must match
+// a brute-force oracle built from a raw scan of the recovered rows
+// (which never reads the snapshot) — no stale emptiness claims for rows
+// the WAL replay kept. The crashed store's filter_tier.enable is drawn
+// from the seed, so recovery of the values-only snapshot runs too.
+// Reproducible via TRASS_CHAOS_SEED (one trial with that exact seed).
 TEST(FilterChaos, CrashMidIngestRebuildAgrees) {
   uint64_t base_seed = 20240808;
   if (const char* s = std::getenv("TRASS_CHAOS_SEED")) {
@@ -519,7 +643,7 @@ TEST(FilterChaos, CrashMidIngestRebuildAgrees) {
 
     kv::FaultInjectionEnv env(kv::Env::Default());
     {
-      TrassOptions options = BaseOptions(true, 2);
+      TrassOptions options = BaseOptions(rnd.Bernoulli(0.5), 2);
       options.shards = 2;
       options.db_options.env = &env;
       options.db_options.write_buffer_size = 8 << 10;
@@ -551,24 +675,39 @@ TEST(FilterChaos, CrashMidIngestRebuildAgrees) {
     env.ClearFaults();
 
     // Reopen with the tier ON, answer probes, then reopen with the tier
-    // OFF and require byte-identical answers over the recovered rows.
+    // OFF, answer the same probes, and take the oracle's data from a raw
+    // scan of the recovered rows.
+    Random qrnd(static_cast<uint32_t>(seed) ^ 0x5a5a5a5a);
+    std::vector<std::vector<geo::Point>> queries;
+    for (int i = 0; i < 8; ++i) {
+      queries.push_back(
+          trass::testing::RandomTrajectory(&qrnd, 8000 + i, 8, 0.1, 0.9)
+              .points);
+    }
+    std::vector<Trajectory> recovered;
     auto probe = [&](bool filter_on,
                      std::vector<std::vector<SearchResult>>* out) {
       TrassOptions options = BaseOptions(filter_on, 2);
       options.shards = 2;
       std::unique_ptr<TrassStore> store;
       ASSERT_TRUE(TrassStore::Open(options, path, &store).ok());
-      Random qrnd(static_cast<uint32_t>(seed) ^ 0x5a5a5a5a);
-      for (int i = 0; i < 8; ++i) {
-        const auto q = trass::testing::RandomTrajectory(&qrnd, 8000 + i, 8,
-                                                        0.1, 0.9)
-                           .points;
+      for (const auto& q : queries) {
         std::vector<SearchResult> results;
         ASSERT_TRUE(store
                         ->ThresholdSearch(q, 0.08, Measure::kFrechet,
                                           &results)
                         .ok());
         out->push_back(std::move(results));
+      }
+      if (filter_on) return;
+      std::vector<kv::Row> rows;
+      ASSERT_TRUE(store->region_store()
+                      ->Scan({kv::ScanRange{"", ""}}, nullptr, &rows)
+                      .ok());
+      for (const kv::Row& row : rows) {
+        core::StoredTrajectory t;
+        ASSERT_TRUE(core::DecodeRow(Slice(row.key), Slice(row.value), &t).ok());
+        recovered.push_back(Trajectory{t.id, std::move(t.points)});
       }
     };
     std::vector<std::vector<SearchResult>> with_tier, without_tier;
@@ -577,12 +716,12 @@ TEST(FilterChaos, CrashMidIngestRebuildAgrees) {
     probe(false, &without_tier);
     if (::testing::Test::HasFatalFailure()) return;
     ASSERT_EQ(with_tier.size(), without_tier.size());
-    for (size_t i = 0; i < with_tier.size(); ++i) {
-      ASSERT_EQ(with_tier[i].size(), without_tier[i].size()) << "probe " << i;
-      for (size_t j = 0; j < with_tier[i].size(); ++j) {
-        EXPECT_EQ(with_tier[i][j].id, without_tier[i][j].id);
-        EXPECT_EQ(with_tier[i][j].distance, without_tier[i][j].distance);
-      }
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE("probe " + std::to_string(i));
+      ExpectByteIdentical(with_tier[i], without_tier[i]);
+      ExpectMatchesOracle(without_tier[i],
+                          BruteThreshold(recovered, queries[i], 0.08,
+                                         Measure::kFrechet));
     }
   }
 }

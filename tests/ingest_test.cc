@@ -102,7 +102,7 @@ TEST(IngestPipelineTest, NothingIsVisibleBeforeWatermarkAdvances) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(store->ingest_watermark(), 0u);
   EXPECT_EQ(store->num_trajectories(), 0u);
-  EXPECT_TRUE(store->value_directory()->empty());
+  EXPECT_TRUE(store->value_directory()->values().empty());
   QueryMetrics metrics;
   std::vector<uint64_t> ids;
   ASSERT_TRUE(store->RangeQuery(Everywhere(), &ids, &metrics).ok());

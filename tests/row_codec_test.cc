@@ -114,6 +114,66 @@ TEST(RowCodecTest, DecodeValueRejectsCorruption) {
   ASSERT_TRUE(DecodeRowValue(Slice(bad), &out, &fout).ok());
 }
 
+TEST(RowCodecTest, HugeCountIsCorruptionNotBadAlloc) {
+  // A point count of 2^32 - 1 in a 5-byte value: the decoder must not
+  // size an allocation from it.
+  const std::string value("\xff\xff\xff\xff\x0f", 5);
+  std::vector<geo::Point> out;
+  DpFeatures fout;
+  const Status s = DecodeRowValue(value, &out, &fout);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST(RowCodecTest, TrailingBytesAreCorruption) {
+  Random rnd(99);
+  const auto points = trass::testing::RandomTrajectory(&rnd, 1, 10).points;
+  const std::string encoded =
+      EncodeRowValue(points, DpFeatures::Compute(points, 0.01));
+  std::vector<geo::Point> out;
+  DpFeatures fout;
+  ASSERT_TRUE(DecodeRowValue(encoded, &out, &fout).ok());
+  const Status s = DecodeRowValue(encoded + '\0', &out, &fout);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// Seeded mutation sweep: truncated, bit-flipped and extended encodings
+// decode to OK or Corruption, never a throw. A truncation or an
+// extension of a valid value is always Corruption (the encoding is
+// self-delimiting).
+TEST(RowCodecTest, MutatedValuesDecodeOrFailCleanly) {
+  Random rnd(20261017);
+  std::vector<geo::Point> out;
+  DpFeatures fout;
+  auto decode = [&](const std::string& value) {
+    Status s;
+    EXPECT_NO_THROW(s = DecodeRowValue(value, &out, &fout));
+    EXPECT_TRUE(s.ok() || s.IsCorruption()) << s.ToString();
+    return s;
+  };
+  for (int iter = 0; iter < 500; ++iter) {
+    const auto points = trass::testing::RandomTrajectory(
+                            &rnd, 1, 1 + static_cast<int>(rnd.Uniform(40)))
+                            .points;
+    const std::string encoded =
+        EncodeRowValue(points, DpFeatures::Compute(points, 0.01));
+    const size_t cut = rnd.Uniform(encoded.size());
+    EXPECT_TRUE(decode(encoded.substr(0, cut)).IsCorruption()) << cut;
+
+    std::string flipped = encoded;
+    for (int f = 0; f < 1 + static_cast<int>(rnd.Uniform(4)); ++f) {
+      flipped[rnd.Uniform(flipped.size())] ^=
+          static_cast<char>(1 + rnd.Uniform(255));
+    }
+    decode(flipped);
+
+    std::string extended = encoded;
+    for (int e = 0; e < 1 + static_cast<int>(rnd.Uniform(16)); ++e) {
+      extended.push_back(static_cast<char>(rnd.Uniform(256)));
+    }
+    EXPECT_TRUE(decode(extended).IsCorruption());
+  }
+}
+
 TEST(RowCodecTest, StringKeyLongerThanIntegerKeyAtHighResolution) {
   // The paper's Figure 13(c): integer keys beat string keys.
   index::XzStar xz(16);
