@@ -14,8 +14,9 @@
 // pass enforces byte-identical answers filter-on vs filter-off and a
 // >= 5x drop in both index values submitted and rows read on the
 // sparse probes (rows scanned ∝ bytes read; the store has no finer
-// byte counter). --filter_out=PATH additionally writes a JSON snapshot
-// (BENCH_fig11_filter.json in run_benches.sh).
+// byte counter). --filter_out=PATH additionally writes the run's ratios
+// and prune counters as JSON (run_benches.sh writes
+// BENCH_fig11_filter.json; it is a per-run output, not a baseline).
 
 #include "bench_common.h"
 

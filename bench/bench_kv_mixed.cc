@@ -1,24 +1,17 @@
 // Mixed-load KV engine bench: one writer ingesting while scan threads
-// stream range reads and compactions churn underneath — the regime the
-// background-compaction + readahead work targets. Two passes over the
-// same workload:
+// stream range reads and background compactions churn underneath — the
+// engine's dedicated compaction thread + L0 ingest throttle on the write
+// side, 256 KB zero-copy readahead windows on the scan side.
 //
-//   legacy — background_compaction off, scan_readahead_bytes 0 (the
-//            seed engine: compactions run synchronously under the DB
-//            mutex on the writing thread, scans pay block-at-a-time
-//            cached preads)
-//   tuned  — the defaults (dedicated compaction thread + L0 ingest
-//            throttle, 256 KB zero-copy readahead windows on scans)
+// Reported: Put latency percentiles, write-stall count/ms, scan MB/s and
+// readahead traffic.
 //
-// Reported per pass: Put latency percentiles, write-stall count/ms,
-// scan MB/s, block-cache hit rate, and readahead traffic.
-//
-// --smoke: scaled-down run gating the deterministic invariants (both
-// passes finish healthy, identical final row counts, the tuned pass
-// really used readahead and background compactions, the legacy pass
-// used neither) with exit status 1 on violation — the ci.sh regression
-// gate. Timing ratios are printed, not gated: sanitizer and CI load
-// would make them flaky.
+// --smoke: scaled-down run gating the deterministic invariants (the pass
+// finishes healthy, the final row count equals what was written, scans
+// really used readahead, the background thread really compacted past
+// L0) with exit status 1 on violation — the ci.sh regression gate.
+// Timings are printed, not gated: sanitizer and CI load would make them
+// flaky.
 
 #include <atomic>
 #include <cstdio>
@@ -53,47 +46,32 @@ std::string ValueOf(uint64_t i) {
   return std::string(256, static_cast<char>('a' + i % 26));
 }
 
-struct PassResult {
-  std::string name;
+struct MixedResult {
   bool ok = false;
   std::string error;
   double mixed_ms = 0.0;
   double put_p50_us = 0.0, put_p99_us = 0.0, put_max_us = 0.0;
   uint64_t write_stalls = 0, stall_ms = 0;
-  uint64_t scanned_rows = 0;
   double scanned_mb = 0.0, scan_mb_s = 0.0;
-  uint64_t cache_hits = 0, cache_misses = 0;
-  uint64_t readahead_reads = 0, readahead_bytes = 0;
+  uint64_t readahead_bytes_read = 0;
   uint64_t final_rows = 0;
   int deep_files = 0;
-
-  double hit_rate() const {
-    const uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(cache_hits) /
-                            static_cast<double>(total);
-  }
 };
 
-PassResult Fail(PassResult r, const std::string& what, const Status& s) {
+MixedResult Fail(MixedResult r, const std::string& what, const Status& s) {
   r.error = what + ": " + s.ToString();
   return r;
 }
 
-PassResult RunPass(const std::string& name, bool tuned, size_t preload,
-                   size_t mixed_writes, size_t scan_len, int scan_threads) {
-  PassResult r;
-  r.name = name;
-  const std::string base = "/tmp/trass_bench_kv_mixed";
-  kv::Env::Default()->CreateDir(base);
-  const std::string path = base + "/" + name;
+MixedResult RunMixedLoad(size_t preload, size_t mixed_writes, size_t scan_len,
+                   int scan_threads) {
+  MixedResult r;
+  const std::string path = "/tmp/trass_bench_kv_mixed";
   kv::Env::Default()->RemoveDirRecursively(path);
 
   kv::Options options;
   options.write_buffer_size = 256 << 10;  // flush often: real churn
   options.target_file_size = 256 << 10;
-  options.background_compaction = tuned;
-  options.scan_readahead_bytes = tuned ? 256 * 1024 : 0;
   std::unique_ptr<kv::DB> db;
   Status s = kv::DB::Open(options, path, &db);
   if (!s.ok()) return Fail(std::move(r), "open", s);
@@ -112,7 +90,6 @@ PassResult RunPass(const std::string& name, bool tuned, size_t preload,
   // rewriting the very tables being scanned.
   std::atomic<bool> done{false};
   std::atomic<bool> scan_failed{false};
-  std::atomic<uint64_t> scanned_rows{0};
   std::atomic<uint64_t> scanned_bytes{0};
   std::vector<std::thread> scanners;
   scanners.reserve(static_cast<size_t>(scan_threads));
@@ -123,17 +100,15 @@ PassResult RunPass(const std::string& name, bool tuned, size_t preload,
         std::unique_ptr<kv::Iterator> iter(
             db->NewIterator(kv::ReadOptions()));
         iter->Seek(KeyOf(rnd.Uniform(preload)));
-        uint64_t rows = 0, bytes = 0;
+        uint64_t bytes = 0;
         for (size_t i = 0; i < scan_len && iter->Valid();
              ++i, iter->Next()) {
           bytes += iter->key().size() + iter->value().size();
-          ++rows;
         }
         if (!iter->status().ok()) {
           scan_failed.store(true);
           return;
         }
-        scanned_rows.fetch_add(rows, std::memory_order_relaxed);
         scanned_bytes.fetch_add(bytes, std::memory_order_relaxed);
       }
     });
@@ -167,14 +142,10 @@ PassResult RunPass(const std::string& name, bool tuned, size_t preload,
   r.put_max_us = put_latency.Max();
   r.write_stalls = stats.write_stalls;
   r.stall_ms = stats.stall_ms;
-  r.scanned_rows = scanned_rows.load();
   r.scanned_mb =
       static_cast<double>(scanned_bytes.load()) / (1024.0 * 1024.0);
   r.scan_mb_s = r.mixed_ms > 0.0 ? r.scanned_mb / (r.mixed_ms / 1000.0) : 0.0;
-  r.cache_hits = stats.cache_hits;
-  r.cache_misses = stats.cache_misses;
-  r.readahead_reads = stats.readahead_reads;
-  r.readahead_bytes = stats.readahead_bytes_read;
+  r.readahead_bytes_read = stats.readahead_bytes_read;
 
   // Settled verification scan: every preloaded and ingested key, once.
   std::unique_ptr<kv::Iterator> iter(db->NewIterator(kv::ReadOptions()));
@@ -187,15 +158,6 @@ PassResult RunPass(const std::string& name, bool tuned, size_t preload,
   }
   r.ok = true;
   return r;
-}
-
-void PrintPass(const PassResult& r) {
-  std::printf("%-8s %9.1f %9.1f %9.1f %7llu %9llu %9.1f %8.1f%% %10.1f\n",
-              r.name.c_str(), r.put_p50_us, r.put_p99_us, r.put_max_us,
-              static_cast<unsigned long long>(r.write_stalls),
-              static_cast<unsigned long long>(r.stall_ms), r.scan_mb_s,
-              100.0 * r.hit_rate(),
-              static_cast<double>(r.readahead_bytes) / (1024.0 * 1024.0));
 }
 
 }  // namespace
@@ -214,52 +176,35 @@ int main(int argc, char** argv) {
               "%d scan threads x %zu-row scans%s ===\n",
               preload, mixed_writes, scan_threads, scan_len,
               smoke ? " (smoke)" : "");
-  std::printf("%-8s %9s %9s %9s %7s %9s %9s %9s %10s\n", "pass", "p50-us",
-              "p99-us", "max-us", "stalls", "stall-ms", "scan-MB/s",
-              "hit-rate", "ra-MB");
-
-  const PassResult legacy =
-      RunPass("legacy", false, preload, mixed_writes, scan_len, scan_threads);
-  const PassResult tuned =
-      RunPass("tuned", true, preload, mixed_writes, scan_len, scan_threads);
-  if (!legacy.ok || !tuned.ok) {
-    std::fprintf(stderr, "bench_kv_mixed: pass failed: %s\n",
-                 (!legacy.ok ? legacy : tuned).error.c_str());
+  const MixedResult r = RunMixedLoad(preload, mixed_writes, scan_len, scan_threads);
+  if (!r.ok) {
+    std::fprintf(stderr, "bench_kv_mixed: run failed: %s\n",
+                 r.error.c_str());
     return 1;
   }
-  PrintPass(legacy);
-  PrintPass(tuned);
-  std::printf("tuned vs legacy: put p99 %.2fx, scan throughput %.2fx, "
-              "scanned %.1f/%.1f MB\n",
-              tuned.put_p99_us > 0.0 ? legacy.put_p99_us / tuned.put_p99_us
-                                     : 0.0,
-              legacy.scan_mb_s > 0.0 ? tuned.scan_mb_s / legacy.scan_mb_s
-                                     : 0.0,
-              legacy.scanned_mb, tuned.scanned_mb);
+  std::printf("%9s %9s %9s %7s %9s %9s %10s\n", "p50-us", "p99-us",
+              "max-us", "stalls", "stall-ms", "scan-MB/s", "ra-MB");
+  std::printf("%9.1f %9.1f %9.1f %7llu %9llu %9.1f %10.1f\n", r.put_p50_us,
+              r.put_p99_us, r.put_max_us,
+              static_cast<unsigned long long>(r.write_stalls),
+              static_cast<unsigned long long>(r.stall_ms), r.scan_mb_s,
+              static_cast<double>(r.readahead_bytes_read) /
+                  (1024.0 * 1024.0));
 
-  // Correctness invariants hold in every mode; --smoke turns them into
+  // Correctness invariants hold at every scale; --smoke turns them into
   // the CI gate (exit 1).
   std::vector<std::string> violations;
   const uint64_t expected_rows =
       static_cast<uint64_t>(preload + mixed_writes);
-  if (legacy.final_rows != expected_rows) {
-    violations.push_back("legacy row count " +
-                         std::to_string(legacy.final_rows) + " != " +
-                         std::to_string(expected_rows));
+  if (r.final_rows != expected_rows) {
+    violations.push_back("row count " + std::to_string(r.final_rows) +
+                         " != " + std::to_string(expected_rows));
   }
-  if (tuned.final_rows != expected_rows) {
-    violations.push_back("tuned row count " +
-                         std::to_string(tuned.final_rows) + " != " +
-                         std::to_string(expected_rows));
+  if (r.readahead_bytes_read == 0) {
+    violations.push_back("scans never used readahead");
   }
-  if (legacy.readahead_reads != 0) {
-    violations.push_back("legacy pass issued readahead reads");
-  }
-  if (tuned.readahead_bytes == 0) {
-    violations.push_back("tuned pass never used readahead");
-  }
-  if (tuned.deep_files == 0) {
-    violations.push_back("tuned pass never compacted past L0");
+  if (r.deep_files == 0) {
+    violations.push_back("never compacted past L0");
   }
   for (const std::string& v : violations) {
     std::fprintf(stderr, "bench_kv_mixed: INVARIANT VIOLATED: %s\n",

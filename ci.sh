@@ -52,9 +52,10 @@ for config in "${configs[@]}"; do
       # Filter-tier gate: byte-identical answers filter-on vs -off and
       # the >= 5x sparse-region reduction (non-zero exit on either).
       build-ci/release/bench/bench_fig11_pruning --smoke
-      # KV-engine mixed-load gate: row counts identical with background
-      # compaction + readahead on vs off, readahead actually used, the
-      # background thread actually compacted (non-zero exit on any).
+      # KV-engine mixed-load gate: under concurrent writes and scans the
+      # final row count equals what was written, scans actually used
+      # readahead, the background thread actually compacted past L0
+      # (non-zero exit on any).
       build-ci/release/bench/bench_kv_mixed --smoke
       # Ingest gate: write path + sustained ingest/query mix complete
       # with zero failed queries while compactions run in background.

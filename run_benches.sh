@@ -81,9 +81,9 @@ done
 
 # Filter-tier snapshot: the fig11 supplement re-runs just the filter
 # pass and records the sparse-region reduction ratios plus the prune
-# counters as JSON. Committed snapshots (BENCH_fig11_filter.json) are
-# the regression baseline; the pass itself exits non-zero if answers
-# diverge filter-on vs filter-off or the reduction drops below 5x.
+# counters in BENCH_fig11_filter.json (a per-run output, not a committed
+# baseline); the pass itself exits non-zero if answers diverge
+# filter-on vs filter-off or the reduction drops below 5x.
 if [ -x build/bench/bench_fig11_pruning ]; then
   timeout 1200 build/bench/bench_fig11_pruning --filter-only \
     --filter_out=BENCH_fig11_filter.json >> bench_output.txt 2>&1
@@ -95,36 +95,4 @@ if [ -x build/bench/bench_fig11_pruning ]; then
   fi
 fi
 
-# Machine-readable kernel baseline: the micro similarity bench carries
-# both the scalar reference kernels and the flat SoA kernels the
-# refinement engine serves with, so one JSON snapshot records the
-# before/after pair. Committed snapshots (BENCH_micro_similarity.json)
-# are the regression baseline to diff against.
-if [ -x build/bench/bench_micro_similarity ]; then
-  timeout 1200 build/bench/bench_micro_similarity \
-    --benchmark_out=BENCH_micro_similarity.json \
-    --benchmark_out_format=json >> bench_output.txt 2>&1
-  rc=$?
-  echo "[exit $rc] BENCH_micro_similarity.json" >> bench_status.txt
-  if [ "$rc" -ne 0 ]; then
-    echo "run_benches.sh: kernel baseline JSON failed with $rc" >&2
-    exit "$rc"
-  fi
-fi
-# KV-engine baseline: the storage micro bench (sequential/random puts,
-# point gets, range scans) as JSON. Committed snapshots
-# (BENCH_micro_kv.json) are the regression baseline for the engine's
-# raw-speed passes; the mixed-load view (stalls, scan MB/s, readahead)
-# lives in bench_kv_mixed's section of bench_output.txt above.
-if [ -x build/bench/bench_micro_kv ]; then
-  timeout 1200 build/bench/bench_micro_kv \
-    --benchmark_out=BENCH_micro_kv.json \
-    --benchmark_out_format=json >> bench_output.txt 2>&1
-  rc=$?
-  echo "[exit $rc] BENCH_micro_kv.json" >> bench_status.txt
-  if [ "$rc" -ne 0 ]; then
-    echo "run_benches.sh: KV baseline JSON failed with $rc" >&2
-    exit "$rc"
-  fi
-fi
 echo ALL_BENCHES_DONE >> bench_status.txt

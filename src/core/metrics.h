@@ -92,11 +92,8 @@ enum class MetricFold {
   X(uint64_t, fingerprint_skips, kSum)                                        \
   X(uint64_t, filter_memory_bytes, kSum)                                      \
   /* Storage-engine I/O of the query's scans (ScanReport deltas; approximate  \
-     under concurrent work). Cache counters cover random-access reads;        \
-     streaming scans read ahead and bypass the cache by design. */            \
-  X(uint64_t, block_cache_hits, kSum)                                         \
-  X(uint64_t, block_cache_misses, kSum)                                       \
-  X(uint64_t, block_cache_fills, kSum)                                        \
+     under concurrent work). Scans stream through a readahead window and      \
+     never touch the block cache. */                                          \
   X(uint64_t, readahead_reads, kSum)                                          \
   X(uint64_t, readahead_bytes_read, kSum)                                     \
   /* Every trajectory with ticket <= this was fully visible to the query      \

@@ -23,9 +23,6 @@ uint64_t HashId(uint64_t id) { return id * 0x9e3779b97f4a7c15ull; }
 // Folds a fan-out scan's retries and I/O deltas into the query metrics.
 void FoldScanReport(const kv::ScanReport& report, QueryMetrics* m) {
   m->scan_retries += report.retries;
-  m->block_cache_hits += report.cache_hits;
-  m->block_cache_misses += report.cache_misses;
-  m->block_cache_fills += report.cache_fills;
   m->readahead_reads += report.readahead_reads;
   m->readahead_bytes_read += report.readahead_bytes_read;
 }

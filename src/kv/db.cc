@@ -15,6 +15,12 @@ namespace kv {
 
 namespace {
 
+// L0 ingest throttle: at kL0SlowdownTrigger L0 files each write sleeps
+// for Options::write_stall_ms so the background compactor gains ground;
+// at kL0StopTrigger writes block until a compaction shrinks L0.
+constexpr int kL0SlowdownTrigger = 8;
+constexpr int kL0StopTrigger = 12;
+
 // Accumulates a whole SSTable in memory so it lands on disk as a single
 // append + sync (the NaiveKV single-buffer build): the builder's many
 // small appends never touch the filesystem, which keeps the lock-free
@@ -233,10 +239,8 @@ Status DB::Open(const Options& options, const std::string& name,
     if (!s.ok()) return s;
     impl->RemoveObsoleteFilesLocked();
   }
-  if (impl->options_.background_compaction) {
-    impl->compaction_thread_ =
-        std::thread(&DB::CompactionThreadMain, impl.get());
-  }
+  impl->compaction_thread_ =
+      std::thread(&DB::CompactionThreadMain, impl.get());
   *db = std::move(impl);
   return Status::OK();
 }
@@ -370,14 +374,10 @@ Status DB::MaybeStallForSpace() {
 }
 
 void DB::MaybeThrottleForL0() {
-  if (!options_.background_compaction) return;
-  const int slowdown = options_.l0_slowdown_trigger;
-  const int stop = options_.l0_stop_trigger;
-  if (slowdown <= 0 && stop <= 0) return;
   std::unique_lock<std::mutex> lock(mu_);
   if (!bg_error_.ok()) return;  // the write will fail fast under mu_
   const int l0 = versions_->current().NumFiles(0);
-  if (stop > 0 && l0 >= stop) {
+  if (l0 >= kL0StopTrigger) {
     // Hard stop: block until a compaction shrinks L0. Escape hatches:
     // the DB wedges (no progress is coming), shutdown, or compactions
     // are being deferred below the soft watermark (blocking would wait
@@ -387,7 +387,8 @@ void DB::MaybeThrottleForL0() {
     stats_.write_stalls.fetch_add(1, std::memory_order_relaxed);
     const auto start = std::chrono::steady_clock::now();
     compaction_done_cv_.wait(lock, [&] {
-      return versions_->current().NumFiles(0) < stop || !bg_error_.ok() ||
+      return versions_->current().NumFiles(0) < kL0StopTrigger ||
+             !bg_error_.ok() ||
              shutting_down_.load(std::memory_order_relaxed) ||
              BelowSoftWatermark();
     });
@@ -395,7 +396,7 @@ void DB::MaybeThrottleForL0() {
         std::chrono::steady_clock::now() - start);
     stats_.stall_ms.fetch_add(static_cast<uint64_t>(elapsed.count()),
                               std::memory_order_relaxed);
-  } else if (slowdown > 0 && l0 >= slowdown && options_.write_stall_ms > 0) {
+  } else if (l0 >= kL0SlowdownTrigger && options_.write_stall_ms > 0) {
     // Soft slowdown: one bounded sleep per write, off the mutex.
     lock.unlock();
     stats_.write_stalls.fetch_add(1, std::memory_order_relaxed);
@@ -514,9 +515,6 @@ Status DB::Get(const ReadOptions& options_in, const Slice& key,
 Iterator* DB::NewIterator(const ReadOptions& options_in) {
   ReadOptions options = options_in;
   if (options_.paranoid_checks) options.verify_checksums = true;
-  if (options.readahead_bytes == 0) {
-    options.readahead_bytes = options_.scan_readahead_bytes;
-  }
   std::unique_lock<std::mutex> lock(mu_);
   stats_.range_scans.fetch_add(1, std::memory_order_relaxed);
   const SequenceNumber snapshot = versions_->last_sequence();
@@ -552,7 +550,10 @@ Status DB::Flush() {
 }
 
 Status DB::FlushMemTableLocked() {
-  if (mem_->empty()) return MaybeCompactLocked();
+  if (mem_->empty()) {
+    MaybeScheduleCompactionLocked();
+    return Status::OK();
+  }
   Status s = WriteLevel0TableLocked(mem_.get());
   if (!s.ok()) {
     SetBackgroundErrorLocked(s);
@@ -570,7 +571,8 @@ Status DB::FlushMemTableLocked() {
     return s;
   }
   RemoveObsoleteFilesLocked();
-  return MaybeCompactLocked();
+  MaybeScheduleCompactionLocked();
+  return Status::OK();
 }
 
 Status DB::WriteLevel0TableLocked(MemTable* mem) {
@@ -599,32 +601,13 @@ Status DB::WriteLevel0TableLocked(MemTable* mem) {
   return Status::OK();
 }
 
-Status DB::MaybeCompactLocked() {
-  if (options_.background_compaction) {
-    if (shutting_down_.load(std::memory_order_relaxed)) return Status::OK();
-    // Hand the work to the compaction thread; it re-checks the error
-    // state and watermarks when it wakes. Always OK from the writer's
-    // point of view — a failed background compaction wedges via the
-    // sticky error, not via the triggering write's return value.
-    compaction_scheduled_ = true;
-    bg_cv_.notify_one();
-    return Status::OK();
-  }
-  // Synchronous mode: compact inline under mu_ on the writing thread.
-  // Compactions temporarily double the bytes they rewrite; deferring
-  // them below the soft watermark keeps the last headroom for WAL
-  // appends and memtable flushes. Resume() retries deferred work.
-  if (BelowSoftWatermark()) return Status::OK();
-  for (;;) {
-    const int level = versions_->PickCompactionLevel(
-        options_.l0_compaction_trigger, options_.max_bytes_for_level_base);
-    if (level < 0) return Status::OK();
-    Status s = CompactOnce(nullptr, level);
-    if (!s.ok()) {
-      SetBackgroundErrorLocked(s);
-      return s;
-    }
-  }
+void DB::MaybeScheduleCompactionLocked() {
+  if (shutting_down_.load(std::memory_order_relaxed)) return;
+  // Hand the work to the compaction thread; it re-checks the error state
+  // and watermarks when it wakes. A failed background compaction wedges
+  // the DB via the sticky error, not via the triggering write's status.
+  compaction_scheduled_ = true;
+  bg_cv_.notify_one();
 }
 
 void DB::CompactionThreadMain() {
@@ -646,8 +629,7 @@ void DB::CompactionThreadMain() {
         Status s = CompactOnce(&lock, level);
         if (shutting_down_.load(std::memory_order_relaxed)) break;
         if (!s.ok()) {
-          // Same wedge semantics as a synchronous compaction failure:
-          // the sticky error flips the DB read-only; deferred work is
+          // The sticky error flips the DB read-only; deferred work is
           // caught up by Resume().
           SetBackgroundErrorLocked(s);
           break;
@@ -736,10 +718,9 @@ Status DB::Resume() {
   if (!s.ok()) return s.WithContext("resume: manifest verify");
 
   bg_error_ = Status::OK();
-  // Catch up on work deferred or failed while wedged; a failure here
+  // Catch up on work deferred or failed while wedged; a failure there
   // re-wedges via the usual path.
-  s = MaybeCompactLocked();
-  if (!s.ok()) return s.WithContext("resume: compaction");
+  MaybeScheduleCompactionLocked();
   return Status::OK();
 }
 
@@ -821,13 +802,11 @@ Status DB::RunCompaction(std::unique_lock<std::mutex>* lock,
 
   // Merge all inputs in internal-key order. Checksums are always
   // verified here: a compaction that rewrites a corrupt block would
-  // launder the corruption into a fresh, well-checksummed file.
-  // Readahead streams the inputs through the reusable window buffer
-  // instead of block-at-a-time preads (and never touches the cache).
+  // launder the corruption into a fresh, well-checksummed file. Table
+  // iterators stream the inputs through their readahead window and never
+  // touch the block cache.
   ReadOptions read_options;
-  read_options.fill_cache = false;
   read_options.verify_checksums = true;
-  read_options.readahead_bytes = options_.scan_readahead_bytes;
   std::vector<Iterator*> children;
   auto add_children = [&](const std::vector<FileMetaData>& files) -> Status {
     for (const FileMetaData& f : files) {
@@ -1109,7 +1088,6 @@ Status SalvageTable(Env* env, const Options& options, uint64_t number,
   if (!s.ok()) return s;
   ReadOptions opts;
   opts.verify_checksums = true;
-  opts.fill_cache = false;
   std::unique_ptr<Iterator> iter(table->NewIterator(opts));
   uint64_t entries = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {

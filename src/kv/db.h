@@ -3,13 +3,13 @@
 // This is the storage substrate standing in for HBase in the TraSS
 // reproduction: it provides ordered row keys, range scans, durability via
 // a write-ahead log, and I/O accounting. Flushes run synchronously on the
-// writing thread; compactions run on a dedicated background thread per DB
-// (Options::background_compaction, on by default) — inputs are picked and
-// the result installed under the DB mutex, but the merge+build runs
-// lock-free, so writes only wait when the L0 ingest throttle
-// (l0_slowdown_trigger / l0_stop_trigger) says the level is too deep.
-// With background_compaction off, compactions run synchronously on the
-// writing thread as before.
+// writing thread; flush-triggered compactions always run on a dedicated
+// background thread per DB — inputs are picked and the result installed
+// under the DB mutex, but the merge+build runs lock-free, so writes only
+// wait when the L0 ingest throttle (8 L0 files: slow down, 12: stop) says
+// the level is too deep. Only CompactRange() compacts on the caller's
+// thread. Table scans always stream through a per-iterator readahead
+// window and bypass the block cache; point gets go through the cache.
 //
 // Failure semantics (RocksDB-style background-error model): any failed
 // WAL append/sync, flush, or compaction sets a sticky background error
@@ -82,8 +82,7 @@ class DB {
   Iterator* NewIterator(const ReadOptions& options);
 
   /// Forces the memtable into an L0 SSTable. Due compactions are
-  /// scheduled on the background thread (or run inline when
-  /// background_compaction is off).
+  /// scheduled on the background thread.
   Status Flush();
 
   /// Compacts everything down to the last non-empty level. Synchronous:
@@ -154,10 +153,9 @@ class DB {
   Status RecoverLogs();
   Status SwitchToNewLog();
   Status FlushMemTableLocked();            // requires mu_
-  // Background mode: marks compaction work pending and wakes the
-  // compaction thread. Synchronous mode: runs due compactions inline
-  // under mu_ (the seed write-path behavior). Requires mu_.
-  Status MaybeCompactLocked();
+  // Marks compaction work pending and wakes the compaction thread
+  // (no-op during shutdown). Requires mu_.
+  void MaybeScheduleCompactionLocked();
   // One pick -> merge -> install cycle for `level`. Requires mu_ held;
   // when `lock` is non-null the merge phase releases it (background
   // thread), when null the whole cycle runs under mu_ (foreground).
@@ -182,8 +180,8 @@ class DB {
   // with NoSpace before the WAL is touched. No-op when disabled.
   Status MaybeStallForSpace();
   // L0 ingest throttle, run before taking mu_ for a write: bounded sleep
-  // at l0_slowdown_trigger, block until a compaction shrinks L0 at
-  // l0_stop_trigger (with wedge/shutdown/deferred-work escape hatches).
+  // at kL0SlowdownTrigger L0 files, block until a compaction shrinks L0
+  // at kL0StopTrigger (with wedge/shutdown/deferred-work escape hatches).
   void MaybeThrottleForL0();
   // True when compactions should be deferred for lack of headroom.
   bool BelowSoftWatermark() const;

@@ -46,14 +46,24 @@ Status Footer::DecodeFrom(Slice* input) {
   return s;
 }
 
+Status CheckBlockHandle(const BlockHandle& handle, uint64_t file_size) {
+  if (handle.offset() > file_size ||
+      handle.size() > file_size - handle.offset() ||
+      file_size - handle.offset() - handle.size() < kBlockTrailerSize) {
+    return Status::Corruption("block handle past end of file");
+  }
+  return Status::OK();
+}
+
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
                  const BlockHandle& handle, BlockContents* result) {
   result->data.clear();
+  Status s = CheckBlockHandle(handle, file->Size());
+  if (!s.ok()) return s;
   const size_t n = static_cast<size_t>(handle.size());
   auto buf = std::make_unique<char[]>(n + kBlockTrailerSize);
   Slice contents;
-  Status s =
-      file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf.get());
+  s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf.get());
   if (!s.ok()) return s;
   if (contents.size() != n + kBlockTrailerSize) {
     return Status::Corruption("truncated block read");

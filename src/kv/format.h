@@ -70,15 +70,21 @@ struct BlockContents {
   std::string data;
 };
 
-/// Reads and verifies the block at `handle`.
+/// Corruption unless the block at `handle` (payload plus trailer) lies
+/// inside a file of `file_size` bytes. Overflow-safe: footer and index
+/// handles carry no checksum, so their sizes are untrusted until checked.
+Status CheckBlockHandle(const BlockHandle& handle, uint64_t file_size);
+
+/// Reads and verifies the block at `handle`; a handle reaching past the
+/// end of `file` is Corruption before anything is allocated.
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
                  const BlockHandle& handle, BlockContents* result);
 
 /// Verifies a block already in memory: `data` points at `payload_size`
 /// payload bytes followed by the kBlockTrailerSize trailer. Checks the
 /// compression-type byte always and the crc32c when `verify_checksum`.
-/// Used by the readahead scan path to validate blocks in place without
-/// copying them out of the window buffer.
+/// Used by the streaming table iterator to validate blocks in place
+/// without copying them out of its readahead window.
 Status VerifyBlockInPlace(const char* data, size_t payload_size,
                           bool verify_checksum);
 

@@ -37,22 +37,6 @@ struct Options {
   /// Number of L0 files that triggers a compaction into L1.
   int l0_compaction_trigger = 4;
 
-  /// Run flush-triggered compactions on a dedicated background thread
-  /// instead of synchronously on the writing thread under the DB mutex.
-  /// Writes then only wait when the L0 ingest throttle below says the
-  /// level is too deep. Foreground CompactRange() stays synchronous
-  /// either way, and a failed background compaction wedges the DB
-  /// read-only exactly like a failed synchronous one.
-  bool background_compaction = true;
-
-  /// L0 ingest throttle (only meaningful with background_compaction).
-  /// At `l0_slowdown_trigger` L0 files each write sleeps for
-  /// `write_stall_ms` to let the compactor gain ground; at
-  /// `l0_stop_trigger` writes block until a compaction shrinks L0 (or
-  /// the DB wedges). 0 disables the respective trigger.
-  int l0_slowdown_trigger = 8;
-  int l0_stop_trigger = 12;
-
   /// Target file size for compaction outputs.
   size_t target_file_size = 2 * 1024 * 1024;
 
@@ -80,31 +64,15 @@ struct Options {
   uint64_t soft_space_watermark_bytes = 0;
   uint64_t hard_space_watermark_bytes = 0;
 
-  /// Per-write throttle applied between the soft and hard watermarks.
+  /// Per-write throttle applied between the soft and hard watermarks,
+  /// and while L0 is deep enough that the background compactor must
+  /// catch up (see the L0 ingest throttle in kv/db.h).
   uint64_t write_stall_ms = 2;
-
-  /// Default readahead window for sequential scans (DB iterators and
-  /// compaction inputs). Sequential readers fetch up to this many bytes
-  /// per pread into one reusable buffer and serve block Slices out of
-  /// it without per-block copies or cache fills. 0 restores the
-  /// block-at-a-time read path. Point gets are unaffected.
-  size_t scan_readahead_bytes = 256 * 1024;
 };
 
 struct ReadOptions {
   /// Verify block checksums on read.
   bool verify_checksums = false;
-
-  /// Insert blocks read by this operation into the block cache.
-  bool fill_cache = true;
-
-  /// Readahead window for table iterators created with these options.
-  /// When > 0, Table::NewIterator uses the streaming scan path: whole
-  /// windows of blocks are read into one reusable buffer, block cache
-  /// lookups and fills are skipped, and iterator Slices point into the
-  /// buffer (valid until the iterator moves past the block). DB-level
-  /// iterators default this from Options::scan_readahead_bytes.
-  size_t readahead_bytes = 0;
 };
 
 struct WriteOptions {

@@ -95,22 +95,9 @@ Status RegionStore::Get(const ReadOptions& options, const Slice& key,
       RegionContext(shard));
 }
 
-Status RegionStore::Scan(const std::vector<ScanRange>& ranges,
-                         const ScanFilter* filter, std::vector<Row>* out,
-                         ScanReport* report, const QueryContext* control) {
-  return ScanInternal(ranges, filter, /*limit=*/0, out, report, control);
-}
-
-Status RegionStore::ScanWithLimit(const std::vector<ScanRange>& ranges,
-                                  const ScanFilter* filter, size_t limit,
-                                  std::vector<Row>* out, ScanReport* report,
-                                  const QueryContext* control) {
-  return ScanInternal(ranges, filter, limit, out, report, control);
-}
-
 Status RegionStore::ScanRegionOnce(size_t region,
                                    const std::vector<ScanRange>& ranges,
-                                   const ScanFilter* filter, size_t limit,
+                                   const ScanFilter* filter,
                                    const QueryContext* control,
                                    std::vector<Row>* rows) {
   ReadOptions read_options;
@@ -142,30 +129,26 @@ Status RegionStore::ScanRegionOnce(size_t region,
           return control->Check();  // Busy: candidate budget exhausted
         }
         kept.push_back(Row{key.ToString(), iter->value().ToString()});
-        if (limit != 0 && kept.size() >= limit) break;
       }
     }
     if (!iter->status().ok()) return iter->status();
-    if (limit != 0 && kept.size() >= limit) break;
   }
   *rows = std::move(kept);
   return Status::OK();
 }
 
-Status RegionStore::ScanInternal(const std::vector<ScanRange>& ranges,
-                                 const ScanFilter* filter, size_t limit,
-                                 std::vector<Row>* out, ScanReport* report,
-                                 const QueryContext* control) {
+Status RegionStore::Scan(const std::vector<ScanRange>& ranges,
+                         const ScanFilter* filter, std::vector<Row>* out,
+                         ScanReport* report, const QueryContext* control) {
   if (report != nullptr) *report = ScanReport{};
   if (ranges.empty()) return Status::OK();
   const size_t n = regions_.size();
   std::vector<std::vector<Row>> per_region(n);
   std::vector<Status> statuses(n);
   std::vector<char> attempted(n, 0);
-  // Cache/readahead deltas per region (each region is scanned by one
-  // worker, so plain slots suffice).
+  // Readahead deltas per region (each region is scanned by one worker,
+  // so plain slots suffice).
   struct RegionIo {
-    uint64_t hits = 0, misses = 0, fills = 0;
     uint64_t ra_reads = 0, ra_bytes = 0;
   };
   std::vector<RegionIo> region_io(n);
@@ -190,13 +173,10 @@ Status RegionStore::ScanInternal(const std::vector<ScanRange>& ranges,
                          : -1.0);
       }
       const IoStats::Snapshot before = io.Read();
-      last = ScanRegionOnce(region, ranges, filter, limit, control,
+      last = ScanRegionOnce(region, ranges, filter, control,
                             &per_region[region]);
       const IoStats::Snapshot after = io.Read();
       RegionIo& delta = region_io[region];
-      delta.hits += after.cache_hits - before.cache_hits;
-      delta.misses += after.cache_misses - before.cache_misses;
-      delta.fills += after.cache_fills - before.cache_fills;
       delta.ra_reads += after.readahead_reads - before.readahead_reads;
       delta.ra_bytes += after.readahead_bytes_read - before.readahead_bytes_read;
       if (last.ok()) {
@@ -234,9 +214,6 @@ Status RegionStore::ScanInternal(const std::vector<ScanRange>& ranges,
   if (report != nullptr) {
     report->retries = retries.load(std::memory_order_relaxed);
     for (const RegionIo& delta : region_io) {
-      report->cache_hits += delta.hits;
-      report->cache_misses += delta.misses;
-      report->cache_fills += delta.fills;
       report->readahead_reads += delta.ra_reads;
       report->readahead_bytes_read += delta.ra_bytes;
     }

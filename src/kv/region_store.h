@@ -25,7 +25,7 @@
 // retries) ends the retrying, but the fault outcome stands.
 //
 // Thread-safety contract:
-//  * Scan / ScanWithLimit / Get are safe to call concurrently with each
+//  * Scan / Get are safe to call concurrently with each
 //    other and with writes (Put / Delete / ApplyBatch) — the LSM
 //    substrate supports one writer with any number of concurrent
 //    readers. Writes themselves are single-writer: the caller must
@@ -61,14 +61,11 @@ namespace kv {
 struct ScanReport {
   uint64_t retries = 0;  // scan attempts beyond the first, all regions
 
-  /// Block-cache and readahead traffic this scan caused, measured as
-  /// before/after deltas of each scanned region's IoStats and summed
-  /// over regions (failed attempts included — their I/O was real).
-  /// Approximate when compactions or other queries touch the same
-  /// region concurrently; exact on an otherwise idle store.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_fills = 0;
+  /// Readahead traffic this scan caused (scans never touch the block
+  /// cache), measured as before/after deltas of each scanned region's
+  /// IoStats and summed over regions (failed attempts included — their
+  /// I/O was real). Approximate when compactions or other queries read
+  /// the same region concurrently; exact on an otherwise idle store.
   uint64_t readahead_reads = 0;       // readahead window preads issued
   uint64_t readahead_bytes_read = 0;  // bytes those preads fetched
 };
@@ -143,13 +140,6 @@ class RegionStore {
               std::vector<Row>* out, ScanReport* report = nullptr,
               const QueryContext* control = nullptr);
 
-  /// Like Scan but stops globally after `limit` kept rows (approximate:
-  /// each region stops at `limit`, the caller trims).
-  Status ScanWithLimit(const std::vector<ScanRange>& ranges,
-                       const ScanFilter* filter, size_t limit,
-                       std::vector<Row>* out, ScanReport* report = nullptr,
-                       const QueryContext* control = nullptr);
-
   /// Rows a scan worker processes between QueryContext polls.
   static constexpr size_t kControlCheckInterval = 128;
 
@@ -197,14 +187,9 @@ class RegionStore {
  private:
   explicit RegionStore(const RegionOptions& options);
 
-  Status ScanInternal(const std::vector<ScanRange>& ranges,
-                      const ScanFilter* filter, size_t limit,
-                      std::vector<Row>* out, ScanReport* report,
-                      const QueryContext* control);
-
   /// One scan attempt over one region; *rows is only filled on success.
   Status ScanRegionOnce(size_t region, const std::vector<ScanRange>& ranges,
-                        const ScanFilter* filter, size_t limit,
+                        const ScanFilter* filter,
                         const QueryContext* control, std::vector<Row>* rows);
 
   void RecordFailure(size_t region, const Status& s);

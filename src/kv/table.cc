@@ -6,7 +6,6 @@
 
 #include "kv/dbformat.h"
 #include "kv/bloom.h"
-#include "kv/two_level_iterator.h"
 #include "util/coding.h"
 
 namespace trass {
@@ -107,7 +106,7 @@ std::shared_ptr<const Block> Table::ReadDataBlock(const ReadOptions& options,
                                             std::memory_order_relaxed);
   }
   auto block = std::make_shared<Block>(std::move(contents.data));
-  if (rep_->cache != nullptr && options.fill_cache) {
+  if (rep_->cache != nullptr) {
     rep_->cache->Insert(BlockCache::Key{rep_->file_id, handle.offset()}, block,
                         block->size());
     if (rep_->stats) {
@@ -119,35 +118,13 @@ std::shared_ptr<const Block> Table::ReadDataBlock(const ReadOptions& options,
 
 namespace {
 
-// Wraps a Block iterator and keeps the Block alive alongside it.
-class OwningBlockIterator final : public Iterator {
- public:
-  OwningBlockIterator(std::shared_ptr<const Block> block)
-      : block_(std::move(block)), iter_(block_->NewIterator()) {}
-
-  bool Valid() const override { return iter_->Valid(); }
-  void SeekToFirst() override { iter_->SeekToFirst(); }
-  void Seek(const Slice& target) override { iter_->Seek(target); }
-  void Next() override { iter_->Next(); }
-  Slice key() const override { return iter_->key(); }
-  Slice value() const override { return iter_->value(); }
-  Status status() const override { return iter_->status(); }
-
- private:
-  std::shared_ptr<const Block> block_;
-  std::unique_ptr<Iterator> iter_;
-};
-
-// Streaming table iterator for sequential scans. Instead of the
-// cache-backed block-at-a-time path it keeps one reusable readahead
-// window of the file in memory: each refill preads up to
-// ReadOptions::readahead_bytes starting at the needed block (doubling
-// from a small initial window while the access pattern stays
-// sequential), and data blocks are parsed in place as non-owning Block
-// views, so key/value Slices are handed out with no per-block copy or
-// allocation and no cache lookups/fills. Iteration semantics — empty
-// block skipping, error capture, Seek positioning — mirror
-// TwoLevelIterator exactly.
+// The table iterator. It keeps one reusable readahead window of the
+// file in memory: each refill preads up to kMaxWindow bytes starting at
+// the needed block (doubling from kMinWindow while the access pattern
+// stays sequential), and data blocks are parsed in place as non-owning
+// Block views, so key/value Slices are handed out with no per-block copy
+// or allocation and no block-cache lookups or fills. Empty data blocks
+// are skipped, and the first error sticks in status().
 class ReadaheadTableIterator final : public Iterator {
  public:
   ReadaheadTableIterator(Iterator* index_iter, RandomAccessFile* file,
@@ -157,8 +134,7 @@ class ReadaheadTableIterator final : public Iterator {
         file_(file),
         file_size_(file_size),
         stats_(stats),
-        verify_checksums_(options.verify_checksums),
-        limit_(std::max<size_t>(options.readahead_bytes, kMinWindow)) {}
+        verify_checksums_(options.verify_checksums) {}
 
   bool Valid() const override {
     return data_iter_ != nullptr && data_iter_->Valid();
@@ -196,6 +172,7 @@ class ReadaheadTableIterator final : public Iterator {
 
  private:
   static constexpr size_t kMinWindow = 32 * 1024;
+  static constexpr size_t kMaxWindow = 256 * 1024;
 
   void SkipEmptyDataBlocksForward() {
     while (data_iter_ == nullptr || !data_iter_->Valid()) {
@@ -229,6 +206,7 @@ class ReadaheadTableIterator final : public Iterator {
     BlockHandle handle;
     Slice input = index_value;
     Status s = handle.DecodeFrom(&input);
+    if (s.ok()) s = CheckBlockHandle(handle, file_size_);
     if (!s.ok()) return NewEmptyIterator(s);
     const uint64_t begin = handle.offset();
     const size_t need =
@@ -261,10 +239,8 @@ class ReadaheadTableIterator final : public Iterator {
     return block_->NewIterator();
   }
 
+  // [offset, offset + need) lies inside the file (CheckBlockHandle).
   Status Refill(uint64_t offset, size_t need) {
-    if (offset + need > file_size_) {
-      return Status::Corruption("block handle past end of file");
-    }
     // Ramp the window while the reader stays sequential (the next block
     // begins inside or directly after the current window); reset to the
     // initial window on a jump so a short scan after a far Seek does not
@@ -272,9 +248,9 @@ class ReadaheadTableIterator final : public Iterator {
     const bool sequential = window_len_ > 0 && offset >= window_offset_ &&
                             offset <= window_offset_ + window_len_;
     if (sequential) {
-      window_target_ = std::min(window_target_ * 2, limit_);
+      window_target_ = std::min(window_target_ * 2, kMaxWindow);
     } else {
-      window_target_ = std::min(limit_, std::max(need, kMinWindow));
+      window_target_ = std::min(kMaxWindow, std::max(need, kMinWindow));
     }
     size_t len = std::max(window_target_, need);
     len = static_cast<size_t>(
@@ -306,7 +282,6 @@ class ReadaheadTableIterator final : public Iterator {
   const uint64_t file_size_;
   IoStats* const stats_;
   const bool verify_checksums_;
-  const size_t limit_;
 
   std::vector<char> buffer_;
   const char* window_data_ = nullptr;  // into buffer_ (or env-owned bytes)
@@ -322,27 +297,10 @@ class ReadaheadTableIterator final : public Iterator {
 
 }  // namespace
 
-Iterator* Table::BlockReader(void* arg, const ReadOptions& options,
-                             const Slice& index_value) {
-  auto* table = reinterpret_cast<Table*>(arg);
-  BlockHandle handle;
-  Slice input = index_value;
-  Status s = handle.DecodeFrom(&input);
-  if (!s.ok()) return NewEmptyIterator(s);
-  auto block = table->ReadDataBlock(options, handle, &s);
-  if (block == nullptr) return NewEmptyIterator(s);
-  return new OwningBlockIterator(std::move(block));
-}
-
 Iterator* Table::NewIterator(const ReadOptions& options) const {
-  if (options.readahead_bytes > 0) {
-    return new ReadaheadTableIterator(rep_->index_block->NewIterator(),
-                                      rep_->file.get(), rep_->file->Size(),
-                                      rep_->stats, options);
-  }
-  return NewTwoLevelIterator(rep_->index_block->NewIterator(),
-                             &Table::BlockReader,
-                             const_cast<Table*>(this), options);
+  return new ReadaheadTableIterator(rep_->index_block->NewIterator(),
+                                    rep_->file.get(), rep_->file->Size(),
+                                    rep_->stats, options);
 }
 
 Status Table::InternalGet(const ReadOptions& options,

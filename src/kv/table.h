@@ -1,5 +1,7 @@
-// Immutable SSTable reader: footer -> index block -> (cached) data blocks,
-// with a per-table bloom filter consulted before any data block read.
+// Immutable SSTable reader: footer -> index block -> data blocks, with a
+// per-table bloom filter consulted before any point-get block read.
+// Iterators stream data blocks through a readahead window; point gets
+// read them through the shared block cache.
 
 #ifndef TRASS_KV_TABLE_H_
 #define TRASS_KV_TABLE_H_
@@ -35,8 +37,11 @@ class Table {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
-  /// Iterator over the table's (internal key, value) entries. The table
-  /// must outlive the iterator.
+  /// Streaming iterator over the table's (internal key, value) entries:
+  /// blocks are read through a readahead window of up to 256 KB and never
+  /// touch the block cache. Key/value Slices stay valid until the
+  /// iterator moves past their block. The table must outlive the
+  /// iterator.
   Iterator* NewIterator(const ReadOptions& options) const;
 
   /// Point lookup: positions at the first entry with internal key >=
@@ -53,19 +58,12 @@ class Table {
 
   explicit Table(std::unique_ptr<Rep> rep);
 
-  /// Converts an index-block value (encoded handle) into a data block
-  /// iterator, consulting the block cache.
-  static Iterator* BlockReader(void* arg, const ReadOptions& options,
-                               const Slice& index_value);
-
   std::shared_ptr<const Block> ReadDataBlock(const ReadOptions& options,
                                              const BlockHandle& handle,
                                              Status* s) const;
 
   std::unique_ptr<Rep> rep_;
   uint64_t file_id_;
-
-  friend class TwoLevelIteratorTestPeer;
 };
 
 }  // namespace kv

@@ -18,7 +18,8 @@ namespace {
 //       metrics dropped; read-only gauge counts regions
 //   v6: metrics are the core/metrics.h field table in table order
 //       (serving-tier fields included), flags byte first
-constexpr uint8_t kWireVersion = 6;
+//   v7: block-cache metric fields dropped (scans never touch the cache)
+constexpr uint8_t kWireVersion = 7;
 
 // Status codes on the wire. Keep in sync with the factories in
 // util/status.h; unknown codes decode as IoError so a skewed peer

@@ -109,18 +109,6 @@ TEST_F(RegionStoreTest, MultipleRangesInOneScan) {
   EXPECT_EQ(rows.size(), 10u);
 }
 
-TEST_F(RegionStoreTest, ScanWithLimitStopsEarly) {
-  for (int i = 0; i < 100; ++i) {
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "%03d", i);
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(0, buf), "v").ok());
-  }
-  std::vector<Row> rows;
-  ASSERT_TRUE(
-      store_->ScanWithLimit({ScanRange{"", ""}}, nullptr, 5, &rows).ok());
-  EXPECT_EQ(rows.size(), 5u);
-}
-
 TEST_F(RegionStoreTest, IoStatsAggregateAcrossRegions) {
   for (int shard = 0; shard < 4; ++shard) {
     ASSERT_TRUE(store_->Put(WriteOptions(), Key(shard, "k"), "v").ok());

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "kv/block_builder.h"
+#include "kv/db.h"
 #include "kv/dbformat.h"
+#include "kv/filename.h"
 #include "kv/table_builder.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "test_util.h"
 
 namespace trass {
@@ -30,13 +39,21 @@ class TableTest : public ::testing::Test {
   TableTest() : dir_("table"), cache_(1 << 20) {}
 
   void BuildTable(int n, const Options& options) {
+    std::vector<std::pair<std::string, std::string>> entries;
+    for (int i = 0; i < n; ++i) {
+      entries.emplace_back(IKey(UserKey(i)), "value-" + std::to_string(i));
+    }
+    BuildTable(entries, options);
+  }
+
+  // `entries` must be sorted by internal key.
+  void BuildTable(const std::vector<std::pair<std::string, std::string>>& entries,
+                  const Options& options) {
     path_ = dir_.path() + "/test.sst";
     std::unique_ptr<WritableFile> file;
     ASSERT_TRUE(Env::Default()->NewWritableFile(path_, &file).ok());
     TableBuilder builder(options, file.get());
-    for (int i = 0; i < n; ++i) {
-      builder.Add(IKey(UserKey(i)), "value-" + std::to_string(i));
-    }
+    for (const auto& [key, value] : entries) builder.Add(key, value);
     ASSERT_TRUE(builder.Finish().ok());
     ASSERT_TRUE(file->Close().ok());
   }
@@ -146,18 +163,202 @@ TEST_F(TableTest, BlockCacheServesRepeatReads) {
   options.block_size = 128;
   BuildTable(1000, options);
   auto table = OpenTable(options);
-  auto scan = [&] {
-    std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
-    int count = 0;
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) ++count;
-    EXPECT_EQ(count, 1000);
+  auto get_all = [&] {
+    for (int i = 0; i < 1000; i += 7) {
+      bool found = false;
+      std::string key, value;
+      ASSERT_TRUE(table
+                      ->InternalGet(ReadOptions(),
+                                    IKey(UserKey(i), kMaxSequenceNumber),
+                                    &found, &key, &value)
+                      .ok());
+      ASSERT_TRUE(found) << i;
+      EXPECT_EQ(value, "value-" + std::to_string(i));
+    }
   };
-  scan();
+  get_all();
   const uint64_t blocks_after_first = stats_.blocks_read.load();
-  scan();
-  // Second scan should be (nearly) all cache hits.
+  const uint64_t hits_after_first = stats_.cache_hits.load();
+  EXPECT_GT(blocks_after_first, 0u);
+  EXPECT_GT(stats_.cache_fills.load(), 0u);
+  get_all();
+  // The second round of point gets is served entirely from the cache.
   EXPECT_EQ(stats_.blocks_read.load(), blocks_after_first);
-  EXPECT_GT(stats_.cache_hits.load(), 0u);
+  EXPECT_GT(stats_.cache_hits.load(), hits_after_first);
+}
+
+TEST_F(TableTest, StreamingIteratorMatchesBuiltKeys) {
+  // ~700 KB of small entries (several 256 KB readahead windows) with one
+  // ~300 KB value in the middle: its block alone is larger than the
+  // window cap.
+  std::vector<std::pair<std::string, std::string>> entries;
+  for (int i = 0; i < 6000; ++i) {
+    std::string value = "value-" + std::to_string(i);
+    value.resize(i == 3000 ? 300 * 1024 : 110, static_cast<char>('a' + i % 26));
+    entries.emplace_back(IKey(UserKey(i)), std::move(value));
+  }
+  Options options;
+  BuildTable(entries, options);
+  auto table = OpenTable(options);
+  ReadOptions read_options;
+  read_options.verify_checksums = true;
+  std::unique_ptr<Iterator> iter(table->NewIterator(read_options));
+
+  size_t i = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++i) {
+    ASSERT_LT(i, entries.size());
+    ASSERT_EQ(iter->key().ToString(), entries[i].first) << i;
+    ASSERT_EQ(iter->value().ToString(), entries[i].second) << i;
+  }
+  ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
+  EXPECT_EQ(i, entries.size());
+  // Several windows were read, none of them through the block cache.
+  EXPECT_GT(stats_.readahead_reads.load(), 3u);
+  EXPECT_EQ(stats_.cache_misses.load() + stats_.cache_fills.load(), 0u);
+
+  // Backward seeks after the forward scan land on the right entry and
+  // keep iterating in order, across the oversized block too.
+  for (int target : {2999, 3000, 10, 5998}) {
+    iter->Seek(IKey(UserKey(target), kMaxSequenceNumber));
+    for (int j = target; j < std::min(target + 3, 6000); ++j) {
+      ASSERT_TRUE(iter->Valid()) << target << " " << j;
+      EXPECT_EQ(iter->key().ToString(), entries[j].first);
+      EXPECT_EQ(iter->value().ToString(), entries[j].second);
+      iter->Next();
+    }
+  }
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+}
+
+// The footer carries no checksum, so its block handles are untrusted: a
+// handle past the end of the file must be Corruption, never an attempt
+// to allocate its claimed size.
+TEST_F(TableTest, OversizedFooterHandleIsCorruption) {
+  for (const uint64_t bad_size : {uint64_t{1} << 40, ~uint64_t{0} - 5}) {
+    SCOPED_TRACE("index handle size " + std::to_string(bad_size));
+    const std::string db_path =
+        dir_.path() + "/footer-" + std::to_string(bad_size);
+    {
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(Options(), db_path, &db).ok());
+      for (int i = 0; i < 100; ++i) {
+        ASSERT_TRUE(db->Put(WriteOptions(), UserKey(i), "v").ok());
+      }
+      ASSERT_TRUE(db->Flush().ok());
+    }
+    std::vector<std::string> children;
+    ASSERT_TRUE(Env::Default()->GetChildren(db_path, &children).ok());
+    std::string sst;
+    for (const auto& child : children) {
+      uint64_t number;
+      FileType type;
+      if (ParseFileName(child, &number, &type) &&
+          type == FileType::kTableFile) {
+        ASSERT_TRUE(sst.empty()) << "expected exactly one table";
+        sst = db_path + "/" + child;
+      }
+    }
+    ASSERT_FALSE(sst.empty());
+
+    // Rewrite the footer with the index handle's size replaced.
+    std::string contents;
+    ASSERT_TRUE(Env::Default()->ReadFileToString(sst, &contents).ok());
+    const size_t footer_at = contents.size() - Footer::kEncodedLength;
+    Footer footer;
+    Slice footer_input(contents.data() + footer_at, Footer::kEncodedLength);
+    ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+    footer.set_index_handle(
+        BlockHandle(footer.index_handle().offset(), bad_size));
+    contents.resize(footer_at);
+    footer.EncodeTo(&contents);
+    ASSERT_TRUE(Env::Default()->WriteStringToFile(contents, sst, false).ok());
+
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_TRUE(Env::Default()->NewRandomAccessFile(sst, &file).ok());
+    std::unique_ptr<Table> table;
+    EXPECT_TRUE(Table::Open(Options(), 9, std::move(file), nullptr, nullptr,
+                            &table)
+                    .IsCorruption());
+    {
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(Options(), db_path, &db).ok());
+      const Status s = db->VerifyIntegrity();
+      EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    }
+    ASSERT_TRUE(DB::Repair(Options(), db_path).ok());
+    EXPECT_TRUE(Env::Default()->FileExists(sst + ".bad"));
+    EXPECT_FALSE(Env::Default()->FileExists(sst));
+  }
+}
+
+// Data-block handles live in the checksummed index block, but a table
+// written with a bad handle must still fail the scan and the point get
+// with Corruption instead of a wrapped bounds check and a huge read.
+TEST_F(TableTest, OversizedDataHandleIsCorruption) {
+  Options options;
+  options.block_size = 128;
+  for (const uint64_t bad_size : {uint64_t{1} << 40, ~uint64_t{0} - 5}) {
+    SCOPED_TRACE("data handle size " + std::to_string(bad_size));
+    BuildTable(1000, options);
+    std::string contents;
+    ASSERT_TRUE(Env::Default()->ReadFileToString(path_, &contents).ok());
+    const size_t footer_at = contents.size() - Footer::kEncodedLength;
+    Footer footer;
+    Slice footer_input(contents.data() + footer_at, Footer::kEncodedLength);
+    ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_TRUE(Env::Default()->NewRandomAccessFile(path_, &file).ok());
+    BlockContents index_contents;
+    ASSERT_TRUE(ReadBlock(file.get(), ReadOptions(), footer.index_handle(),
+                          &index_contents)
+                    .ok());
+    file.reset();
+
+    // Re-encode the index with the third data block's size replaced,
+    // append it with a valid trailer, and point a new footer at it.
+    Block index(std::move(index_contents.data));
+    std::unique_ptr<Iterator> it(index.NewIterator());
+    BlockBuilder rebuilt(options.block_restart_interval);
+    std::string bad_key;
+    int entry = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next(), ++entry) {
+      BlockHandle handle;
+      Slice input = it->value();
+      ASSERT_TRUE(handle.DecodeFrom(&input).ok());
+      if (entry == 2) {
+        handle.set_size(bad_size);
+        bad_key = it->key().ToString();
+      }
+      std::string encoded;
+      handle.EncodeTo(&encoded);
+      rebuilt.Add(it->key(), encoded);
+    }
+    ASSERT_GT(entry, 3);
+    contents.resize(footer_at);
+    const Slice block = rebuilt.Finish();
+    footer.set_index_handle(BlockHandle(contents.size(), block.size()));
+    contents.append(block.data(), block.size());
+    const char kNoCompression = 0;
+    const uint32_t crc = crc32c::Extend(
+        crc32c::Value(block.data(), block.size()), &kNoCompression, 1);
+    contents.push_back(kNoCompression);
+    PutFixed32(&contents, crc32c::Mask(crc));
+    footer.EncodeTo(&contents);
+    ASSERT_TRUE(
+        Env::Default()->WriteStringToFile(contents, path_, false).ok());
+
+    auto table = OpenTable(options);
+    ASSERT_NE(table, nullptr);
+    std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    }
+    EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+    bool found = false;
+    std::string key, value;
+    EXPECT_TRUE(table->InternalGet(ReadOptions(), bad_key, &found, &key,
+                                   &value)
+                    .IsCorruption());
+  }
 }
 
 TEST_F(TableTest, OpenRejectsGarbage) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -730,15 +731,14 @@ TEST_F(TrassStoreFaultTest, DeadlineDuringRetriesStillReportsTheFault) {
   EXPECT_FALSE(metrics.partial);
 }
 
-// ------------------------------------ storage-engine knob equivalence
+// ------------------------------------------- storage-engine oracle
 
-// Background compaction and readahead scans are performance knobs, not
-// semantics: every query path must return byte-identical answers with
-// them on (the defaults) and off (the seed's synchronous, cache-driven
-// engine). Same matrix shape as FilterEquivalence.AllPathsByteIdentical
-// in filter_tier_test.cc: 4 paths x 3 measures, with a write buffer
-// small enough that the load really churns flushes and compactions.
-TEST(EngineEquivalence, CompactionAndReadaheadByteIdentical) {
+// The engine's one path (background compaction, streaming table scans)
+// answers every query path like an independent oracle: brute force for
+// threshold and top-k, a point-in-window loop for range, and brute-force
+// threshold probes for the join. The write buffer is small enough that
+// the load really churns flushes and background compactions.
+TEST(EngineOracle, ChurningStoreMatchesBruteForce) {
   Random rnd(20260809);
   std::vector<Trajectory> data;
   for (size_t i = 0; i < 300; ++i) {
@@ -758,85 +758,89 @@ TEST(EngineEquivalence, CompactionAndReadaheadByteIdentical) {
                               geo::Mbr(0.7, 0.7, 0.8, 0.8),
                               geo::Mbr(0.05, 0.05, 0.95, 0.95)};
 
-  auto make_options = [](bool tuned) {
-    TrassOptions options;
-    options.shards = 4;
-    options.max_resolution = 12;
-    options.scan_threads = 2;
-    options.refine_threads = 2;
-    // Flush often so the load drives real compaction traffic.
-    options.db_options.write_buffer_size = 64 * 1024;
-    options.db_options.background_compaction = tuned;
-    options.db_options.scan_readahead_bytes = tuned ? 128 * 1024 : 0;
-    return options;
-  };
-  trass::testing::ScratchDir dir("engine_equiv");
-  std::unique_ptr<TrassStore> legacy, tuned;
-  ASSERT_TRUE(TrassStore::Open(make_options(false), dir.path() + "/legacy",
-                               &legacy)
-                  .ok());
-  ASSERT_TRUE(
-      TrassStore::Open(make_options(true), dir.path() + "/tuned", &tuned)
-          .ok());
-  ASSERT_TRUE(legacy->PutBatch(data).ok());
-  ASSERT_TRUE(legacy->Flush().ok());
-  ASSERT_TRUE(tuned->PutBatch(data).ok());
-  ASSERT_TRUE(tuned->Flush().ok());
+  TrassOptions options;
+  options.shards = 4;
+  options.max_resolution = 12;
+  options.scan_threads = 2;
+  options.refine_threads = 2;
+  // Flush often so the load drives real compaction traffic.
+  options.db_options.write_buffer_size = 64 * 1024;
+  trass::testing::ScratchDir dir("engine_oracle");
+  std::unique_ptr<TrassStore> store;
+  ASSERT_TRUE(TrassStore::Open(options, dir.path(), &store).ok());
+  ASSERT_TRUE(store->PutBatch(data).ok());
+  ASSERT_TRUE(store->Flush().ok());
+  baselines::BruteForce brute;
+  ASSERT_TRUE(brute.Build(data).ok());
 
-  uint64_t tuned_readahead_bytes = 0;
+  auto expect_same = [](const std::vector<SearchResult>& got,
+                        const std::vector<SearchResult>& expected) {
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, expected[i].id) << "i=" << i;
+      EXPECT_NEAR(got[i].distance, expected[i].distance, 1e-9) << "i=" << i;
+    }
+  };
+  uint64_t readahead_bytes_read = 0;
   for (const Measure measure :
        {Measure::kFrechet, Measure::kHausdorff, Measure::kDtw}) {
+    SCOPED_TRACE(MeasureName(measure));
     for (const auto& q : queries) {
       for (const double eps : {0.01, 0.05, 0.2}) {
-        std::vector<SearchResult> r_legacy, r_tuned;
-        QueryMetrics m_legacy, m_tuned;
-        ASSERT_TRUE(
-            legacy->ThresholdSearch(q, eps, measure, &r_legacy, &m_legacy)
-                .ok());
-        ASSERT_TRUE(
-            tuned->ThresholdSearch(q, eps, measure, &r_tuned, &m_tuned).ok());
-        ASSERT_EQ(r_legacy.size(), r_tuned.size());
-        for (size_t i = 0; i < r_legacy.size(); ++i) {
-          EXPECT_EQ(r_legacy[i].id, r_tuned[i].id);
-          EXPECT_EQ(r_legacy[i].distance, r_tuned[i].distance);
-        }
-        // Readahead scans bypass the cache; the legacy engine must not
-        // report streaming traffic, the tuned one accumulates it below.
-        EXPECT_EQ(m_legacy.readahead_reads, 0u);
-        tuned_readahead_bytes += m_tuned.readahead_bytes_read;
+        SCOPED_TRACE("eps=" + std::to_string(eps));
+        std::vector<SearchResult> got, expected;
+        QueryMetrics m;
+        ASSERT_TRUE(store->ThresholdSearch(q, eps, measure, &got, &m).ok());
+        ASSERT_TRUE(brute.Threshold(q, eps, measure, &expected, nullptr).ok());
+        expect_same(got, expected);
+        readahead_bytes_read += m.readahead_bytes_read;
       }
       for (const int k : {1, 5, 25}) {
-        std::vector<SearchResult> r_legacy, r_tuned;
-        ASSERT_TRUE(legacy->TopKSearch(q, k, measure, &r_legacy).ok());
-        ASSERT_TRUE(tuned->TopKSearch(q, k, measure, &r_tuned).ok());
-        ASSERT_EQ(r_legacy.size(), r_tuned.size());
-        for (size_t i = 0; i < r_legacy.size(); ++i) {
-          EXPECT_EQ(r_legacy[i].id, r_tuned[i].id);
-          EXPECT_EQ(r_legacy[i].distance, r_tuned[i].distance);
-        }
+        SCOPED_TRACE("k=" + std::to_string(k));
+        std::vector<SearchResult> got, expected;
+        ASSERT_TRUE(store->TopKSearch(q, k, measure, &got).ok());
+        ASSERT_TRUE(brute.TopK(q, k, measure, &expected, nullptr).ok());
+        expect_same(got, expected);
       }
     }
   }
   for (const geo::Mbr& window : windows) {
-    std::vector<uint64_t> ids_legacy, ids_tuned;
-    QueryMetrics m_legacy, m_tuned;
-    ASSERT_TRUE(legacy->RangeQuery(window, &ids_legacy, &m_legacy).ok());
-    ASSERT_TRUE(tuned->RangeQuery(window, &ids_tuned, &m_tuned).ok());
-    EXPECT_EQ(ids_legacy, ids_tuned);
-    tuned_readahead_bytes += m_tuned.readahead_bytes_read;
+    std::vector<uint64_t> got;
+    QueryMetrics m;
+    ASSERT_TRUE(store->RangeQuery(window, &got, &m).ok());
+    std::vector<uint64_t> expected;
+    for (const auto& t : data) {
+      if (std::any_of(t.points.begin(), t.points.end(),
+                      [&](const geo::Point& p) { return window.Contains(p); })) {
+        expected.push_back(t.id);
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(got, expected);
+    readahead_bytes_read += m.readahead_bytes_read;
   }
   {
-    std::vector<std::pair<uint64_t, uint64_t>> pairs_legacy, pairs_tuned;
-    ASSERT_TRUE(
-        legacy->SimilarityJoin(0.02, Measure::kFrechet, &pairs_legacy).ok());
-    ASSERT_TRUE(
-        tuned->SimilarityJoin(0.02, Measure::kFrechet, &pairs_tuned).ok());
-    EXPECT_EQ(pairs_legacy, pairs_tuned);
+    const double eps = 0.02;
+    std::vector<std::pair<uint64_t, uint64_t>> got;
+    ASSERT_TRUE(store->SimilarityJoin(eps, Measure::kFrechet, &got).ok());
+    std::set<std::pair<uint64_t, uint64_t>> expected;
+    for (const auto& t : data) {
+      std::vector<SearchResult> hits;
+      ASSERT_TRUE(
+          brute.Threshold(t.points, eps, Measure::kFrechet, &hits, nullptr)
+              .ok());
+      for (const SearchResult& hit : hits) {
+        if (hit.id == t.id) continue;
+        expected.emplace(std::min(t.id, hit.id), std::max(t.id, hit.id));
+      }
+    }
+    const std::vector<std::pair<uint64_t, uint64_t>> expected_pairs(
+        expected.begin(), expected.end());
+    EXPECT_EQ(got, expected_pairs);
   }
-  // The tuned store's scans must actually have used the streaming path
-  // somewhere in the matrix — equal results from an inert knob would
-  // prove nothing.
-  EXPECT_GT(tuned_readahead_bytes, 0u);
+  // The scans must actually have streamed through the readahead window
+  // somewhere in the matrix.
+  EXPECT_GT(readahead_bytes_read, 0u);
 }
 
 }  // namespace
