@@ -196,8 +196,10 @@ void RunServingControls(const Dataset& dataset, const std::string& dir) {
 /// range has no other copy, so allow_partial queries can only skip it
 /// (skip rate: answers flagged partial). With factor `replication`
 /// strict queries fail over to the surviving replicas and stay complete
-/// (failovers: QueryMetrics::shard_failovers). Copies live only at this
-/// tier; each shard store keeps one LSM per region.
+/// (failovers: QueryMetrics::shard_failovers). Copies and retries live
+/// only at this tier: each shard store keeps one LSM per region and
+/// scans each region once, so the R=1 row shows coordinator retries
+/// alone.
 void RunFailoverVsSkip(const Dataset& dataset, const std::string& dir,
                        int replication) {
   constexpr size_t kShards = 4;
@@ -211,8 +213,6 @@ void RunFailoverVsSkip(const Dataset& dataset, const std::string& dir,
   for (const int factor : {1, replication}) {
     kv::FaultInjectionEnv env(kv::Env::Default());
     core::TrassOptions store_options;
-    store_options.max_scan_retries = 1;
-    store_options.scan_retry_backoff_ms = 1;
     serve::CoordinatorOptions options;
     options.max_resolution = store_options.max_resolution;
     options.replication_factor = factor;

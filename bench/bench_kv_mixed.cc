@@ -97,8 +97,7 @@ MixedResult RunMixedLoad(size_t preload, size_t mixed_writes, size_t scan_len,
     scanners.emplace_back([&, t] {
       Random rnd(static_cast<uint32_t>(100 + t));
       while (!done.load(std::memory_order_relaxed)) {
-        std::unique_ptr<kv::Iterator> iter(
-            db->NewIterator(kv::ReadOptions()));
+        std::unique_ptr<kv::Iterator> iter(db->NewIterator());
         iter->Seek(KeyOf(rnd.Uniform(preload)));
         uint64_t bytes = 0;
         for (size_t i = 0; i < scan_len && iter->Valid();
@@ -148,7 +147,7 @@ MixedResult RunMixedLoad(size_t preload, size_t mixed_writes, size_t scan_len,
   r.readahead_bytes_read = stats.readahead_bytes_read;
 
   // Settled verification scan: every preloaded and ingested key, once.
-  std::unique_ptr<kv::Iterator> iter(db->NewIterator(kv::ReadOptions()));
+  std::unique_ptr<kv::Iterator> iter(db->NewIterator());
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) ++r.final_rows;
   if (!iter->status().ok()) {
     return Fail(std::move(r), "verification scan", iter->status());

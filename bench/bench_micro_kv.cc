@@ -68,8 +68,7 @@ void BM_PointGet(benchmark::State& state) {
   std::string out;
   uint64_t count = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        db->Get(kv::ReadOptions(), KeyOf(rnd.Uniform(kKeys)), &out));
+    benchmark::DoNotOptimize(db->Get(KeyOf(rnd.Uniform(kKeys)), &out));
     ++count;
   }
   state.SetItemsProcessed(static_cast<int64_t>(count));
@@ -88,7 +87,7 @@ void BM_RangeScan(benchmark::State& state) {
   const int64_t scan_len = state.range(0);
   uint64_t rows = 0;
   for (auto _ : state) {
-    std::unique_ptr<kv::Iterator> iter(db->NewIterator(kv::ReadOptions()));
+    std::unique_ptr<kv::Iterator> iter(db->NewIterator());
     iter->Seek(KeyOf(rnd.Uniform(kKeys - static_cast<uint64_t>(scan_len))));
     for (int64_t i = 0; i < scan_len && iter->Valid(); ++i, iter->Next()) {
       benchmark::DoNotOptimize(iter->value());

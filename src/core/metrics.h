@@ -61,7 +61,6 @@ enum class MetricFold {
   /* The answer may be missing rows: a cooperative stop under allow_partial   \
      (reason in the flags below), or shards skipped from a merge. */          \
   X(bool, partial, kOr)                                                       \
-  X(uint64_t, scan_retries, kSum) /* region scan attempts beyond the first */ \
   /* Cooperative-stop reason (QueryOptions). With allow_partial the query     \
      returns OK with `partial` set; without it the stop is the Status. */     \
   X(bool, deadline_expired, kOr) /* QueryOptions::deadline_ms */              \

@@ -20,9 +20,8 @@ namespace {
 // exists to spread consecutive ids over regions.
 uint64_t HashId(uint64_t id) { return id * 0x9e3779b97f4a7c15ull; }
 
-// Folds a fan-out scan's retries and I/O deltas into the query metrics.
+// Folds a fan-out scan's I/O deltas into the query metrics.
 void FoldScanReport(const kv::ScanReport& report, QueryMetrics* m) {
-  m->scan_retries += report.retries;
   m->readahead_reads += report.readahead_reads;
   m->readahead_bytes_read += report.readahead_bytes_read;
 }
@@ -187,8 +186,6 @@ Status TrassStore::Open(const TrassOptions& options, const std::string& path,
       options.hard_space_watermark_bytes;
   region_options.num_regions = options.shards;
   region_options.scan_threads = options.scan_threads;
-  region_options.max_scan_retries = options.max_scan_retries;
-  region_options.retry_backoff_ms = options.scan_retry_backoff_ms;
   Status s = kv::RegionStore::Open(region_options, path, &impl->store_);
   if (!s.ok()) return s;
   if (options.refine_threads > 1) {

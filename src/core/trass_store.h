@@ -60,13 +60,6 @@ struct TrassOptions {
   /// comparison). Stores only; queries are unsupported in this mode.
   bool string_keys = false;
 
-  /// Region-scan retry tuning (see RegionStore::RegionOptions). A
-  /// region that still fails after its retries fails the query with
-  /// the region-attributed error. Redundancy lives in the serving tier
-  /// (serve/coordinator.h), not inside one store.
-  int max_scan_retries = 2;
-  uint64_t scan_retry_backoff_ms = 2;
-
   /// Admission control for the four query APIs: at most
   /// `max_concurrent_queries` run at once (0 = unlimited), at most
   /// `admission_queue` more wait up to `admission_queue_timeout_ms` for
@@ -241,11 +234,12 @@ class TrassStore {
   Status Scrub();
 
   /// Attempts to restore write availability after a resource-exhaustion
-  /// failure: calls DB::Resume on every region wedged read-only (fresh
-  /// WAL, memtable flushed, manifest re-verified). Serialized against
-  /// the write paths like Scrub. Returns the first region that stayed
-  /// wedged; OK when the store is fully writable again. Also runs
-  /// automatically when auto_resume_interval_ms > 0.
+  /// failure: probes DB::Resume once on every region wedged read-only
+  /// (fresh WAL, memtable flushed, manifest re-verified). Serialized
+  /// against the write paths like Scrub. Returns the first region that
+  /// stayed wedged; OK when the store is fully writable again. The
+  /// caller retries; with auto_resume_interval_ms > 0 a background
+  /// prober does.
   Status Resume();
 
   /// Availability snapshot: per-region health (including live read-only

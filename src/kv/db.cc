@@ -62,8 +62,8 @@ Status WriteTableFile(Env* env, const std::string& fname,
 // Iterator over one SSTable that keeps the table reader alive.
 class TableOwningIterator final : public Iterator {
  public:
-  TableOwningIterator(std::shared_ptr<Table> table, const ReadOptions& options)
-      : table_(std::move(table)), iter_(table_->NewIterator(options)) {}
+  explicit TableOwningIterator(std::shared_ptr<Table> table)
+      : table_(std::move(table)), iter_(table_->NewIterator()) {}
 
   bool Valid() const override { return iter_->Valid(); }
   void SeekToFirst() override { iter_->SeekToFirst(); }
@@ -441,10 +441,7 @@ Status DB::Write(const WriteOptions& options, WriteBatch* batch) {
   return WriteBatch::InsertInto(*batch, mem_.get());
 }
 
-Status DB::Get(const ReadOptions& options_in, const Slice& key,
-               std::string* value) {
-  ReadOptions options = options_in;
-  if (options_.paranoid_checks) options.verify_checksums = true;
+Status DB::Get(const Slice& key, std::string* value) {
   std::unique_lock<std::mutex> lock(mu_);
   stats_.point_gets.fetch_add(1, std::memory_order_relaxed);
   const SequenceNumber snapshot = versions_->last_sequence();
@@ -468,7 +465,7 @@ Status DB::Get(const ReadOptions& options_in, const Slice& key,
     if (!ts.ok()) return ts;
     bool found = false;
     std::string result_key, result_value;
-    ts = table->InternalGet(options, Slice(lookup), &found, &result_key,
+    ts = table->InternalGet(Slice(lookup), &found, &result_key,
                             &result_value);
     if (!ts.ok()) return ts;
     if (found && ExtractUserKey(Slice(result_key)) == key) {
@@ -512,9 +509,7 @@ Status DB::Get(const ReadOptions& options_in, const Slice& key,
   return Status::NotFound("key not found");
 }
 
-Iterator* DB::NewIterator(const ReadOptions& options_in) {
-  ReadOptions options = options_in;
-  if (options_.paranoid_checks) options.verify_checksums = true;
+Iterator* DB::NewIterator() {
   std::unique_lock<std::mutex> lock(mu_);
   stats_.range_scans.fetch_add(1, std::memory_order_relaxed);
   const SequenceNumber snapshot = versions_->last_sequence();
@@ -534,7 +529,7 @@ Iterator* DB::NewIterator(const ReadOptions& options_in) {
         for (Iterator* child : children) delete child;
         return NewEmptyIterator(s);
       }
-      children.push_back(new TableOwningIterator(std::move(table), options));
+      children.push_back(new TableOwningIterator(std::move(table)));
     }
   }
   return new DBIterator(NewMergingIterator(std::move(children)), snapshot,
@@ -800,21 +795,18 @@ Status DB::RunCompaction(std::unique_lock<std::mutex>* lock,
                          std::vector<FileMetaData>* outputs) {
   if (lock != nullptr) lock->unlock();
 
-  // Merge all inputs in internal-key order. Checksums are always
-  // verified here: a compaction that rewrites a corrupt block would
-  // launder the corruption into a fresh, well-checksummed file. Table
-  // iterators stream the inputs through their readahead window and never
-  // touch the block cache.
-  ReadOptions read_options;
-  read_options.verify_checksums = true;
+  // Merge all inputs in internal-key order. Table iterators verify
+  // every block's checksum (a compaction that rewrote a corrupt block
+  // would launder the corruption into a fresh, well-checksummed file),
+  // stream the inputs through their readahead window and never touch the
+  // block cache.
   std::vector<Iterator*> children;
   auto add_children = [&](const std::vector<FileMetaData>& files) -> Status {
     for (const FileMetaData& f : files) {
       std::shared_ptr<Table> table;
       Status s = table_cache_->Get(f.number, &table);
       if (!s.ok()) return s;
-      children.push_back(new TableOwningIterator(std::move(table),
-                                                 read_options));
+      children.push_back(new TableOwningIterator(std::move(table)));
     }
     return Status::OK();
   };
@@ -1043,12 +1035,10 @@ Status ScrubTableFile(Env* env, const std::string& fname, IoStats* stats) {
   s = footer.DecodeFrom(&footer_input);
   if (!s.ok()) return count_corruption(s);
 
-  ReadOptions opts;
-  opts.verify_checksums = true;
   auto verify_block = [&](const BlockHandle& handle,
                           BlockContents* out) -> Status {
     count_verification();
-    return count_corruption(ReadBlock(file.get(), opts, handle, out));
+    return count_corruption(ReadBlock(file.get(), handle, out));
   };
 
   if (footer.filter_handle().size() > 0) {
@@ -1086,9 +1076,7 @@ Status SalvageTable(Env* env, const Options& options, uint64_t number,
   s = Table::Open(options, number, std::move(file), nullptr, nullptr,
                   &table);
   if (!s.ok()) return s;
-  ReadOptions opts;
-  opts.verify_checksums = true;
-  std::unique_ptr<Iterator> iter(table->NewIterator(opts));
+  std::unique_ptr<Iterator> iter(table->NewIterator());
   uint64_t entries = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     const Slice ikey = iter->key();

@@ -74,12 +74,12 @@ class DB {
   Status Delete(const WriteOptions& options, const Slice& key);
   Status Write(const WriteOptions& options, WriteBatch* batch);
 
-  Status Get(const ReadOptions& options, const Slice& key,
-             std::string* value);
+  /// Point lookup. Every block read verifies its checksum.
+  Status Get(const Slice& key, std::string* value);
 
   /// Forward iterator over live user keys, ordered bytewise. Reflects a
-  /// point-in-time snapshot taken at creation.
-  Iterator* NewIterator(const ReadOptions& options);
+  /// point-in-time snapshot taken at creation; verifies block checksums.
+  Iterator* NewIterator();
 
   /// Forces the memtable into an L0 SSTable. Due compactions are
   /// scheduled on the background thread.

@@ -55,8 +55,8 @@ Status CheckBlockHandle(const BlockHandle& handle, uint64_t file_size) {
   return Status::OK();
 }
 
-Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
-                 const BlockHandle& handle, BlockContents* result) {
+Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
+                 BlockContents* result) {
   result->data.clear();
   Status s = CheckBlockHandle(handle, file->Size());
   if (!s.ok()) return s;
@@ -69,21 +69,16 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
     return Status::Corruption("truncated block read");
   }
   const char* data = contents.data();
-  s = VerifyBlockInPlace(data, n, options.verify_checksums);
+  s = VerifyBlockInPlace(data, n);
   if (!s.ok()) return s;
   result->data.assign(data, n);
   return Status::OK();
 }
 
-Status VerifyBlockInPlace(const char* data, size_t payload_size,
-                          bool verify_checksum) {
-  if (verify_checksum) {
-    const uint32_t crc =
-        crc32c::Unmask(DecodeFixed32(data + payload_size + 1));
-    const uint32_t actual = crc32c::Value(data, payload_size + 1);
-    if (crc != actual) {
-      return Status::Corruption("block checksum mismatch");
-    }
+Status VerifyBlockInPlace(const char* data, size_t payload_size) {
+  const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + payload_size + 1));
+  if (crc != crc32c::Value(data, payload_size + 1)) {
+    return Status::Corruption("block checksum mismatch");
   }
   if (data[payload_size] != 0) {
     return Status::Corruption("unknown block compression type");

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "kv/env.h"
-#include "kv/options.h"
 #include "util/slice.h"
 #include "util/status.h"
 
@@ -77,16 +76,15 @@ Status CheckBlockHandle(const BlockHandle& handle, uint64_t file_size);
 
 /// Reads and verifies the block at `handle`; a handle reaching past the
 /// end of `file` is Corruption before anything is allocated.
-Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
-                 const BlockHandle& handle, BlockContents* result);
+Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
+                 BlockContents* result);
 
 /// Verifies a block already in memory: `data` points at `payload_size`
 /// payload bytes followed by the kBlockTrailerSize trailer. Checks the
-/// compression-type byte always and the crc32c when `verify_checksum`.
+/// crc32c and the compression-type byte.
 /// Used by the streaming table iterator to validate blocks in place
 /// without copying them out of its readahead window.
-Status VerifyBlockInPlace(const char* data, size_t payload_size,
-                          bool verify_checksum);
+Status VerifyBlockInPlace(const char* data, size_t payload_size);
 
 }  // namespace kv
 }  // namespace trass

@@ -1,5 +1,6 @@
 // Tuning knobs for the storage engine, mirroring the LevelDB/RocksDB
-// Options / ReadOptions / WriteOptions split.
+// Options / WriteOptions split. Reads take no options: every block read
+// verifies its checksum.
 
 #ifndef TRASS_KV_OPTIONS_H_
 #define TRASS_KV_OPTIONS_H_
@@ -47,9 +48,9 @@ struct Options {
   /// query path, not disk durability).
   bool sync_wal = false;
 
-  /// Treat every detected inconsistency as an error: block checksums are
-  /// verified on all reads (Get / iterators), and WAL recovery fails on
-  /// a corrupted record instead of truncating at it. Off by default —
+  /// WAL recovery fails on a corrupted record instead of truncating at
+  /// it. (Block checksums are verified on every read regardless.) Off
+  /// by default —
   /// the lenient mode matches the availability posture of the paper's
   /// HBase substrate, where a torn WAL tail is expected after a crash.
   bool paranoid_checks = false;
@@ -68,11 +69,6 @@ struct Options {
   /// and while L0 is deep enough that the background compactor must
   /// catch up (see the L0 ingest throttle in kv/db.h).
   uint64_t write_stall_ms = 2;
-};
-
-struct ReadOptions {
-  /// Verify block checksums on read.
-  bool verify_checksums = false;
 };
 
 struct WriteOptions {

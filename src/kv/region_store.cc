@@ -1,8 +1,5 @@
 #include "kv/region_store.h"
 
-#include <algorithm>
-#include <atomic>
-
 namespace trass {
 namespace kv {
 
@@ -23,19 +20,13 @@ Status CheckKey(const Slice& key, int num_regions) {
 
 }  // namespace
 
-RegionStore::RegionStore(const RegionOptions& options)
-    : options_(options),
-      retry_policy_(RetryPolicy::Options{
-          options.max_scan_retries, options.retry_backoff_ms,
-          options.max_retry_backoff_ms, /*jitter=*/0.0}) {}
-
 Status RegionStore::Open(const RegionOptions& options, const std::string& path,
                          std::unique_ptr<RegionStore>* store) {
   store->reset();
   if (options.num_regions < 1 || options.num_regions > 256) {
     return Status::InvalidArgument("num_regions must be in [1, 256]");
   }
-  std::unique_ptr<RegionStore> impl(new RegionStore(options));
+  std::unique_ptr<RegionStore> impl(new RegionStore());
   Env* env = options.db_options.env != nullptr ? options.db_options.env
                                                : Env::Default();
   Status s = env->CreateDir(path);
@@ -84,25 +75,19 @@ Status RegionStore::Delete(const WriteOptions& options, const Slice& key) {
       RegionContext(shard));
 }
 
-Status RegionStore::Get(const ReadOptions& options, const Slice& key,
-                        std::string* value) {
+Status RegionStore::Get(const Slice& key, std::string* value) {
   Status s = CheckKey(key, num_regions());
   if (!s.ok()) return s;
-  ReadOptions read_options = options;
-  read_options.verify_checksums = true;
   const size_t shard = static_cast<unsigned char>(key[0]);
-  return regions_[shard]->Get(read_options, key, value).WithContext(
-      RegionContext(shard));
+  return regions_[shard]->Get(key, value).WithContext(RegionContext(shard));
 }
 
-Status RegionStore::ScanRegionOnce(size_t region,
-                                   const std::vector<ScanRange>& ranges,
-                                   const ScanFilter* filter,
-                                   const QueryContext* control,
-                                   std::vector<Row>* rows) {
-  ReadOptions read_options;
-  read_options.verify_checksums = true;
-  std::unique_ptr<Iterator> iter(regions_[region]->NewIterator(read_options));
+Status RegionStore::ScanRegion(size_t region,
+                               const std::vector<ScanRange>& ranges,
+                               const ScanFilter* filter,
+                               const QueryContext* control,
+                               std::vector<Row>* rows) {
+  std::unique_ptr<Iterator> iter(regions_[region]->NewIterator());
   const char shard = static_cast<char>(region);
   std::vector<Row> kept;
   size_t since_check = 0;
@@ -152,47 +137,25 @@ Status RegionStore::Scan(const std::vector<ScanRange>& ranges,
     uint64_t ra_reads = 0, ra_bytes = 0;
   };
   std::vector<RegionIo> region_io(n);
-  std::atomic<uint64_t> retries{0};
 
-  const int attempts = 1 + std::max(0, options_.max_scan_retries);
   auto scan_region = [&](size_t region) {
     attempted[region] = 1;
     const IoStats& io = regions_[region]->io_stats();
-    Status last;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      if (attempt > 0) {
-        // A query stop between attempts ends the retrying, but the
-        // *fault* outcome stands — an attempt already failed — and
-        // sleeping past the deadline is pointless, so the backoff is
-        // clamped to it.
-        if (control != nullptr && control->ShouldStop()) break;
-        retries.fetch_add(1, std::memory_order_relaxed);
-        retry_policy_.SleepBeforeRetry(
-            attempt, control != nullptr
-                         ? std::max(control->RemainingMillis(), 0.0)
-                         : -1.0);
-      }
-      const IoStats::Snapshot before = io.Read();
-      last = ScanRegionOnce(region, ranges, filter, control,
-                            &per_region[region]);
-      const IoStats::Snapshot after = io.Read();
-      RegionIo& delta = region_io[region];
-      delta.ra_reads += after.readahead_reads - before.readahead_reads;
-      delta.ra_bytes += after.readahead_bytes_read - before.readahead_bytes_read;
-      if (last.ok()) {
-        RecordSuccess(region);
-        return;
-      }
-      if (last.IsQueryStop()) {
-        // Caller-attributed stop, not a region fault: no retry, no
-        // health bookkeeping, no region attribution.
-        statuses[region] = last;
-        return;
-      }
-      RecordFailure(region, last);
+    const IoStats::Snapshot before = io.Read();
+    Status s =
+        ScanRegion(region, ranges, filter, control, &per_region[region]);
+    const IoStats::Snapshot after = io.Read();
+    RegionIo& delta = region_io[region];
+    delta.ra_reads = after.readahead_reads - before.readahead_reads;
+    delta.ra_bytes = after.readahead_bytes_read - before.readahead_bytes_read;
+    if (!s.ok() && !s.IsQueryStop()) {
+      // A fault: counted against the region and attributed to it (shard
+      // == region index). A query stop is caller-attributed and passes
+      // through untouched.
+      RecordFailure(region, s);
+      s = s.WithContext(RegionContext(region));
     }
-    // Attribute the failure to its region (shard == region index).
-    statuses[region] = last.WithContext(RegionContext(region));
+    statuses[region] = std::move(s);
   };
   if (control != nullptr) {
     // Early-exit fan-out: regions not yet started when the query stops
@@ -212,14 +175,15 @@ Status RegionStore::Scan(const std::vector<ScanRange>& ranges,
     if (first.ok()) first = statuses[region];
   }
   if (report != nullptr) {
-    report->retries = retries.load(std::memory_order_relaxed);
     for (const RegionIo& delta : region_io) {
       report->readahead_reads += delta.ra_reads;
       report->readahead_bytes_read += delta.ra_bytes;
     }
   }
-  if (!query_stop.ok()) return query_stop;
+  // A stop must never mask a region that was proven down: the fault
+  // wins, so an allow_partial caller cannot turn it into a partial OK.
   if (!failure.ok()) return failure;
+  if (!query_stop.ok()) return query_stop;
   // The fan-out may also have stopped before some regions even started
   // (skipped by the cancellation-aware ParallelFor, statuses left OK);
   // surface that as the stop status rather than a silently short result.
@@ -244,13 +208,7 @@ void RegionStore::RecordFailure(size_t region, const Status& s) {
   std::lock_guard<std::mutex> lock(health_mu_);
   RegionHealth& health = health_[region];
   ++health.failed_attempts;
-  ++health.consecutive_failures;
   health.last_error = s.ToString();
-}
-
-void RegionStore::RecordSuccess(size_t region) {
-  std::lock_guard<std::mutex> lock(health_mu_);
-  health_[region].consecutive_failures = 0;
 }
 
 void RegionStore::FillLiveState(size_t region, RegionHealth* health) const {
@@ -289,10 +247,9 @@ Status RegionStore::Resume() {
   for (size_t region = 0; region < regions_.size(); ++region) {
     DB* db = regions_[region].get();
     if (!db->read_only()) continue;
-    // Probe under the shared retry policy: a resume that fails because
-    // the disk is *still* full is retryable, one that fails on a
-    // structural error is not.
-    Status s = retry_policy_.Run([db] { return db->Resume(); });
+    // One probe per call: the caller (operator or auto-resume prober)
+    // decides when to try again.
+    Status s = db->Resume();
     if (!s.ok() && first_failure.ok()) {
       first_failure = s.WithContext(RegionContext(region));
     }

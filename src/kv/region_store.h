@@ -10,19 +10,18 @@
 // on-disk corruption at read time, VerifyIntegrity walks every table,
 // and DB::Repair salvages a damaged region directory offline.
 //
-// Availability: a region scan that faults is retried with bounded
-// exponential backoff (each retry rebuilds the region iterator, so
-// transient faults heal); a region that still fails returns its error,
-// attributed to the region. Failures are tracked per region.
+// Availability: each region is scanned once per Scan. A region that
+// faults records the failure in its health and fails the scan with its
+// error, attributed to the region. Retrying is the caller's business:
+// the serving tier's shard coordinator (serve/coordinator.h) re-runs a
+// failed shard attempt, which rebuilds every region iterator.
 //
 // Cooperative cancellation: scans accept an optional QueryContext whose
 // deadline/cancel/budget is polled inside the worker tasks every
-// kControlCheckInterval rows and around every retry sleep. A query stop
-// is caller-attributed, never a region fault: it is not retried and not
-// counted against region health. A stop that fires during a region's
-// first attempt fails the scan with the stop status — the region was
-// never proven down. A stop that fires after an attempt faulted (between
-// retries) ends the retrying, but the fault outcome stands.
+// kControlCheckInterval rows. A query stop is caller-attributed, never a
+// region fault: it is not counted against region health. When one
+// region faults and another stops, the scan fails with the fault — a
+// stop must never mask a region that was proven down.
 //
 // Thread-safety contract:
 //  * Scan / Get are safe to call concurrently with each
@@ -51,7 +50,6 @@
 #include "kv/db.h"
 #include "kv/scan.h"
 #include "util/query_context.h"
-#include "util/retry_policy.h"
 #include "util/thread_pool.h"
 
 namespace trass {
@@ -59,11 +57,9 @@ namespace kv {
 
 /// Outcome of one fan-out scan beyond its rows.
 struct ScanReport {
-  uint64_t retries = 0;  // scan attempts beyond the first, all regions
-
   /// Readahead traffic this scan caused (scans never touch the block
   /// cache), measured as before/after deltas of each scanned region's
-  /// IoStats and summed over regions (failed attempts included — their
+  /// IoStats and summed over regions (failed regions included — their
   /// I/O was real). Approximate when compactions or other queries read
   /// the same region concurrently; exact on an otherwise idle store.
   uint64_t readahead_reads = 0;       // readahead window preads issued
@@ -74,8 +70,7 @@ struct ScanReport {
 /// only by value from Health()/HealthSnapshot(), copied under a single
 /// lock hold (see the thread-safety contract above).
 struct RegionHealth {
-  uint64_t failed_attempts = 0;       // scan attempts that errored
-  uint64_t consecutive_failures = 0;  // cleared by a successful scan
+  uint64_t failed_attempts = 0;  // region scans that errored
   std::string last_error;
   /// Live (not counter) state, read off the region database at snapshot
   /// time: a read-only region is wedged by a sticky background error
@@ -93,14 +88,6 @@ class RegionStore {
     int num_regions = 8;
     /// Worker threads for parallel region scans.
     size_t scan_threads = 4;
-    /// Retries per region scan after a failure (0 disables). Each retry
-    /// rebuilds the region iterator, so transient faults heal.
-    int max_scan_retries = 2;
-    /// Backoff before the first retry; doubles per retry up to the cap.
-    /// These three knobs configure the store's shared RetryPolicy, which
-    /// also paces Resume() probing.
-    uint64_t retry_backoff_ms = 2;
-    uint64_t max_retry_backoff_ms = 100;
   };
 
   /// Opens `num_regions` databases under directory `path`; region i
@@ -111,9 +98,9 @@ class RegionStore {
   int num_regions() const { return static_cast<int>(regions_.size()); }
 
   /// Routes by the first key byte (the shard). Keys must be non-empty and
-  /// their first byte must be < num_regions. Read paths verify block
-  /// checksums regardless of the passed options (torn-page detection is
-  /// part of the store's contract). Errors carry the region.
+  /// their first byte must be < num_regions. Reads verify block
+  /// checksums (torn-page detection is part of the store's contract).
+  /// Errors carry the region.
   Status Put(const WriteOptions& options, const Slice& key,
              const Slice& value);
   Status Delete(const WriteOptions& options, const Slice& key);
@@ -124,18 +111,18 @@ class RegionStore {
   /// syncing), which is where group commit beats per-row Put.
   /// Single-writer like Put (see the contract above).
   Status ApplyBatch(const WriteOptions& options, int shard, WriteBatch* batch);
-  Status Get(const ReadOptions& options, const Slice& key,
-             std::string* value);
+  Status Get(const Slice& key, std::string* value);
 
   /// Scans every range in every region, applying `filter` server-side
   /// (null keeps all rows). Appends kept rows to *out (unordered across
   /// regions). Ranges must NOT include the shard byte: the store prepends
   /// each shard to each range, mirroring how TraSS fans a scan out
   /// across salted key spaces. When `report` is non-null it receives the
-  /// scan's retries and I/O deltas. `control`, when non-null, is polled
+  /// scan's I/O deltas. `control`, when non-null, is polled
   /// cooperatively inside the workers; an expired/cancelled query
   /// returns the stop status (rows gathered so far are discarded) and
-  /// charges kept rows against its budget.
+  /// charges kept rows against its budget. A region fault outranks a
+  /// stop: the scan then returns the region-attributed fault.
   Status Scan(const std::vector<ScanRange>& ranges, const ScanFilter* filter,
               std::vector<Row>* out, ScanReport* report = nullptr,
               const QueryContext* control = nullptr);
@@ -158,10 +145,11 @@ class RegionStore {
   /// is attributed to its region.
   Status VerifyIntegrity();
 
-  /// Attempts DB::Resume on every region wedged read-only by a
-  /// background error, each under the shared retry policy. Returns the
-  /// first region that stayed wedged (with region context), OK when none
-  /// were wedged or all resumed. Single-writer like Put.
+  /// Probes DB::Resume once on every region wedged read-only by a
+  /// background error. Returns the first region that stayed wedged
+  /// (with region context), OK when none were wedged or all resumed.
+  /// The caller — the operator or TrassStore's auto-resume prober — is
+  /// the retry loop. Single-writer like Put.
   Status Resume();
 
   /// True when some region is wedged read-only. This is the backpressure
@@ -185,29 +173,23 @@ class RegionStore {
   uint64_t TotalTableBytes() const;
 
  private:
-  explicit RegionStore(const RegionOptions& options);
+  RegionStore() = default;
 
-  /// One scan attempt over one region; *rows is only filled on success.
-  Status ScanRegionOnce(size_t region, const std::vector<ScanRange>& ranges,
-                        const ScanFilter* filter,
-                        const QueryContext* control, std::vector<Row>* rows);
+  /// Scans one region; *rows is only filled on success.
+  Status ScanRegion(size_t region, const std::vector<ScanRange>& ranges,
+                    const ScanFilter* filter, const QueryContext* control,
+                    std::vector<Row>* rows);
 
   void RecordFailure(size_t region, const Status& s);
-  void RecordSuccess(size_t region);
 
   /// Fills the live read_only/background_error fields of a health copy
   /// (called with no lock held).
   void FillLiveState(size_t region, RegionHealth* health) const;
 
-  RegionOptions options_;
-
   // One database per region, fixed at Open.
   std::vector<std::unique_ptr<DB>> regions_;
 
   std::unique_ptr<ThreadPool> pool_;
-
-  // Shared backoff schedule for scan retries and Resume probing.
-  RetryPolicy retry_policy_;
 
   // Guards health_ (see thread-safety contract).
   mutable std::mutex health_mu_;

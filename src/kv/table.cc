@@ -46,10 +46,8 @@ Status Table::Open(const Options& options, uint64_t file_id,
   s = footer.DecodeFrom(&footer_input);
   if (!s.ok()) return s;
 
-  ReadOptions opts;
-  opts.verify_checksums = true;
   BlockContents index_contents;
-  s = ReadBlock(file.get(), opts, footer.index_handle(), &index_contents);
+  s = ReadBlock(file.get(), footer.index_handle(), &index_contents);
   if (!s.ok()) return s;
 
   auto rep = std::make_unique<Rep>();
@@ -61,7 +59,7 @@ Status Table::Open(const Options& options, uint64_t file_id,
 
   if (footer.filter_handle().size() > 0) {
     BlockContents filter_contents;
-    s = ReadBlock(file.get(), opts, footer.filter_handle(), &filter_contents);
+    s = ReadBlock(file.get(), footer.filter_handle(), &filter_contents);
     if (!s.ok()) return s;
     rep->filter_data = std::move(filter_contents.data);
   }
@@ -71,8 +69,7 @@ Status Table::Open(const Options& options, uint64_t file_id,
   return Status::OK();
 }
 
-std::shared_ptr<const Block> Table::ReadDataBlock(const ReadOptions& options,
-                                                  const BlockHandle& handle,
+std::shared_ptr<const Block> Table::ReadDataBlock(const BlockHandle& handle,
                                                   Status* s) const {
   *s = Status::OK();
   if (rep_->cache != nullptr) {
@@ -88,11 +85,11 @@ std::shared_ptr<const Block> Table::ReadDataBlock(const ReadOptions& options,
     }
   }
   BlockContents contents;
-  if (rep_->stats && options.verify_checksums) {
+  if (rep_->stats) {
     rep_->stats->checksum_verifications.fetch_add(1,
                                                   std::memory_order_relaxed);
   }
-  *s = ReadBlock(rep_->file.get(), options, handle, &contents);
+  *s = ReadBlock(rep_->file.get(), handle, &contents);
   if (!s->ok()) {
     if (rep_->stats && s->IsCorruption()) {
       rep_->stats->corruptions_detected.fetch_add(1,
@@ -128,13 +125,11 @@ namespace {
 class ReadaheadTableIterator final : public Iterator {
  public:
   ReadaheadTableIterator(Iterator* index_iter, RandomAccessFile* file,
-                         uint64_t file_size, IoStats* stats,
-                         const ReadOptions& options)
+                         uint64_t file_size, IoStats* stats)
       : index_iter_(index_iter),
         file_(file),
         file_size_(file_size),
-        stats_(stats),
-        verify_checksums_(options.verify_checksums) {}
+        stats_(stats) {}
 
   bool Valid() const override {
     return data_iter_ != nullptr && data_iter_->Valid();
@@ -220,10 +215,10 @@ class ReadaheadTableIterator final : public Iterator {
       if (!s.ok()) return NewEmptyIterator(s);
     }
     const char* block_data = window_data_ + (begin - window_offset_);
-    if (stats_ && verify_checksums_) {
+    if (stats_) {
       stats_->checksum_verifications.fetch_add(1, std::memory_order_relaxed);
     }
-    s = VerifyBlockInPlace(block_data, handle.size(), verify_checksums_);
+    s = VerifyBlockInPlace(block_data, handle.size());
     if (!s.ok()) {
       if (stats_ && s.IsCorruption()) {
         stats_->corruptions_detected.fetch_add(1, std::memory_order_relaxed);
@@ -281,7 +276,6 @@ class ReadaheadTableIterator final : public Iterator {
   RandomAccessFile* const file_;
   const uint64_t file_size_;
   IoStats* const stats_;
-  const bool verify_checksums_;
 
   std::vector<char> buffer_;
   const char* window_data_ = nullptr;  // into buffer_ (or env-owned bytes)
@@ -297,14 +291,13 @@ class ReadaheadTableIterator final : public Iterator {
 
 }  // namespace
 
-Iterator* Table::NewIterator(const ReadOptions& options) const {
+Iterator* Table::NewIterator() const {
   return new ReadaheadTableIterator(rep_->index_block->NewIterator(),
                                     rep_->file.get(), rep_->file->Size(),
-                                    rep_->stats, options);
+                                    rep_->stats);
 }
 
-Status Table::InternalGet(const ReadOptions& options,
-                          const Slice& internal_key, bool* found,
+Status Table::InternalGet(const Slice& internal_key, bool* found,
                           std::string* result_key,
                           std::string* result_value) const {
   *found = false;
@@ -324,7 +317,7 @@ Status Table::InternalGet(const ReadOptions& options,
   Slice input = index_iter->value();
   Status s = handle.DecodeFrom(&input);
   if (!s.ok()) return s;
-  auto block = ReadDataBlock(options, handle, &s);
+  auto block = ReadDataBlock(handle, &s);
   if (block == nullptr) return s;
   std::unique_ptr<Iterator> block_iter(block->NewIterator());
   block_iter->Seek(internal_key);

@@ -42,13 +42,13 @@ class Table {
   /// touch the block cache. Key/value Slices stay valid until the
   /// iterator moves past their block. The table must outlive the
   /// iterator.
-  Iterator* NewIterator(const ReadOptions& options) const;
+  Iterator* NewIterator() const;
 
   /// Point lookup: positions at the first entry with internal key >=
   /// `internal_key`. Sets *found=false when the table cannot contain the
   /// user key (bloom miss) or the seek went past the end.
-  Status InternalGet(const ReadOptions& options, const Slice& internal_key,
-                     bool* found, std::string* result_key,
+  Status InternalGet(const Slice& internal_key, bool* found,
+                     std::string* result_key,
                      std::string* result_value) const;
 
   uint64_t file_id() const { return file_id_; }
@@ -58,8 +58,7 @@ class Table {
 
   explicit Table(std::unique_ptr<Rep> rep);
 
-  std::shared_ptr<const Block> ReadDataBlock(const ReadOptions& options,
-                                             const BlockHandle& handle,
+  std::shared_ptr<const Block> ReadDataBlock(const BlockHandle& handle,
                                              Status* s) const;
 
   std::unique_ptr<Rep> rep_;

@@ -39,9 +39,12 @@
 //     (floored at hedge_min_delay_ms) gets one duplicate request;
 //     first response wins, the loser is cancelled. Safe because shard
 //     queries are idempotent and each shard's slot merges exactly once.
-//   * Retries — failed attempts reuse util/retry_policy's capped
-//     exponential schedule; a backoff that would overshoot the
-//     remaining deadline fails fast with the last error.
+//   * Retries — the system's only retry layer. A shard's region scans
+//     run once and report their fault; here a failed shard attempt,
+//     whatever caused it, is retried on util/retry_policy's capped
+//     exponential schedule, which also rebuilds every region iterator
+//     of that shard. A backoff that would overshoot the remaining
+//     deadline fails fast with the last error.
 //   * Circuit breakers — consecutive shard failures open a per-shard
 //     breaker (closed -> open -> half-open probe) so dead shards cost
 //     one check, not a deadline budget, per query. The write path honors breakers too:

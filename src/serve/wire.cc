@@ -19,7 +19,9 @@ namespace {
 //   v6: metrics are the core/metrics.h field table in table order
 //       (serving-tier fields included), flags byte first
 //   v7: block-cache metric fields dropped (scans never touch the cache)
-constexpr uint8_t kWireVersion = 7;
+//   v8: region-scan retry counter dropped (a region scan runs once;
+//       retries live in the shard coordinator)
+constexpr uint8_t kWireVersion = 8;
 
 // Status codes on the wire. Keep in sync with the factories in
 // util/status.h; unknown codes decode as IoError so a skewed peer

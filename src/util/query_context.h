@@ -7,9 +7,9 @@
 // ShouldStop()/Check() at a granularity matching its unit of work (per
 // pruning-traversal batch, per scanned-row batch, per refined candidate)
 // and unwinds with the stop status. Stop statuses (TimedOut, Cancelled,
-// Busy) are caller-attributed, not storage faults: the scan retry and
-// degraded-region machinery must never retry or "skip a region" over
-// them — see Status::IsQueryStop().
+// Busy) are caller-attributed, not storage faults: a region scan never
+// counts them against region health, and a region fault outranks them
+// — see Status::IsQueryStop().
 //
 // Thread-safety: all methods may be called concurrently once the query
 // is in flight (scan workers share one context). The setters are meant
@@ -94,7 +94,8 @@ class QueryContext {
   }
 
   /// Remaining wall-clock milliseconds, clamped at 0 (infinity when no
-  /// deadline is armed). Used to bound retry backoff sleeps.
+  /// deadline is armed). The shard coordinator carves shard budgets and
+  /// bounds its retry backoffs with it.
   double RemainingMillis() const {
     if (!has_deadline_) return std::numeric_limits<double>::infinity();
     const auto left = deadline_ - Clock::now();

@@ -10,7 +10,7 @@ namespace trass {
 RetryPolicy::RetryPolicy(const Options& options, uint64_t seed)
     : options_(options), rng_state_(seed ? seed : 1) {}
 
-uint64_t RetryPolicy::BackoffMs(int attempt, double remaining_ms) const {
+uint64_t RetryPolicy::BackoffMs(int attempt) const {
   if (attempt < 1) attempt = 1;
   // The shift is bounded so a long retry loop cannot overflow; the cap
   // dominates well before 2^20 anyway.
@@ -35,21 +35,6 @@ uint64_t RetryPolicy::BackoffMs(int attempt, double remaining_ms) const {
         std::llround(static_cast<double>(backoff_ms) * factor));
     backoff_ms = std::min(backoff_ms, options_.max_backoff_ms);
   }
-  if (remaining_ms >= 0.0 &&
-      remaining_ms < static_cast<double>(backoff_ms)) {
-    // Round up: waking a fraction of a millisecond *before* the
-    // deadline would only buy one more doomed attempt.
-    backoff_ms = static_cast<uint64_t>(std::ceil(remaining_ms));
-  }
-  return backoff_ms;
-}
-
-uint64_t RetryPolicy::SleepBeforeRetry(int attempt,
-                                       double remaining_ms) const {
-  const uint64_t backoff_ms = BackoffMs(attempt, remaining_ms);
-  if (backoff_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-  }
   return backoff_ms;
 }
 
@@ -57,43 +42,13 @@ Status RetryPolicy::Run(const std::function<Status()>& op) const {
   Status s;
   const int attempts = 1 + std::max(0, options_.max_retries);
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) SleepBeforeRetry(attempt);
+    if (attempt > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(BackoffMs(attempt)));
+    }
     s = op();
     if (s.ok()) return s;
     // Caller-attributed or structural failures are not retryable.
-    if (s.IsQueryStop() || s.IsInvalidArgument() || s.IsNotSupported()) {
-      return s;
-    }
-  }
-  return s;
-}
-
-Status RetryPolicy::Run(const std::function<Status()>& op,
-                        const QueryContext* control) const {
-  if (control == nullptr) return Run(op);
-  Status s;
-  const int attempts = 1 + std::max(0, options_.max_retries);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      // The *unclamped* backoff against the remaining budget: when the
-      // schedule says sleep longer than the deadline has left, the
-      // retry cannot complete in time — fail fast with the error in
-      // hand instead of sleeping the caller past its own budget (the
-      // old clamped sleep woke exactly at the deadline and bought one
-      // doomed attempt).
-      const uint64_t backoff_ms = BackoffMs(attempt);
-      if (static_cast<double>(backoff_ms) > control->RemainingMillis()) {
-        return s;
-      }
-      if (backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      }
-    }
-    if (Status stop = control->Check(); !stop.ok()) {
-      return s.ok() ? stop : s;
-    }
-    s = op();
-    if (s.ok()) return s;
     if (s.IsQueryStop() || s.IsInvalidArgument() || s.IsNotSupported()) {
       return s;
     }

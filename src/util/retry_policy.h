@@ -1,12 +1,9 @@
-// RetryPolicy: shared capped-exponential-backoff schedule with optional
-// jitter, used wherever the store retries a fallible operation — region
-// scan retries, Resume() probing after a background error. Extracted
-// from the ad-hoc backoff arithmetic in RegionStore so every retry loop
-// in the codebase sleeps the same way.
-//
-// Deadline-aware: BackoffMs clamps (rounding up) to the caller's
-// remaining time, because sleeping a fraction of a millisecond *before*
-// a deadline would only buy one more doomed attempt.
+// RetryPolicy: capped-exponential-backoff schedule with optional jitter.
+// Its only user is the shard coordinator (serve/coordinator.h), the one
+// retry layer: read attempts schedule their retries with BackoffMs (and
+// fail fast when the backoff would overshoot the query's deadline);
+// write attempts run under Run. Nothing below the coordinator retries —
+// a region scan runs once and reports its fault.
 //
 // Thread-safe: one policy may be shared by concurrent workers; the
 // jitter source is a lock-free xorshift state.
@@ -18,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "util/query_context.h"
 #include "util/status.h"
 
 namespace trass {
@@ -33,39 +29,21 @@ class RetryPolicy {
     uint64_t max_backoff_ms = 100;
     /// Jitter fraction in [0, 1): each backoff is scaled by a uniform
     /// factor in [1 - jitter, 1 + jitter], then re-capped. Zero keeps
-    /// the schedule deterministic (what the scan tests rely on).
+    /// the schedule deterministic.
     double jitter = 0.0;
   };
 
-  RetryPolicy() : RetryPolicy(Options{}) {}
   explicit RetryPolicy(const Options& options, uint64_t seed = 0x5e7a11);
 
-  int max_retries() const { return options_.max_retries; }
-
   /// Backoff before retry `attempt` (1-based: the sleep preceding the
-  /// first retry is attempt 1). Capped exponential, jittered, and — when
-  /// `remaining_ms` is non-negative — clamped to it, rounded up.
-  uint64_t BackoffMs(int attempt, double remaining_ms = -1.0) const;
-
-  /// BackoffMs + sleep; returns the milliseconds slept.
-  uint64_t SleepBeforeRetry(int attempt, double remaining_ms = -1.0) const;
+  /// first retry is attempt 1). Capped exponential, then jittered.
+  uint64_t BackoffMs(int attempt) const;
 
   /// Runs `op` up to 1 + max_retries times with backoff sleeps in
   /// between, until it returns OK or a status retrying cannot fix
   /// (query stops, InvalidArgument, NotSupported). Returns the last
   /// status.
   Status Run(const std::function<Status()>& op) const;
-
-  /// Deadline-aware Run: backoffs are charged against `control`'s
-  /// remaining budget. A retry whose backoff would overshoot the
-  /// remaining deadline fails fast with the last error instead of
-  /// sleeping past the budget (the clamped-sleep alternative wakes at
-  /// the deadline and buys exactly one doomed attempt). A stop that
-  /// fires between attempts also ends the loop: with a failure already
-  /// recorded the caller gets that error, otherwise the stop status.
-  /// Null `control` behaves like the overload above.
-  Status Run(const std::function<Status()>& op,
-             const QueryContext* control) const;
 
  private:
   Options options_;

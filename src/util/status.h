@@ -72,8 +72,8 @@ class Status {
 
   /// True for the statuses a cooperative query control emits when a query
   /// must stop (deadline, cancellation, budget, admission). These are
-  /// caller-attributed conditions, never storage faults: retry/degraded
-  /// machinery must not treat them as region failures.
+  /// caller-attributed conditions, never storage faults: region health
+  /// must not count them as region failures.
   bool IsQueryStop() const {
     return IsTimedOut() || IsCancelled() || IsBusy();
   }

@@ -335,6 +335,80 @@ TEST(CoordinatorFaults, RetriesTransientShardFailuresToCompletion) {
   tier.Reset();
 }
 
+// The coordinator is the only retry layer: a shard store scans each
+// region once, so a one-shot table-read fault on one shard's disk costs
+// that shard exactly one failed attempt, and the coordinator's retry
+// (which rebuilds every region iterator) answers in full.
+TEST(CoordinatorFaults, StoreFaultIsRetriedByTheCoordinator) {
+  kv::FaultInjectionEnv env(kv::Env::Default());  // outlives the tier
+  constexpr size_t kVictim = 1;
+  Tier tier("coord_store_fault_retry", 3, 1,
+            [&](size_t shard, TrassOptions* o) {
+              if (shard == kVictim) o->db_options.env = &env;
+            });
+  CoordinatorOptions options = FastCoordinatorOptions();
+  options.max_shard_retries = 2;
+  options.enable_hedging = false;  // isolate the retry path
+  tier.BuildCoordinator(options);
+  const auto data = trass::testing::RandomDataset(31, 80);
+  tier.Load(data);
+
+  kv::FaultPoint fault;  // one-shot: the victim's next table read fails
+  fault.op = kv::FaultOp::kRead;
+  fault.path_substring = ".sst";
+  env.InjectFault(fault);
+  const auto before = tier.coordinator()->Stats();  // counts the writes
+
+  std::vector<SearchResult> expected, actual;
+  QueryMetrics m;
+  ASSERT_TRUE(tier.reference()
+                  ->ThresholdSearch(data[10].points, 0.05, Measure::kFrechet,
+                                    &expected)
+                  .ok());
+  const Status s = tier.coordinator()->ThresholdSearch(
+      data[10].points, 0.05, Measure::kFrechet, &actual, &m);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(env.faults_fired(), 1u) << "the query never read the victim";
+  ExpectSameResults(expected, actual, "coordinator-retried threshold");
+  EXPECT_FALSE(m.partial);
+  // The faulted attempt plus one retry: the store did not heal it alone.
+  const auto after = tier.coordinator()->Stats();
+  EXPECT_EQ(after[kVictim].attempts - before[kVictim].attempts, 2u);
+  EXPECT_EQ(after[kVictim].failures - before[kVictim].failures, 1u);
+  tier.Reset();
+}
+
+// A retry whose backoff cannot fit the remaining deadline is never
+// scheduled: the query fails fast with the shard's error instead of
+// sleeping to its deadline for one doomed attempt.
+TEST(CoordinatorFaults, RetryBackoffPastTheDeadlineFailsFast) {
+  Tier tier("coord_retry_fail_fast", 2, 1);
+  CoordinatorOptions options = FastCoordinatorOptions();
+  options.enable_hedging = false;
+  options.retry_base_backoff_ms = options.retry_max_backoff_ms = 10000;
+  tier.BuildCoordinator(options,
+                        [](size_t shard, std::shared_ptr<ShardTransport> t)
+                            -> std::shared_ptr<ShardTransport> {
+                          if (shard == 0) return t;
+                          return std::make_shared<FlakyTransport>(
+                              std::move(t), 100);
+                        });
+  const auto data = trass::testing::RandomDataset(31, 40);
+  tier.Load(data);
+  const auto before = tier.coordinator()->Stats();
+  CoordinatorQueryOptions strict;
+  strict.query.deadline_ms = 2000.0;
+  std::vector<SearchResult> results;
+  QueryMetrics m;
+  const auto start = std::chrono::steady_clock::now();
+  const Status s = tier.coordinator()->ThresholdSearch(
+      data[3].points, 0.05, Measure::kFrechet, &results, &m, strict);
+  EXPECT_LT(ElapsedMs(start), 1000.0) << "slept toward the deadline";
+  EXPECT_TRUE(s.IsIoError()) << s.ToString();
+  EXPECT_EQ(tier.coordinator()->Stats()[1].attempts - before[1].attempts, 1u);
+  tier.Reset();
+}
+
 TEST(CoordinatorFaults, TopKRetryCarriesTheBoundAndStaysExact) {
   Tier tier("coord_topk_retry", 3, 1);
   CoordinatorOptions options = FastCoordinatorOptions();

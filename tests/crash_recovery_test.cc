@@ -101,7 +101,7 @@ TEST_F(CrashRecoveryTest, TruncatedWalRecoversPrefix) {
     for (int i = 0; i < 300; ++i) {
       const std::string key = "key-" + std::to_string(i);
       std::string value;
-      const Status s = db->Get(ReadOptions(), key, &value);
+      const Status s = db->Get(key, &value);
       if (s.ok()) {
         // Anything recovered must match exactly what was written.
         ASSERT_EQ(value, model[key]) << key;
@@ -137,7 +137,7 @@ TEST_F(CrashRecoveryTest, GarbageAppendedToWalIsIgnored) {
   std::string value;
   // The destructor flushed before our append, so the row is in an SST;
   // the garbage WAL tail must not break recovery.
-  EXPECT_TRUE(db->Get(ReadOptions(), "stable", &value).ok());
+  EXPECT_TRUE(db->Get("stable", &value).ok());
   EXPECT_EQ(value, "value");
 }
 

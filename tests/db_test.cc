@@ -35,7 +35,7 @@ class DbTest : public ::testing::Test {
 
   std::string Get(const std::string& key) {
     std::string value;
-    Status s = db_->Get(ReadOptions(), key, &value);
+    Status s = db_->Get(key, &value);
     return s.ok() ? value : s.ToString();
   }
 
@@ -84,7 +84,7 @@ TEST_F(DbTest, IteratorVisitsSortedLiveKeys) {
   ASSERT_TRUE(db_->Flush().ok());
   ASSERT_TRUE(db_->Put(WriteOptions(), "b", "2").ok());
   ASSERT_TRUE(db_->Delete(WriteOptions(), "c").ok());
-  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  std::unique_ptr<Iterator> iter(db_->NewIterator());
   std::vector<std::string> keys;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     keys.push_back(iter->key().ToString());
@@ -98,7 +98,7 @@ TEST_F(DbTest, IteratorSeek) {
     std::snprintf(buf, sizeof(buf), "k%03d", i);
     ASSERT_TRUE(db_->Put(WriteOptions(), buf, std::to_string(i)).ok());
   }
-  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  std::unique_ptr<Iterator> iter(db_->NewIterator());
   iter->Seek("k050");
   ASSERT_TRUE(iter->Valid());
   EXPECT_EQ(iter->key().ToString(), "k050");
@@ -126,7 +126,7 @@ TEST_F(DbTest, ManyWritesTriggerCompactionsAndStayReadable) {
     ASSERT_EQ(Get(key), value) << key;
   }
   // Iterator agrees with the model.
-  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  std::unique_ptr<Iterator> iter(db_->NewIterator());
   auto model_it = model.begin();
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++model_it) {
     ASSERT_NE(model_it, model.end());
@@ -156,7 +156,7 @@ TEST_F(DbTest, ReadsStayCorrectWhileBackgroundCompactionReplacesFiles) {
   // Snapshot taken now; every table it references is a compaction input
   // for the churn below (the writer's keys interleave with the loaded
   // range, so merges must rewrite the loaded tables, not sidestep them).
-  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  std::unique_ptr<Iterator> iter(db_->NewIterator());
   std::atomic<bool> failed{false};
   std::thread writer([this, &failed] {
     Random rnd(7);
@@ -177,7 +177,7 @@ TEST_F(DbTest, ReadsStayCorrectWhileBackgroundCompactionReplacesFiles) {
       std::snprintf(buf, sizeof(buf), "key-%04d",
                     static_cast<int>(rnd.Uniform(1500)));
       std::string value;
-      if (!db_->Get(ReadOptions(), buf, &value).ok() ||
+      if (!db_->Get(buf, &value).ok() ||
           value != model.at(buf)) {
         failed = true;
         return;
@@ -269,7 +269,7 @@ TEST_F(DbTest, IoStatsCountScans) {
   }
   ASSERT_TRUE(db_->Flush().ok());
   const uint64_t rows_before = db_->io_stats().rows_scanned.load();
-  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  std::unique_ptr<Iterator> iter(db_->NewIterator());
   int count = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) ++count;
   EXPECT_EQ(count, 100);

@@ -156,7 +156,7 @@ TEST_P(DbSweepTest, ModelConsistencyUnderMixedWorkload) {
   for (int i = 0; i < 500; ++i) {
     const std::string key = "k" + std::to_string(i);
     std::string value;
-    const Status s = db->Get(kv::ReadOptions(), key, &value);
+    const Status s = db->Get(key, &value);
     const auto it = model.find(key);
     if (it == model.end()) {
       ASSERT_FALSE(s.ok()) << key;
@@ -166,7 +166,7 @@ TEST_P(DbSweepTest, ModelConsistencyUnderMixedWorkload) {
     }
   }
   // Full iteration agrees with the model.
-  std::unique_ptr<kv::Iterator> iter(db->NewIterator(kv::ReadOptions()));
+  std::unique_ptr<kv::Iterator> iter(db->NewIterator());
   auto model_it = model.begin();
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++model_it) {
     ASSERT_NE(model_it, model.end());

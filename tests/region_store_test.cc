@@ -54,7 +54,7 @@ TEST_F(RegionStoreTest, PutGetRoutesByShard) {
   }
   for (int shard = 0; shard < 4; ++shard) {
     std::string value;
-    ASSERT_TRUE(store_->Get(ReadOptions(), Key(shard, "k"), &value).ok());
+    ASSERT_TRUE(store_->Get(Key(shard, "k"), &value).ok());
     EXPECT_EQ(value, "v" + std::to_string(shard));
   }
 }
@@ -136,22 +136,19 @@ class RegionStoreFaultTest : public ::testing::Test {
 
   std::string StorePath() const { return dir_.path() + "/store"; }
 
-  void OpenStore(int scan_threads = 2, int max_scan_retries = 2,
-                 uint64_t retry_backoff_ms = 1) {
+  void OpenStore(int scan_threads = 2) {
     RegionStore::RegionOptions options;
     options.num_regions = 4;
     options.scan_threads = scan_threads;
-    options.max_scan_retries = max_scan_retries;
-    options.retry_backoff_ms = retry_backoff_ms;
     options.db_options.env = &env_;
     ASSERT_TRUE(RegionStore::Open(options, StorePath(), &store_).ok());
   }
 
-  // Ten rows per region, flushed so scans must read table files (where
-  // the injected faults live).
-  void Fill() {
+  // Ten rows per region (`region0_rows` in region 0), flushed so scans
+  // must read table files (where the injected faults live).
+  void Fill(int region0_rows = 10) {
     for (int shard = 0; shard < 4; ++shard) {
-      for (int i = 0; i < 10; ++i) {
+      for (int i = 0; i < (shard == 0 ? region0_rows : 10); ++i) {
         std::string key(1, static_cast<char>(shard));
         key += "k" + std::to_string(i);
         ASSERT_TRUE(store_->Put(WriteOptions(), key, "v").ok());
@@ -217,30 +214,33 @@ TEST_F(RegionStoreFaultTest, FailedRegionReturnsAttributedError) {
   EXPECT_NE(s.ToString().find("region 2"), std::string::npos)
       << s.ToString();
   EXPECT_TRUE(rows.empty());  // no partial rows from the healthy regions
-  // 1 initial attempt + 2 retries, all failed.
+  // Each region is scanned once: one failed attempt, no retries.
   const RegionHealth health = store_->Health(2);
-  EXPECT_EQ(health.failed_attempts, 3u);
-  EXPECT_EQ(health.consecutive_failures, 3u);
+  EXPECT_EQ(health.failed_attempts, 1u);
   EXPECT_FALSE(health.last_error.empty());
-  EXPECT_GE(report.retries, 2u);
   EXPECT_EQ(store_->Health(0).failed_attempts, 0u);
 }
 
-TEST_F(RegionStoreFaultTest, TransientFaultHealsViaRetry) {
+TEST_F(RegionStoreFaultTest, TransientFaultFailsOneScanAndTheNextHeals) {
   OpenStore();
   Fill();
   FaultPoint fault;  // one-shot: first table open in region 1 fails
   fault.op = FaultOp::kOpenRead;
   fault.path_substring = "region-1";
   env_.InjectFault(fault);
+  // The store does not retry: the faulted scan fails, attributed.
   std::vector<Row> rows;
-  ScanReport report;
-  ASSERT_TRUE(store_->Scan({ScanRange{"", ""}}, nullptr, &rows, &report).ok());
-  EXPECT_EQ(rows.size(), 40u);  // retry recovered the full result
-  EXPECT_GE(report.retries, 1u);
-  const RegionHealth health = store_->Health(1);
-  EXPECT_EQ(health.failed_attempts, 1u);
-  EXPECT_EQ(health.consecutive_failures, 0u);  // cleared by the success
+  const Status s = store_->Scan({ScanRange{"", ""}}, nullptr, &rows);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.ToString().find("region 1"), std::string::npos)
+      << s.ToString();
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(store_->Health(1).failed_attempts, 1u);
+  // The next scan rebuilds the region iterator and reads everything —
+  // what a coordinator retry relies on.
+  ASSERT_TRUE(store_->Scan({ScanRange{"", ""}}, nullptr, &rows).ok());
+  EXPECT_EQ(rows.size(), 40u);
+  EXPECT_EQ(store_->Health(1).failed_attempts, 1u);
 }
 
 TEST_F(RegionStoreFaultTest, GetAttributesErrorToRegion) {
@@ -250,7 +250,7 @@ TEST_F(RegionStoreFaultTest, GetAttributesErrorToRegion) {
   std::string value;
   std::string key(1, static_cast<char>(3));
   key += "k0";
-  const Status s = store_->Get(ReadOptions(), key, &value);
+  const Status s = store_->Get(key, &value);
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.ToString().find("region 3"), std::string::npos)
       << s.ToString();
@@ -377,40 +377,59 @@ TEST_F(RegionStoreFaultTest, QueryStopIsNeverCountedAsRegionFault) {
   for (int region = 0; region < 4; ++region) {
     const RegionHealth health = store_->Health(region);
     EXPECT_EQ(health.failed_attempts, 0u) << "region " << region;
-    EXPECT_EQ(health.consecutive_failures, 0u) << "region " << region;
   }
 }
 
-TEST_F(RegionStoreFaultTest, DeadlineDuringRetriesKeepsFaultOutcome) {
-  // A deadline that expires while the broken region sleeps between
-  // retries stops the retrying, but the *fault* outcome stands: the scan
-  // fails with the region's error, not the stop — an attempt already
-  // proved the region down, and a stop must never mask that.
-  OpenStore(/*scan_threads=*/4, /*max_scan_retries=*/3,
-            /*retry_backoff_ms=*/64);
-  Fill();
+// Raises the query's cancel flag from region 0's first row, but only
+// once region 2 has recorded its fault — so both outcomes are in hand
+// when the scan resolves, deterministically.
+class CancelAfterFaultFilter final : public ScanFilter {
+ public:
+  CancelAfterFaultFilter(const RegionStore* store, std::atomic<bool>* cancel)
+      : store_(store), cancel_(cancel) {}
+
+  bool Keep(const Slice& key, const Slice&) const override {
+    if (key[0] != 0 || cancel_->load()) return true;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (store_->Health(2).failed_attempts == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    cancel_->store(true);
+    return true;
+  }
+
+ private:
+  const RegionStore* store_;
+  std::atomic<bool>* cancel_;
+};
+
+TEST_F(RegionStoreFaultTest, FaultOutranksAConcurrentStop) {
+  // Region 2 is down; region 0 then hits a cancel mid-scan. The scan
+  // must fail with region 2's fault, not the stop: a caller running
+  // allow_partial would otherwise turn a proven-down region into an
+  // OK answer flagged partial.
+  OpenStore(/*scan_threads=*/4);
+  Fill(/*region0_rows=*/3 * static_cast<int>(
+           RegionStore::kControlCheckInterval));
   BreakRegion(2);
 
+  std::atomic<bool> cancel{false};
+  CancelAfterFaultFilter filter(store_.get(), &cancel);
   QueryContext control;
-  control.SetDeadlineAfterMillis(30.0);
+  control.SetCancelFlag(&cancel);
   std::vector<Row> rows;
-  ScanReport report;
-  const auto start = std::chrono::steady_clock::now();
   const Status s =
-      store_->Scan({ScanRange{"", ""}}, nullptr, &rows, &report, &control);
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
+      store_->Scan({ScanRange{"", ""}}, &filter, &rows, nullptr, &control);
+  ASSERT_TRUE(cancel.load()) << "region 0 never reached its stop";
   ASSERT_FALSE(s.ok());
   EXPECT_FALSE(s.IsQueryStop()) << s.ToString();
   EXPECT_NE(s.ToString().find("region 2"), std::string::npos)
       << s.ToString();
-  EXPECT_GE(report.retries, 1u);
-  // The deadline clamps the backoff sleeps: total retry time collapses
-  // to roughly the 30ms budget instead of the 64+100+100ms schedule.
-  EXPECT_LT(elapsed_ms, 150.0);
-  EXPECT_GE(store_->Health(2).failed_attempts, 1u);
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(store_->Health(2).failed_attempts, 1u);
+  EXPECT_EQ(store_->Health(0).failed_attempts, 0u);  // a stop, not a fault
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ class RepairTest : public ::testing::Test {
                   bool present) {
     for (int i = 0; i < count; ++i) {
       std::string value;
-      const Status s = db->Get(ReadOptions(), KeyOf(prefix, i), &value);
+      const Status s = db->Get(KeyOf(prefix, i), &value);
       if (present) {
         ASSERT_TRUE(s.ok()) << KeyOf(prefix, i) << ": " << s.ToString();
         EXPECT_EQ(value, ValueOf(i));

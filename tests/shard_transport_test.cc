@@ -184,10 +184,22 @@ TEST(WireTest, RejectsWrongVersionAndTruncation) {
   std::string payload;
   EncodeShardRequest(request, &payload);
 
+  EXPECT_EQ(payload[0], 8);  // v8: the region-scan retry counter went
   std::string wrong_version = payload;
   wrong_version[0] = static_cast<char>(0x7f);
   ShardRequest decoded;
   EXPECT_TRUE(DecodeShardRequest(Slice(wrong_version), &decoded).IsCorruption());
+  // A v7 peer (one more metric field) is refused, not misparsed.
+  wrong_version[0] = 7;
+  EXPECT_TRUE(DecodeShardRequest(Slice(wrong_version), &decoded).IsCorruption());
+  std::string response_payload;
+  EncodeShardResponse(ShardResponse{}, Status::OK(), &response_payload);
+  response_payload[0] = 7;
+  ShardResponse decoded_response;
+  Status exec_status;
+  EXPECT_TRUE(DecodeShardResponse(Slice(response_payload), &decoded_response,
+                                  &exec_status)
+                  .IsCorruption());
 
   for (size_t cut = 0; cut < payload.size(); ++cut) {
     EXPECT_FALSE(

@@ -78,7 +78,7 @@ TEST_F(TableTest, RoundTripSmall) {
   Options options;
   BuildTable(10, options);
   auto table = OpenTable(options);
-  std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
+  std::unique_ptr<Iterator> iter(table->NewIterator());
   int i = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++i) {
     EXPECT_EQ(ExtractUserKey(iter->key()).ToString(), UserKey(i));
@@ -92,7 +92,7 @@ TEST_F(TableTest, RoundTripManyBlocks) {
   options.block_size = 256;  // force many data blocks
   BuildTable(5000, options);
   auto table = OpenTable(options);
-  std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
+  std::unique_ptr<Iterator> iter(table->NewIterator());
   int i = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++i) {
     ASSERT_EQ(ExtractUserKey(iter->key()).ToString(), UserKey(i));
@@ -105,7 +105,7 @@ TEST_F(TableTest, SeekAcrossBlocks) {
   options.block_size = 128;
   BuildTable(1000, options);
   auto table = OpenTable(options);
-  std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
+  std::unique_ptr<Iterator> iter(table->NewIterator());
   for (int i : {0, 1, 499, 500, 998, 999}) {
     iter->Seek(IKey(UserKey(i), kMaxSequenceNumber));
     ASSERT_TRUE(iter->Valid()) << i;
@@ -124,8 +124,7 @@ TEST_F(TableTest, InternalGetFindsKeys) {
     bool found = false;
     std::string key, value;
     ASSERT_TRUE(table
-                    ->InternalGet(ReadOptions(),
-                                  IKey(UserKey(i), kMaxSequenceNumber),
+                    ->InternalGet(IKey(UserKey(i), kMaxSequenceNumber),
                                   &found, &key, &value)
                     .ok());
     ASSERT_TRUE(found) << i;
@@ -145,8 +144,7 @@ TEST_F(TableTest, BloomFilterSkipsAbsentKeys) {
     bool found = false;
     std::string key, value;
     ASSERT_TRUE(table
-                    ->InternalGet(ReadOptions(),
-                                  IKey("absent-" + std::to_string(i),
+                    ->InternalGet(IKey("absent-" + std::to_string(i),
                                        kMaxSequenceNumber),
                                   &found, &key, &value)
                     .ok());
@@ -168,8 +166,7 @@ TEST_F(TableTest, BlockCacheServesRepeatReads) {
       bool found = false;
       std::string key, value;
       ASSERT_TRUE(table
-                      ->InternalGet(ReadOptions(),
-                                    IKey(UserKey(i), kMaxSequenceNumber),
+                      ->InternalGet(IKey(UserKey(i), kMaxSequenceNumber),
                                     &found, &key, &value)
                       .ok());
       ASSERT_TRUE(found) << i;
@@ -200,9 +197,7 @@ TEST_F(TableTest, StreamingIteratorMatchesBuiltKeys) {
   Options options;
   BuildTable(entries, options);
   auto table = OpenTable(options);
-  ReadOptions read_options;
-  read_options.verify_checksums = true;
-  std::unique_ptr<Iterator> iter(table->NewIterator(read_options));
+  std::unique_ptr<Iterator> iter(table->NewIterator());
 
   size_t i = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++i) {
@@ -309,9 +304,8 @@ TEST_F(TableTest, OversizedDataHandleIsCorruption) {
     std::unique_ptr<RandomAccessFile> file;
     ASSERT_TRUE(Env::Default()->NewRandomAccessFile(path_, &file).ok());
     BlockContents index_contents;
-    ASSERT_TRUE(ReadBlock(file.get(), ReadOptions(), footer.index_handle(),
-                          &index_contents)
-                    .ok());
+    ASSERT_TRUE(
+        ReadBlock(file.get(), footer.index_handle(), &index_contents).ok());
     file.reset();
 
     // Re-encode the index with the third data block's size replaced,
@@ -349,15 +343,14 @@ TEST_F(TableTest, OversizedDataHandleIsCorruption) {
 
     auto table = OpenTable(options);
     ASSERT_NE(table, nullptr);
-    std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
+    std::unique_ptr<Iterator> iter(table->NewIterator());
     for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     }
     EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
     bool found = false;
     std::string key, value;
-    EXPECT_TRUE(table->InternalGet(ReadOptions(), bad_key, &found, &key,
-                                   &value)
-                    .IsCorruption());
+    EXPECT_TRUE(
+        table->InternalGet(bad_key, &found, &key, &value).IsCorruption());
   }
 }
 

@@ -648,13 +648,11 @@ class TrassStoreFaultTest : public ::testing::Test {
   TrassStoreFaultTest()
       : dir_("trass_store_fault"), env_(kv::Env::Default()) {}
 
-  void OpenFaultableStore(uint64_t retry_backoff_ms = 32) {
+  void OpenFaultableStore() {
     TrassOptions options;
     options.shards = 4;
     options.max_resolution = 12;
     options.scan_threads = 4;
-    options.max_scan_retries = 3;
-    options.scan_retry_backoff_ms = retry_backoff_ms;
     options.db_options.env = &env_;
     ASSERT_TRUE(
         TrassStore::Open(options, dir_.path() + "/store", &store_).ok());
@@ -694,7 +692,6 @@ TEST_F(TrassStoreFaultTest, BrokenRegionFailsQueryWithAttributedError) {
   EXPECT_FALSE(s.IsQueryStop()) << s.ToString();
   EXPECT_NE(s.ToString().find("region 2"), std::string::npos)
       << s.ToString();
-  EXPECT_EQ(metrics.scan_retries, 3u);
   EXPECT_FALSE(metrics.partial);
 
   // The region heals: the same query answers in full again.
@@ -707,19 +704,18 @@ TEST_F(TrassStoreFaultTest, BrokenRegionFailsQueryWithAttributedError) {
   ExpectUniqueIds(results);
 }
 
-TEST_F(TrassStoreFaultTest, DeadlineDuringRetriesStillReportsTheFault) {
-  OpenFaultableStore(/*retry_backoff_ms=*/100);
+TEST_F(TrassStoreFaultTest, DeadlinedPartialQueryStillReportsTheFault) {
+  OpenFaultableStore();
   BreakRegion(2);
 
-  // The deadline expires while the broken region sleeps between retries
-  // (100ms first backoff vs a 60ms budget). The stop ends the retrying,
-  // but the fault outcome stands: even with allow_partial the query
-  // fails with the region's error instead of returning a "partial"
-  // answer that silently lacks a region.
+  // allow_partial relaxes query stops only: a region proven down fails
+  // the query with its error instead of a "partial" answer that
+  // silently lacks a region (RegionStoreFaultTest.
+  // FaultOutranksAConcurrentStop pins the case where a stop races it).
   std::vector<SearchResult> results;
   QueryMetrics metrics;
   QueryOptions query_options;
-  query_options.deadline_ms = 60.0;
+  query_options.deadline_ms = 60000.0;
   query_options.allow_partial = true;
   const Status s = store_->ThresholdSearch(query_, 0.05, Measure::kFrechet,
                                            &results, &metrics, query_options);
@@ -727,7 +723,6 @@ TEST_F(TrassStoreFaultTest, DeadlineDuringRetriesStillReportsTheFault) {
   EXPECT_FALSE(s.IsQueryStop()) << s.ToString();
   EXPECT_NE(s.ToString().find("region 2"), std::string::npos)
       << s.ToString();
-  EXPECT_GE(metrics.scan_retries, 1u);
   EXPECT_FALSE(metrics.partial);
 }
 

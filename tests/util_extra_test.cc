@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -14,7 +12,6 @@
 #include "kv/iterator.h"
 #include "kv/merging_iterator.h"
 #include "kv/memtable.h"
-#include "util/query_context.h"
 #include "util/random.h"
 #include "util/retry_policy.h"
 #include "util/slice.h"
@@ -229,16 +226,6 @@ TEST(RetryPolicyTest, DeterministicCappedExponentialSchedule) {
   EXPECT_EQ(policy.BackoffMs(0), 2u);     // clamped to attempt 1
 }
 
-TEST(RetryPolicyTest, DeadlineClampRoundsUpAndFloorsAtZero) {
-  RetryPolicy::Options options;
-  options.base_backoff_ms = 64;
-  RetryPolicy policy(options);
-  EXPECT_EQ(policy.BackoffMs(1, 10.3), 11u);  // ceil of the remainder
-  EXPECT_EQ(policy.BackoffMs(1, 0.0), 0u);
-  EXPECT_EQ(policy.BackoffMs(1, 500.0), 64u);  // plenty left: unclamped
-  EXPECT_EQ(policy.BackoffMs(1, -1.0), 64u);   // negative: no deadline
-}
-
 TEST(RetryPolicyTest, JitterStaysWithinFractionAndUnderCap) {
   RetryPolicy::Options options;
   options.base_backoff_ms = 40;
@@ -305,84 +292,6 @@ TEST(RetryPolicyTest, RunDoesNotRetryNonRetryableStatuses) {
     EXPECT_EQ(s.ToString(), terminal.ToString());
     EXPECT_EQ(calls, 1) << terminal.ToString();
   }
-}
-
-// Pins the deadline-edge fix: a retry whose backoff overshoots the
-// remaining budget fails fast with the last error instead of sleeping
-// (the old clamped sleep woke at the deadline for one doomed attempt).
-TEST(RetryPolicyTest, DeadlineAwareRunFailsFastOnBackoffOvershoot) {
-  RetryPolicy::Options options;
-  options.max_retries = 3;
-  options.base_backoff_ms = 10000;  // any retry would sleep ~10s
-  options.max_backoff_ms = 10000;
-  RetryPolicy policy(options);
-  QueryContext control;
-  control.SetDeadlineAfterMillis(50.0);
-  int calls = 0;
-  const auto start = std::chrono::steady_clock::now();
-  Status s = policy.Run(
-      [&] {
-        ++calls;
-        return Status::IoError("flaky shard");
-      },
-      &control);
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_TRUE(s.IsIoError()) << s.ToString();       // the last error, not a stop
-  EXPECT_EQ(calls, 1);                              // no doomed retry launched
-  EXPECT_LT(elapsed_ms, 5000.0) << "slept past the deadline";
-}
-
-TEST(RetryPolicyTest, DeadlineAwareRunRetriesWithinBudget) {
-  RetryPolicy::Options options;
-  options.max_retries = 3;
-  options.base_backoff_ms = 1;
-  RetryPolicy policy(options);
-  QueryContext control;
-  control.SetDeadlineAfterMillis(60000.0);  // plenty of room
-  int calls = 0;
-  Status s = policy.Run(
-      [&] {
-        ++calls;
-        return calls < 3 ? Status::IoError("transient") : Status::OK();
-      },
-      &control);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(RetryPolicyTest, DeadlineAwareRunReturnsStopWhenCancelledUpFront) {
-  RetryPolicy policy;
-  std::atomic<bool> cancel{true};
-  QueryContext control;
-  control.SetCancelFlag(&cancel);
-  int calls = 0;
-  Status s = policy.Run(
-      [&] {
-        ++calls;
-        return Status::OK();
-      },
-      &control);
-  EXPECT_TRUE(s.IsCancelled()) << s.ToString();
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(RetryPolicyTest, DeadlineAwareRunWithNullControlMatchesPlainRun) {
-  RetryPolicy::Options options;
-  options.max_retries = 2;
-  options.base_backoff_ms = 0;
-  RetryPolicy policy(options);
-  int calls = 0;
-  Status s = policy.Run(
-      [&] {
-        ++calls;
-        return Status::NoSpace("still full");
-      },
-      static_cast<const QueryContext*>(nullptr));
-  EXPECT_TRUE(s.IsNoSpace());
-  EXPECT_EQ(calls, 3);
 }
 
 }  // namespace
