@@ -1,10 +1,13 @@
 #!/bin/bash
-# CI entry point: builds and tests the three configurations the project
+# CI entry point: builds and tests the four configurations the project
 # promises to keep green —
 #   release   plain Release, all targets (tests + benches + examples)
 #   asan      ASan + UBSan, tests only
 #   tsan      TSan, tests only (ingest/scan/scrub and coordinator
 #             fan-out concurrency races)
+#   portable  Release without -march=native (TRASS_NATIVE_SIMD=OFF),
+#             tests only: the slicing-by-8 CRC32C and every other
+#             non-native code path are built and tested too
 #
 # Plus one opt-in stage (never part of the default set):
 #   chaos     ASan build of the four seeded fault matrices (single-store
@@ -13,7 +16,8 @@
 #             seed in a fixed schedule. A failing run prints the seed;
 #             rerun just it with TRASS_CHAOS_SEED=<seed>.
 #
-# Usage: ci.sh [release|asan|tsan|chaos ...]   (default: release asan tsan)
+# Usage: ci.sh [release|asan|tsan|portable|chaos ...]
+#        (default: release asan tsan portable)
 #
 # Each configuration gets its own build tree under build-ci/ so a local
 # developer build/ is never clobbered. Fails fast on the first broken
@@ -23,7 +27,7 @@ cd "$(dirname "$0")"
 
 configs=("$@")
 if [ "${#configs[@]}" -eq 0 ]; then
-  configs=(release asan tsan)
+  configs=(release asan tsan portable)
 fi
 
 jobs="$(nproc 2>/dev/null || echo 4)"
@@ -76,6 +80,11 @@ for config in "${configs[@]}"; do
         -DTRASS_SANITIZE=thread \
         -DTRASS_BUILD_BENCHMARKS=OFF -DTRASS_BUILD_EXAMPLES=OFF
       ;;
+    portable)
+      run_config portable \
+        -DTRASS_NATIVE_SIMD=OFF \
+        -DTRASS_BUILD_BENCHMARKS=OFF -DTRASS_BUILD_EXAMPLES=OFF
+      ;;
     chaos)
       dir="build-ci/chaos"
       echo "=== [chaos] configure ==="
@@ -123,7 +132,7 @@ for config in "${configs[@]}"; do
       echo "=== [chaos] OK ==="
       ;;
     *)
-      echo "ci.sh: unknown configuration: $config (want release|asan|tsan|chaos)" >&2
+      echo "ci.sh: unknown configuration: $config (want release|asan|tsan|portable|chaos)" >&2
       exit 1
       ;;
   esac

@@ -223,13 +223,16 @@ int main(int argc, char** argv) {
   const auto stats = coordinator.Stats();
   for (size_t i = 0; i < stats.size(); ++i) {
     std::printf("  shard %zu [%s]: breaker=%s trips=%llu rejected=%llu "
-                "attempts=%llu failures=%llu hedges=%llu p95=%.2fms\n",
+                "attempts=%llu failures=%llu writes=%llu write_failures=%llu "
+                "hedges=%llu p95=%.2fms\n",
                 i, stats[i].endpoint.c_str(),
                 BreakerStateName(stats[i].breaker_state),
                 static_cast<unsigned long long>(stats[i].breaker_trips),
                 static_cast<unsigned long long>(stats[i].breaker_rejected),
                 static_cast<unsigned long long>(stats[i].attempts),
                 static_cast<unsigned long long>(stats[i].failures),
+                static_cast<unsigned long long>(stats[i].write_attempts),
+                static_cast<unsigned long long>(stats[i].write_failures),
                 static_cast<unsigned long long>(stats[i].hedges_sent),
                 stats[i].p95_latency_ms);
   }

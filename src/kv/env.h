@@ -30,7 +30,8 @@ class WritableFile {
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
-  /// Reads up to n bytes at `offset`; *result points into `scratch`.
+  /// Reads up to n bytes at `offset`; *result points into `scratch`, or
+  /// at bytes the file itself owns that stay valid while it is open.
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       char* scratch) const = 0;
   virtual uint64_t Size() const = 0;

@@ -1,7 +1,5 @@
 #include "kv/format.h"
 
-#include <memory>
-
 #include "util/coding.h"
 #include "util/crc32c.h"
 
@@ -61,17 +59,26 @@ Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
   Status s = CheckBlockHandle(handle, file->Size());
   if (!s.ok()) return s;
   const size_t n = static_cast<size_t>(handle.size());
-  auto buf = std::make_unique<char[]>(n + kBlockTrailerSize);
+  // Read payload and trailer straight into the result; the trailer is
+  // trimmed once verified.
+  std::string& buf = result->data;
+  buf.resize(n + kBlockTrailerSize);
   Slice contents;
-  s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents, buf.get());
-  if (!s.ok()) return s;
-  if (contents.size() != n + kBlockTrailerSize) {
-    return Status::Corruption("truncated block read");
+  s = file->Read(handle.offset(), n + kBlockTrailerSize, &contents,
+                 buf.data());
+  if (s.ok() && contents.size() != n + kBlockTrailerSize) {
+    s = Status::Corruption("truncated block read");
   }
-  const char* data = contents.data();
-  s = VerifyBlockInPlace(data, n);
-  if (!s.ok()) return s;
-  result->data.assign(data, n);
+  if (s.ok()) s = VerifyBlockInPlace(contents.data(), n);
+  if (!s.ok()) {
+    buf.clear();
+    return s;
+  }
+  if (contents.data() != buf.data()) {
+    buf.assign(contents.data(), n);  // the env returned its own bytes
+  } else {
+    buf.resize(n);
+  }
   return Status::OK();
 }
 

@@ -1,8 +1,8 @@
 #include "kv/table.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
-#include <vector>
 
 #include "kv/dbformat.h"
 #include "kv/bloom.h"
@@ -250,9 +250,17 @@ class ReadaheadTableIterator final : public Iterator {
     size_t len = std::max(window_target_, need);
     len = static_cast<size_t>(
         std::min<uint64_t>(len, file_size_ - offset));
-    buffer_.resize(len);
+    // The old window is gone from here on, even if the read fails.
+    window_data_ = nullptr;
+    window_len_ = 0;
+    if (len > buffer_capacity_) {
+      // pread overwrites every byte it returns, so the buffer is never
+      // zero-filled; it only grows, and is reused across refills.
+      buffer_ = std::make_unique_for_overwrite<char[]>(len);
+      buffer_capacity_ = len;
+    }
     Slice result;
-    Status s = file_->Read(offset, len, &result, buffer_.data());
+    Status s = file_->Read(offset, len, &result, buffer_.get());
     if (!s.ok()) return s;
     if (result.size() < need) {
       return Status::Corruption("truncated block read");
@@ -277,7 +285,8 @@ class ReadaheadTableIterator final : public Iterator {
   const uint64_t file_size_;
   IoStats* const stats_;
 
-  std::vector<char> buffer_;
+  std::unique_ptr<char[]> buffer_;
+  size_t buffer_capacity_ = 0;
   const char* window_data_ = nullptr;  // into buffer_ (or env-owned bytes)
   uint64_t window_offset_ = 0;
   size_t window_len_ = 0;

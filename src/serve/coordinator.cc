@@ -603,19 +603,15 @@ Status ShardCoordinator::PutBatch(
     write.contacted = true;
     inflight.push_back(pool_->Submit(
         [this, i, &write, request = std::move(request)]() mutable {
-          per_shard_[i]->attempts.fetch_add(1, std::memory_order_relaxed);
           // No hedging: a write that races its own duplicate is only
           // safe because re-puts are idempotent, and we reserve that
           // property for hint replay, not routine ingest. The probe
           // claimed by Admit() (if any) is settled by the Record below.
-          const Status s = retry_policy_.Run([&] {
-            ShardResponse response;
-            return transports_[i]->Execute(request, nullptr, &response);
-          });
+          const Status s = retry_policy_.Run(
+              [&] { return ExecuteWrite(i, request); });
           if (s.ok()) {
             breakers_[i]->RecordSuccess();
           } else {
-            per_shard_[i]->failures.fetch_add(1, std::memory_order_relaxed);
             breakers_[i]->RecordFailure(s);
           }
           write.status = s;
@@ -691,6 +687,18 @@ Status ShardCoordinator::PutBatch(
   return first_failure;
 }
 
+Status ShardCoordinator::ExecuteWrite(size_t shard,
+                                      const ShardRequest& request) {
+  PerShard& counters = *per_shard_[shard];
+  counters.write_attempts.fetch_add(1, std::memory_order_relaxed);
+  ShardResponse response;
+  Status s = transports_[shard]->Execute(request, nullptr, &response);
+  if (!s.ok()) {
+    counters.write_failures.fetch_add(1, std::memory_order_relaxed);
+  }
+  return s;
+}
+
 Status ShardCoordinator::ReplayHints(HintReplayReport* report) {
   if (report != nullptr) *report = HintReplayReport();
   if (journal_ == nullptr) {
@@ -710,9 +718,7 @@ Status ShardCoordinator::ReplayHints(HintReplayReport* report) {
       request.op = ShardOp::kPut;
       request.deadline_ms = options_.write_deadline_ms;
       request.trajectories = hint.rows;
-      ShardResponse response;
-      per_shard_[shard]->attempts.fetch_add(1, std::memory_order_relaxed);
-      const Status s = transports_[shard]->Execute(request, nullptr, &response);
+      const Status s = ExecuteWrite(shard, request);
       if (s.ok()) {
         breakers_[shard]->RecordSuccess();
         // Crash between delivery and this retirement re-delivers the
@@ -724,7 +730,6 @@ Status ShardCoordinator::ReplayHints(HintReplayReport* report) {
           report->replayed_rows += hint.rows.size();
         }
       } else {
-        per_shard_[shard]->failures.fetch_add(1, std::memory_order_relaxed);
         breakers_[shard]->RecordFailure(s);
         if (report != nullptr) report->failed++;
         if (first_failure.ok()) {
@@ -772,7 +777,6 @@ Status ShardCoordinator::ScrubShards(ShardScrubReport* report) {
         fingerprints[i][fp.primary] = fp;
       }
     } else {
-      per_shard_[i]->failures.fetch_add(1, std::memory_order_relaxed);
       breakers_[i]->RecordFailure(s);
       if (report != nullptr) report->shards_unreachable++;
       if (first_failure.ok()) {
@@ -824,7 +828,6 @@ Status ShardCoordinator::ScrubShards(ShardScrubReport* report) {
       ShardResponse response;
       const Status s = transports_[m]->Execute(request, nullptr, &response);
       if (!s.ok()) {
-        per_shard_[m]->failures.fetch_add(1, std::memory_order_relaxed);
         breakers_[m]->RecordFailure(s);
         if (first_failure.ok()) {
           first_failure = s.WithContext(ShardLabel(m, *transports_[m]));
@@ -847,15 +850,13 @@ Status ShardCoordinator::ScrubShards(ShardScrubReport* report) {
         if (have[idx].count(id) == 0) request.trajectories.push_back(t);
       }
       if (request.trajectories.empty()) continue;
-      ShardResponse response;
-      const Status s = transports_[m]->Execute(request, nullptr, &response);
+      const Status s = ExecuteWrite(m, request);
       if (s.ok()) {
         breakers_[m]->RecordSuccess();
         if (report != nullptr) {
           report->rows_repaired += request.trajectories.size();
         }
       } else {
-        per_shard_[m]->failures.fetch_add(1, std::memory_order_relaxed);
         breakers_[m]->RecordFailure(s);
         if (first_failure.ok()) {
           first_failure = s.WithContext(ShardLabel(m, *transports_[m]));
@@ -1116,6 +1117,10 @@ std::vector<ShardStats> ShardCoordinator::Stats() const {
         per_shard_[i]->hedge_wins.load(std::memory_order_relaxed);
     stats.attempts = per_shard_[i]->attempts.load(std::memory_order_relaxed);
     stats.failures = per_shard_[i]->failures.load(std::memory_order_relaxed);
+    stats.write_attempts =
+        per_shard_[i]->write_attempts.load(std::memory_order_relaxed);
+    stats.write_failures =
+        per_shard_[i]->write_failures.load(std::memory_order_relaxed);
     stats.p95_latency_ms = per_shard_[i]->latency->Percentile(95.0);
     out.push_back(std::move(stats));
   }

@@ -217,8 +217,13 @@ struct ShardStats {
   uint64_t breaker_rejected = 0;
   uint64_t hedges_sent = 0;
   uint64_t hedge_wins = 0;
+  /// Query attempts (primaries, hedges and retries) and how many failed.
   uint64_t attempts = 0;
   uint64_t failures = 0;
+  /// Write deliveries (PutBatch, hint replay, scrub repair), one per try
+  /// inside the retry loop, and how many of those tries failed.
+  uint64_t write_attempts = 0;
+  uint64_t write_failures = 0;
   double p95_latency_ms = 0.0;
 };
 
@@ -326,6 +331,8 @@ class ShardCoordinator {
     std::unique_ptr<LatencyTracker> latency;
     std::atomic<uint64_t> attempts{0};
     std::atomic<uint64_t> failures{0};
+    std::atomic<uint64_t> write_attempts{0};
+    std::atomic<uint64_t> write_failures{0};
     std::atomic<uint64_t> hedges_sent{0};
     std::atomic<uint64_t> hedge_wins{0};
   };
@@ -357,6 +364,10 @@ class ShardCoordinator {
                          size_t shard, bool is_hedge, bool is_probe,
                          uint64_t epoch, double elapsed_ms, Status status,
                          ShardResponse&& response);
+
+  /// One kPut delivery to `shard`, counted in its write_attempts and
+  /// (on error) write_failures. Breaker bookkeeping stays with the caller.
+  Status ExecuteWrite(size_t shard, const ShardRequest& request);
 
   /// Background hint replayer body (hint_replay_interval_ms > 0).
   void ReplayLoop();

@@ -266,6 +266,30 @@ class FlakyTransport : public ShardTransport {
   std::atomic<int> remaining_;
 };
 
+/// Fails the first `failures` kPut deliveries with IoError, then
+/// forwards; queries always forward.
+class FlakyWriteTransport : public ShardTransport {
+ public:
+  FlakyWriteTransport(std::shared_ptr<ShardTransport> inner, int failures)
+      : inner_(std::move(inner)), remaining_(failures) {}
+
+  Status Execute(const ShardRequest& request, const std::atomic<bool>* cancel,
+                 ShardResponse* response) override {
+    if (request.op == ShardOp::kPut &&
+        remaining_.fetch_sub(1, std::memory_order_relaxed) > 0) {
+      return Status::IoError("flaky: injected write failure");
+    }
+    return inner_->Execute(request, cancel, response);
+  }
+  std::string Describe() const override {
+    return "flaky-write(" + inner_->Describe() + ")";
+  }
+
+ private:
+  std::shared_ptr<ShardTransport> inner_;
+  std::atomic<int> remaining_;
+};
+
 /// First query call sleeps (cancellably) then forwards; later calls
 /// forward immediately — a one-off straggler for hedging tests.
 class SlowOnceTransport : public ShardTransport {
@@ -357,7 +381,7 @@ TEST(CoordinatorFaults, StoreFaultIsRetriedByTheCoordinator) {
   fault.op = kv::FaultOp::kRead;
   fault.path_substring = ".sst";
   env.InjectFault(fault);
-  const auto before = tier.coordinator()->Stats();  // counts the writes
+  const auto before = tier.coordinator()->Stats();
 
   std::vector<SearchResult> expected, actual;
   QueryMetrics m;
@@ -375,6 +399,54 @@ TEST(CoordinatorFaults, StoreFaultIsRetriedByTheCoordinator) {
   const auto after = tier.coordinator()->Stats();
   EXPECT_EQ(after[kVictim].attempts - before[kVictim].attempts, 2u);
   EXPECT_EQ(after[kVictim].failures - before[kVictim].failures, 1u);
+  tier.Reset();
+}
+
+// Query and write deliveries are counted apart: on a fresh R=1 tier
+// one PutBatch (whose delivery to shard 1 fails once and is retried)
+// and one strict threshold query leave exact absolute counts, with no
+// write folded into a shard's query attempts.
+TEST(CoordinatorFaults, StatsCountQueryAndWriteAttemptsApart) {
+  constexpr size_t kFlaky = 1;
+  Tier tier("coord_stats_split", 3, 1);
+  CoordinatorOptions options = FastCoordinatorOptions();
+  options.max_shard_retries = 2;
+  options.enable_hedging = false;
+  tier.BuildCoordinator(options,
+                        [](size_t shard, std::shared_ptr<ShardTransport> t)
+                            -> std::shared_ptr<ShardTransport> {
+                          if (shard != kFlaky) return t;
+                          return std::make_shared<FlakyWriteTransport>(
+                              std::move(t), 1);
+                        });
+  const auto data = trass::testing::RandomDataset(31, 80);
+  tier.Load(data);  // one PutBatch; every shard receives rows
+
+  auto stats = tier.coordinator()->Stats();
+  for (size_t i = 0; i < stats.size(); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    EXPECT_EQ(stats[i].attempts, 0u);
+    EXPECT_EQ(stats[i].failures, 0u);
+    EXPECT_EQ(stats[i].write_attempts, i == kFlaky ? 2u : 1u);
+    EXPECT_EQ(stats[i].write_failures, i == kFlaky ? 1u : 0u);
+  }
+
+  CoordinatorQueryOptions strict;
+  std::vector<SearchResult> results;
+  QueryMetrics m;
+  const Status s = tier.coordinator()->ThresholdSearch(
+      data[10].points, 0.05, Measure::kFrechet, &results, &m, strict);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_FALSE(m.partial);
+  stats = tier.coordinator()->Stats();
+  for (size_t i = 0; i < stats.size(); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    EXPECT_EQ(stats[i].attempts, 1u);
+    EXPECT_EQ(stats[i].failures, 0u);
+    EXPECT_EQ(stats[i].hedges_sent, 0u);
+    EXPECT_EQ(stats[i].write_attempts, i == kFlaky ? 2u : 1u);
+    EXPECT_EQ(stats[i].write_failures, i == kFlaky ? 1u : 0u);
+  }
   tier.Reset();
 }
 

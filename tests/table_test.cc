@@ -133,6 +133,54 @@ TEST_F(TableTest, InternalGetFindsKeys) {
   }
 }
 
+// A file that hands out slices of bytes it owns instead of filling the
+// caller's scratch buffer, as an mmap-backed Env would.
+class OwnedBytesFile final : public RandomAccessFile {
+ public:
+  explicit OwnedBytesFile(std::string contents)
+      : contents_(std::move(contents)) {}
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* /*scratch*/) const override {
+    if (offset > contents_.size()) return Status::IoError("read past end");
+    n = std::min<size_t>(n, contents_.size() - offset);
+    *result = Slice(contents_.data() + offset, n);
+    return Status::OK();
+  }
+  uint64_t Size() const override { return contents_.size(); }
+
+ private:
+  const std::string contents_;
+};
+
+TEST_F(TableTest, ReadsFromEnvOwnedBytes) {
+  Options options;
+  options.block_size = 128;
+  BuildTable(500, options);
+  std::string contents;
+  ASSERT_TRUE(Env::Default()->ReadFileToString(path_, &contents).ok());
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(Table::Open(options, 1,
+                          std::make_unique<OwnedBytesFile>(contents), &cache_,
+                          &stats_, &table)
+                  .ok());
+  std::unique_ptr<Iterator> iter(table->NewIterator());
+  int i = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++i) {
+    EXPECT_EQ(ExtractUserKey(iter->key()).ToString(), UserKey(i));
+    EXPECT_EQ(iter->value().ToString(), "value-" + std::to_string(i));
+  }
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+  EXPECT_EQ(i, 500);
+  bool found = false;
+  std::string key, value;
+  ASSERT_TRUE(table
+                  ->InternalGet(IKey(UserKey(321), kMaxSequenceNumber),
+                                &found, &key, &value)
+                  .ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(value, "value-321");
+}
+
 TEST_F(TableTest, BloomFilterSkipsAbsentKeys) {
   Options options;
   options.bloom_bits_per_key = 10;
@@ -352,6 +400,77 @@ TEST_F(TableTest, OversizedDataHandleIsCorruption) {
     EXPECT_TRUE(
         table->InternalGet(bad_key, &found, &key, &value).IsCorruption());
   }
+}
+
+// Every single-bit flip in a real ~4 KB data block's payload, type byte
+// or stored CRC is caught: the checksum kernel keeps CRC32C's guarantee
+// of detecting all 1-bit errors.
+TEST(BlockChecksumTest, EveryBitFlipIsCorruption) {
+  const Options options;
+  BlockBuilder builder(options.block_restart_interval);
+  for (int i = 0; builder.CurrentSizeEstimate() < options.block_size; ++i) {
+    builder.Add(IKey(UserKey(i)), "value-" + std::to_string(i));
+  }
+  std::string block = builder.Finish().ToString();
+  const size_t payload_size = block.size();
+  const char kNoCompression = 0;
+  const uint32_t crc = crc32c::Extend(
+      crc32c::Value(block.data(), payload_size), &kNoCompression, 1);
+  block.push_back(kNoCompression);
+  PutFixed32(&block, crc32c::Mask(crc));
+  ASSERT_EQ(block.size(), payload_size + kBlockTrailerSize);
+  ASSERT_TRUE(VerifyBlockInPlace(block.data(), payload_size).ok());
+
+  for (size_t byte = 0; byte < block.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      block[byte] = static_cast<char>(block[byte] ^ (1 << bit));
+      ASSERT_TRUE(VerifyBlockInPlace(block.data(), payload_size).IsCorruption())
+          << "flip of byte " << byte << " bit " << bit << " passed";
+      block[byte] = static_cast<char>(block[byte] ^ (1 << bit));
+    }
+  }
+  ASSERT_TRUE(VerifyBlockInPlace(block.data(), payload_size).ok());
+}
+
+// One flipped byte inside a data block of a written table ends the
+// streaming scan with Corruption and is counted once.
+TEST_F(TableTest, FlippedDataByteFailsScanAndIsCounted) {
+  Options options;
+  options.block_size = 1024;
+  BuildTable(1000, options);
+  std::string contents;
+  ASSERT_TRUE(Env::Default()->ReadFileToString(path_, &contents).ok());
+  const size_t footer_at = contents.size() - Footer::kEncodedLength;
+  Footer footer;
+  Slice footer_input(contents.data() + footer_at, Footer::kEncodedLength);
+  ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(Env::Default()->NewRandomAccessFile(path_, &file).ok());
+  BlockContents index_contents;
+  ASSERT_TRUE(
+      ReadBlock(file.get(), footer.index_handle(), &index_contents).ok());
+  file.reset();
+  Block index(std::move(index_contents.data));
+  std::unique_ptr<Iterator> it(index.NewIterator());
+  it->SeekToFirst();
+  for (int skip = 0; skip < 3 && it->Valid(); ++skip) it->Next();
+  ASSERT_TRUE(it->Valid());
+  BlockHandle victim;
+  Slice input = it->value();
+  ASSERT_TRUE(victim.DecodeFrom(&input).ok());
+  const size_t flip_at = victim.offset() + victim.size() / 2;
+  contents[flip_at] = static_cast<char>(contents[flip_at] ^ 0x5a);
+  ASSERT_TRUE(
+      Env::Default()->WriteStringToFile(contents, path_, false).ok());
+
+  auto table = OpenTable(options);
+  ASSERT_NE(table, nullptr);
+  const uint64_t before = stats_.corruptions_detected.load();
+  std::unique_ptr<Iterator> iter(table->NewIterator());
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+  }
+  EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
+  EXPECT_EQ(stats_.corruptions_detected.load(), before + 1);
 }
 
 TEST_F(TableTest, OpenRejectsGarbage) {
