@@ -5,6 +5,9 @@
 
 #include "bench_common.h"
 
+#include "core/row_codec.h"
+#include "core/trass_store.h"
+#include "index/xzstar.h"
 #include "util/stopwatch.h"
 
 namespace trass {
@@ -32,25 +35,21 @@ void RunDataset(const Dataset& dataset, const std::string& dir) {
 
   std::printf("\n=== Figure 13(c) — row-key storage — %s ===\n",
               dataset.name.c_str());
-  auto build_store = [&](bool string_keys, double* avg_bytes) {
-    core::TrassOptions options;
-    options.string_keys = string_keys;
-    const std::string path =
-        dir + (string_keys ? "/keys_string" : "/keys_int");
-    kv::Env::Default()->RemoveDirRecursively(path);
-    std::unique_ptr<core::TrassStore> store;
-    Status s = core::TrassStore::Open(options, path, &store);
-    if (!s.ok()) return s;
-    for (const auto& t : dataset.data) {
-      s = store->Put(t);
-      if (!s.ok()) return s;
-    }
-    *avg_bytes = store->average_rowkey_bytes();
-    return Status::OK();
-  };
-  double int_bytes = 0.0, str_bytes = 0.0;
-  if (build_store(false, &int_bytes).ok() &&
-      build_store(true, &str_bytes).ok()) {
+  // Both averages come straight from the two key encoders, over the
+  // index space each trajectory gets at the store's default resolution.
+  // The shard byte is one byte in either encoding, so shard 0 stands in
+  // for the hashed shard.
+  const index::XzStar xz(core::TrassOptions{}.max_resolution);
+  uint64_t int_total = 0, str_total = 0;
+  for (const auto& t : dataset.data) {
+    const index::XzStar::IndexSpace space = xz.Index(t.points);
+    int_total += core::EncodeRowKey(0, xz.Encode(space), t.id).size();
+    str_total += core::EncodeStringRowKey(0, space, t.id).size();
+  }
+  if (!dataset.data.empty()) {
+    const double n = static_cast<double>(dataset.data.size());
+    const double int_bytes = static_cast<double>(int_total) / n;
+    const double str_bytes = static_cast<double>(str_total) / n;
     std::printf("%-28s %10.2f bytes/rowkey\n", "TraSS (integer encoding)",
                 int_bytes);
     std::printf("%-28s %10.2f bytes/rowkey\n", "TraSS-S (string encoding)",

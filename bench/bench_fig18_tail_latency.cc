@@ -254,8 +254,8 @@ void RunFailoverVsSkip(const Dataset& dataset, const std::string& dir,
       fault.permanent = true;
       env.InjectFault(fault);
     }
-    serve::CoordinatorQueryOptions query_options;
-    query_options.query.allow_partial = factor == 1;
+    core::QueryOptions query_options;
+    query_options.allow_partial = factor == 1;
     Histogram latency;
     size_t skipped_queries = 0;
     size_t errors = 0;

@@ -1,7 +1,7 @@
 // Coordinator-mode plumbing for the figure harnesses: stand up N
 // TrassStore shards behind in-process transports, ingest through the
 // partitioner, and drive the scatter-gather query path, reporting the
-// serving-tier rates (hedges, verified partials, quota sheds) next to
+// serving-tier rates (hedges, verified partials) next to
 // the latency medians. Enabled per-bench with --shards N.
 
 #ifndef TRASS_BENCH_BENCH_SERVE_COMMON_H_
@@ -61,7 +61,6 @@ struct CoordinatorPassResult {
   double topk_p50_ms = 0.0;
   double hedge_rate = 0.0;    // hedges sent / shard attempts
   double partial_rate = 0.0;  // queries answered as verified partials
-  double shed_rate = 0.0;     // queries rejected by the tenant quota
   size_t queries = 0;
 };
 
@@ -72,11 +71,11 @@ inline CoordinatorPassResult RunCoordinatorQueries(
     CoordinatorTier& tier, const std::vector<core::Trajectory>& data,
     const std::vector<size_t>& query_indices, double eps, int k) {
   CoordinatorPassResult result;
-  serve::CoordinatorQueryOptions query_options;
-  query_options.query.allow_partial = true;
-  query_options.query.deadline_ms = 10000.0;
+  core::QueryOptions query_options;
+  query_options.allow_partial = true;
+  query_options.deadline_ms = 10000.0;
   std::vector<double> threshold_ms, topk_ms;
-  uint64_t partials = 0, sheds = 0;
+  uint64_t partials = 0;
   for (size_t qi : query_indices) {
     std::vector<core::SearchResult> found;
     core::QueryMetrics m;
@@ -84,9 +83,7 @@ inline CoordinatorPassResult RunCoordinatorQueries(
         data[qi].points, eps, core::Measure::kFrechet, &found, &m,
         query_options);
     result.queries++;
-    if (s.IsBusy()) {
-      sheds++;
-    } else if (s.ok()) {
+    if (s.ok()) {
       threshold_ms.push_back(m.total_ms);
       if (m.partial) partials++;
     }
@@ -94,9 +91,7 @@ inline CoordinatorPassResult RunCoordinatorQueries(
                                      core::Measure::kFrechet, &found, &m,
                                      query_options);
     result.queries++;
-    if (s.IsBusy()) {
-      sheds++;
-    } else if (s.ok()) {
+    if (s.ok()) {
       topk_ms.push_back(m.total_ms);
       if (m.partial) partials++;
     }
@@ -115,24 +110,22 @@ inline CoordinatorPassResult RunCoordinatorQueries(
   if (result.queries > 0) {
     result.partial_rate = static_cast<double>(partials) /
                           static_cast<double>(result.queries);
-    result.shed_rate = static_cast<double>(sheds) /
-                       static_cast<double>(result.queries);
   }
   return result;
 }
 
 inline void PrintCoordinatorHeader() {
-  std::printf("%-8s %18s %16s %12s %13s %10s\n", "shards",
+  std::printf("%-8s %18s %16s %12s %13s\n", "shards",
               "threshold-ms(p50)", "topk-ms(p50)", "hedge-rate",
-              "partial-rate", "shed-rate");
-  PrintRule(84);
+              "partial-rate");
+  PrintRule(73);
 }
 
 inline void PrintCoordinatorRow(size_t shards,
                                 const CoordinatorPassResult& r) {
-  std::printf("%-8zu %18.2f %16.2f %12.4f %13.4f %10.4f\n", shards,
+  std::printf("%-8zu %18.2f %16.2f %12.4f %13.4f\n", shards,
               r.threshold_p50_ms, r.topk_p50_ms, r.hedge_rate,
-              r.partial_rate, r.shed_rate);
+              r.partial_rate);
 }
 
 }  // namespace bench

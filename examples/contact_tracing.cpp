@@ -152,9 +152,9 @@ int main(int argc, char** argv) {
   // partial answer through a single shard loss, so don't allow one.
   std::vector<core::SearchResult> contacts;
   core::QueryMetrics metrics;
-  serve::CoordinatorQueryOptions query_options;
-  query_options.query.allow_partial = false;
-  query_options.query.deadline_ms = 2000.0;
+  core::QueryOptions query_options;
+  query_options.allow_partial = false;
+  query_options.deadline_ms = 2000.0;
   s = coordinator.ThresholdSearch(patient.points, kContactEps,
                                   core::Measure::kFrechet, &contacts,
                                   &metrics, query_options);

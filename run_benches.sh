@@ -64,7 +64,7 @@ done
 
 # Coordinator-mode passes: the same fig17/fig19 workloads served by a
 # 4-shard scatter-gather tier, so the snapshot records the serving-tier
-# latency medians plus its hedge/partial/shed rates next to the
+# latency medians plus its hedge/partial rates next to the
 # single-store numbers above.
 for b in build/bench/bench_fig17_scalability build/bench/bench_fig19_shards; do
   if [ -x "$b" ]; then

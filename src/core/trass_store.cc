@@ -67,36 +67,28 @@ void ArmControl(const QueryOptions& query_options, QueryContext* control) {
 }
 
 // Collects, server-side and without materializing the scan result,
-// the filter-tier record of every integer-keyed row (open / recovery /
-// scrub), and counts string-keyed rows. Row values are decoded only for
-// the tier's columns; a row whose value does not decode keeps a
-// degenerate box, which only loosens bounds — the scan paths drop the
-// row itself.
+// the filter-tier record of every row (open / recovery / scrub). Row
+// values are decoded only for the tier's columns; a row whose value
+// does not decode keeps a degenerate box, which only loosens bounds —
+// the scan paths drop the row itself.
 class StoredRowCollector final : public kv::ScanFilter {
  public:
-  StoredRowCollector(bool string_keys, bool columns)
-      : string_keys_(string_keys), columns_(columns) {}
+  explicit StoredRowCollector(bool columns) : columns_(columns) {}
 
   bool Keep(const Slice& key, const Slice& value) const override {
     filter::FilterRowData row;
-    Status s;
-    if (!string_keys_) {
-      uint8_t shard;
-      uint64_t tid;
-      s = DecodeRowKey(key, &shard, &row.index_value, &tid);
-      row.tid = static_cast<int64_t>(tid);
-      StoredTrajectory t;
-      if (s.ok() && columns_ && DecodeRow(key, value, &t).ok()) {
-        row.mbr = geo::Mbr::Of(t.points);
-        row.fingerprint =
-            filter::MinhashSignature(t.points, filter::kFingerprintParams);
-      }
+    uint8_t shard;
+    uint64_t tid;
+    const Status s = DecodeRowKey(key, &shard, &row.index_value, &tid);
+    row.tid = static_cast<int64_t>(tid);
+    StoredTrajectory t;
+    if (s.ok() && columns_ && DecodeRow(key, value, &t).ok()) {
+      row.mbr = geo::Mbr::Of(t.points);
+      row.fingerprint =
+          filter::MinhashSignature(t.points, filter::kFingerprintParams);
     }
     std::lock_guard<std::mutex> lock(mu_);
-    if (string_keys_) {
-      ++string_rows_;
-      string_key_bytes_ += key.size();
-    } else if (s.ok()) {
+    if (s.ok()) {
       rows_.push_back(std::move(row));
     } else if (status_.ok()) {
       status_ = s;
@@ -112,17 +104,12 @@ class StoredRowCollector final : public kv::ScanFilter {
   }
 
   std::vector<filter::FilterRowData> TakeRows() { return std::move(rows_); }
-  uint64_t string_rows() const { return string_rows_; }
-  uint64_t string_key_bytes() const { return string_key_bytes_; }
 
  private:
-  const bool string_keys_;
   const bool columns_;
   mutable std::mutex mu_;
   mutable Status status_;
   mutable std::vector<filter::FilterRowData> rows_;
-  mutable uint64_t string_rows_ = 0;
-  mutable uint64_t string_key_bytes_ = 0;
 };
 
 // Pushdown filter for the spatial range query: keep rows with at least
@@ -155,9 +142,7 @@ TrassStore::TrassStore(const TrassOptions& options)
       xz_(options.max_resolution),
       resolution_histogram_(options.max_resolution + 1, 0),
       position_histogram_(11, 0),
-      // String-key mode serves no queries, so columns there would only
-      // cost RAM.
-      filter_tier_(options.filter_tier.enable && !options.string_keys) {
+      filter_tier_(options.filter_tier.enable) {
   AdmissionController::Options admission;
   admission.max_concurrent = options.max_concurrent_queries;
   admission.max_queue = options.admission_queue;
@@ -261,25 +246,22 @@ Status TrassStore::RebuildIngestState() {
   // equivalent of reading region metadata). Also the crash-recovery
   // path: whatever rows the WAL replay kept are re-derived into a tier
   // that agrees with the recovered store, never the pre-crash one.
-  StoredRowCollector collector(options_.string_keys, filter_tier_.columns());
+  StoredRowCollector collector(filter_tier_.columns());
   Status s = collector.Run(store_.get());
   if (!s.ok()) return s;
   std::vector<filter::FilterRowData> rows = collector.TakeRows();
-  uint64_t count = collector.string_rows();
-  uint64_t key_bytes = collector.string_key_bytes();
+  uint64_t count = 0;
   std::lock_guard<std::mutex> lock(stats_mu_);
   for (const filter::FilterRowData& row : rows) {
     // Distinct row keys normally mean distinct ids; the guard mirrors
     // CommitEncoded so a recovered store counts ids, not rows.
     if (!seen_ids_.insert(static_cast<uint64_t>(row.tid)).second) continue;
     ++count;
-    key_bytes += kRowKeyLength;
     const index::XzStar::IndexSpace space = xz_.Decode(row.index_value);
     resolution_histogram_[space.seq.length()] += 1;
     position_histogram_[space.pos] += 1;
   }
   num_trajectories_.store(count, std::memory_order_relaxed);
-  total_key_bytes_.store(key_bytes, std::memory_order_relaxed);
   filter_tier_.RebuildFrom(std::move(rows));
   return Status::OK();
 }
@@ -304,9 +286,7 @@ Status TrassStore::EncodeTrajectory(const Trajectory& trajectory,
   row->index_value = value;
   row->resolution = space.seq.length();
   row->position_code = space.pos;
-  row->key = options_.string_keys
-                 ? EncodeStringRowKey(shard, space, trajectory.id)
-                 : EncodeRowKey(shard, value, trajectory.id);
+  row->key = EncodeRowKey(shard, value, trajectory.id);
   row->value = EncodeRowValue(trajectory.points, features);
   row->mbr = geo::Mbr::Of(trajectory.points);
   if (filter_tier_.columns()) {
@@ -347,7 +327,6 @@ Status TrassStore::CommitEncoded(std::vector<ingest::EncodedRow>* rows) {
   // features, present value). Rows in regions whose apply failed
   // publish nothing — they were never stored.
   uint64_t count = 0;
-  uint64_t key_bytes = 0;
   std::vector<filter::FilterRowData> tier_rows;
   tier_rows.reserve(rows->size());
   {
@@ -363,13 +342,11 @@ Status TrassStore::CommitEncoded(std::vector<ingest::EncodedRow>* rows) {
       // double-count — idempotency is what lets replay be at-least-once.
       if (!seen_ids_.insert(row.tid).second) continue;
       ++count;
-      key_bytes += row.key.size();
       resolution_histogram_[row.resolution] += 1;
       position_histogram_[row.position_code] += 1;
     }
   }
   num_trajectories_.fetch_add(count, std::memory_order_relaxed);
-  total_key_bytes_.fetch_add(key_bytes, std::memory_order_relaxed);
   filter_tier_.AddRows(std::move(tier_rows));
   return first_failure;
 }
@@ -449,15 +426,12 @@ Status TrassStore::Scrub() {
   // backpressure, not corruption.
   std::lock_guard<std::mutex> lock(ingest_mu_);
   Status s = store_->VerifyIntegrity();
-  // String-key rows carry no decodable index value: their value set is
-  // ingest-only, as at Open, so there is nothing to validate it against.
-  if (!s.ok() || options_.string_keys) return s;
+  if (!s.ok()) return s;
   // Re-derive the tier — value set included — from the verified store
   // and count how far the old one had drifted
   // (filter_scrub_mismatches()). ingest_mu_ is held, so no commit can
   // slip rows between the store scan and the tier swap.
-  StoredRowCollector collector(/*string_keys=*/false,
-                               filter_tier_.columns());
+  StoredRowCollector collector(filter_tier_.columns());
   s = collector.Run(store_.get());
   if (!s.ok()) return s;
   filter_scrub_mismatches_.store(
@@ -491,9 +465,6 @@ Status TrassStore::ThresholdSearch(const std::vector<geo::Point>& query,
                                    const QueryOptions& query_options) {
   results->clear();
   if (query.empty()) return Status::InvalidArgument("empty query");
-  if (options_.string_keys) {
-    return Status::NotSupported("queries unsupported in string-key mode");
-  }
   QueryMetrics local_metrics;
   QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
   *m = QueryMetrics();
@@ -587,9 +558,6 @@ Status TrassStore::TopKSearch(const std::vector<geo::Point>& query, int k,
   results->clear();
   if (query.empty()) return Status::InvalidArgument("empty query");
   if (k <= 0) return Status::OK();
-  if (options_.string_keys) {
-    return Status::NotSupported("queries unsupported in string-key mode");
-  }
   QueryMetrics local_metrics;
   QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
   *m = QueryMetrics();
@@ -861,9 +829,6 @@ Status TrassStore::SimilarityJoin(
     std::vector<std::pair<uint64_t, uint64_t>>* pairs,
     QueryMetrics* metrics, const QueryOptions& query_options) {
   pairs->clear();
-  if (options_.string_keys) {
-    return Status::NotSupported("queries unsupported in string-key mode");
-  }
   QueryMetrics local_metrics;
   QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
   *m = QueryMetrics();
@@ -929,9 +894,6 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
                               QueryMetrics* metrics,
                               const QueryOptions& query_options) {
   ids->clear();
-  if (options_.string_keys) {
-    return Status::NotSupported("queries unsupported in string-key mode");
-  }
   QueryMetrics local_metrics;
   QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
   *m = QueryMetrics();

@@ -56,10 +56,6 @@ struct TrassOptions {
   /// concurrently admitted queries.
   size_t refine_threads = 4;
 
-  /// TraSS-S mode: string-encoded row keys (Figure 13c storage
-  /// comparison). Stores only; queries are unsupported in this mode.
-  bool string_keys = false;
-
   /// Admission control for the four query APIs: at most
   /// `max_concurrent_queries` run at once (0 = unlimited), at most
   /// `admission_queue` more wait up to `admission_queue_timeout_ms` for
@@ -297,14 +293,6 @@ class TrassStore {
   std::vector<uint64_t> resolution_histogram() const;
   /// Count per position code (index 1..10; index 0 unused).
   std::vector<uint64_t> position_code_histogram() const;
-  /// Mean row-key length in bytes (integer vs string encoding).
-  double average_rowkey_bytes() const {
-    const uint64_t n = num_trajectories_.load(std::memory_order_relaxed);
-    return n == 0 ? 0.0
-                  : static_cast<double>(
-                        total_key_bytes_.load(std::memory_order_relaxed)) /
-                        static_cast<double>(n);
-  }
   /// Distinct index values present in the store (selectivity numerator
   /// for Figures 14/15).
   uint64_t distinct_index_values() const;
@@ -393,7 +381,6 @@ class TrassStore {
   mutable std::mutex ingest_mu_;
 
   std::atomic<uint64_t> num_trajectories_{0};
-  std::atomic<uint64_t> total_key_bytes_{0};
   // Guards the histograms and seen_ids_.
   mutable std::mutex stats_mu_;
   std::vector<uint64_t> resolution_histogram_;

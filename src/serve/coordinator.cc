@@ -188,8 +188,6 @@ ShardCoordinator::ShardCoordinator(
                    options.replication_factor < 1
                        ? 1
                        : static_cast<size_t>(options.replication_factor)),
-      quota_(TenantQuota::Options{options.tenant_tokens_per_sec,
-                                  options.tenant_burst}),
       retry_policy_(RetryPolicy::Options{
           options.max_shard_retries, options.retry_base_backoff_ms,
           options.retry_max_backoff_ms, options.retry_jitter}) {
@@ -383,11 +381,9 @@ void ShardCoordinator::OnAttemptComplete(
 }
 
 Status ShardCoordinator::FanOut(const ShardRequest& base,
-                                const CoordinatorQueryOptions& options,
                                 const QueryContext* control,
                                 std::shared_ptr<QueryState>* state_out,
                                 core::QueryMetrics* m) {
-  (void)options;
   auto state = std::make_shared<QueryState>();
   state->base = base;
   state->control = control;
@@ -874,7 +870,7 @@ Status ShardCoordinator::ThresholdSearch(const std::vector<geo::Point>& query,
                                          double eps, core::Measure measure,
                                          std::vector<core::SearchResult>* results,
                                          core::QueryMetrics* metrics,
-                                         const CoordinatorQueryOptions& options) {
+                                         const core::QueryOptions& options) {
   results->clear();
   core::QueryMetrics local_metrics;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
@@ -884,20 +880,19 @@ Status ShardCoordinator::ThresholdSearch(const std::vector<geo::Point>& query,
     return Status::InvalidArgument("coordinator has no shards");
   }
   core::TotalTimer total(m);
-  if (Status admit = quota_.Acquire(options.tenant); !admit.ok()) return admit;
   QueryContext control;
-  ArmControl(options.query, &control);
+  ArmControl(options, &control);
 
   ShardRequest base;
   base.op = ShardOp::kThreshold;
   base.query = query;
   base.eps = eps;
   base.measure = measure;
-  base.max_candidates = options.query.max_candidates;
-  base.allow_partial = options.query.allow_partial;
+  base.max_candidates = options.max_candidates;
+  base.allow_partial = options.allow_partial;
 
   std::shared_ptr<QueryState> state;
-  const Status s = FanOut(base, options, &control, &state, m);
+  const Status s = FanOut(base, &control, &state, m);
   if (s.ok()) {
     std::lock_guard<std::mutex> lock(state->mu);
     for (QueryState::Slot& slot : state->slots) {
@@ -921,7 +916,7 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
                                     core::Measure measure,
                                     std::vector<core::SearchResult>* results,
                                     core::QueryMetrics* metrics,
-                                    const CoordinatorQueryOptions& options) {
+                                    const core::QueryOptions& options) {
   results->clear();
   core::QueryMetrics local_metrics;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
@@ -932,20 +927,19 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
     return Status::InvalidArgument("coordinator has no shards");
   }
   core::TotalTimer total(m);
-  if (Status admit = quota_.Acquire(options.tenant); !admit.ok()) return admit;
   QueryContext control;
-  ArmControl(options.query, &control);
+  ArmControl(options, &control);
 
   ShardRequest base;
   base.op = ShardOp::kTopK;
   base.query = query;
   base.k = k;
   base.measure = measure;
-  base.max_candidates = options.query.max_candidates;
-  base.allow_partial = options.query.allow_partial;
+  base.max_candidates = options.max_candidates;
+  base.allow_partial = options.allow_partial;
 
   std::shared_ptr<QueryState> state;
-  const Status s = FanOut(base, options, &control, &state, m);
+  const Status s = FanOut(base, &control, &state, m);
   if (s.ok()) {
     std::lock_guard<std::mutex> lock(state->mu);
     for (QueryState::Slot& slot : state->slots) {
@@ -972,7 +966,7 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
 Status ShardCoordinator::RangeQuery(const geo::Mbr& window,
                                     std::vector<uint64_t>* ids,
                                     core::QueryMetrics* metrics,
-                                    const CoordinatorQueryOptions& options) {
+                                    const core::QueryOptions& options) {
   ids->clear();
   core::QueryMetrics local_metrics;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
@@ -981,18 +975,17 @@ Status ShardCoordinator::RangeQuery(const geo::Mbr& window,
     return Status::InvalidArgument("coordinator has no shards");
   }
   core::TotalTimer total(m);
-  if (Status admit = quota_.Acquire(options.tenant); !admit.ok()) return admit;
   QueryContext control;
-  ArmControl(options.query, &control);
+  ArmControl(options, &control);
 
   ShardRequest base;
   base.op = ShardOp::kRange;
   base.window = window;
-  base.max_candidates = options.query.max_candidates;
-  base.allow_partial = options.query.allow_partial;
+  base.max_candidates = options.max_candidates;
+  base.allow_partial = options.allow_partial;
 
   std::shared_ptr<QueryState> state;
-  const Status s = FanOut(base, options, &control, &state, m);
+  const Status s = FanOut(base, &control, &state, m);
   if (s.ok()) {
     std::lock_guard<std::mutex> lock(state->mu);
     for (QueryState::Slot& slot : state->slots) {
@@ -1011,7 +1004,7 @@ Status ShardCoordinator::RangeQuery(const geo::Mbr& window,
 Status ShardCoordinator::SimilarityJoin(
     double eps, core::Measure measure,
     std::vector<std::pair<uint64_t, uint64_t>>* pairs,
-    core::QueryMetrics* metrics, const CoordinatorQueryOptions& options) {
+    core::QueryMetrics* metrics, const core::QueryOptions& options) {
   pairs->clear();
   core::QueryMetrics local_metrics;
   core::QueryMetrics* m = metrics != nullptr ? metrics : &local_metrics;
@@ -1020,19 +1013,16 @@ Status ShardCoordinator::SimilarityJoin(
     return Status::InvalidArgument("coordinator has no shards");
   }
   core::TotalTimer total(m);
-  // One quota token covers the whole join (the single-store join holds
-  // one admission slot the same way); the probes below skip the quota.
-  if (Status admit = quota_.Acquire(options.tenant); !admit.ok()) return admit;
   QueryContext control;
-  ArmControl(options.query, &control);
-  const bool allow_partial = options.query.allow_partial;
+  ArmControl(options, &control);
+  const bool allow_partial = options.allow_partial;
 
   // Phase 1: export every shard's stored trajectories.
   ShardRequest export_request;
   export_request.op = ShardOp::kExport;
   export_request.allow_partial = allow_partial;
   std::shared_ptr<QueryState> export_state;
-  Status s = FanOut(export_request, options, &control, &export_state, m);
+  Status s = FanOut(export_request, &control, &export_state, m);
   if (!s.ok()) return s;
   std::vector<core::Trajectory> all;
   {
@@ -1069,10 +1059,10 @@ Status ShardCoordinator::SimilarityJoin(
     probe.query = t.points;
     probe.eps = eps;
     probe.measure = measure;
-    probe.max_candidates = options.query.max_candidates;
+    probe.max_candidates = options.max_candidates;
     probe.allow_partial = allow_partial;
     std::shared_ptr<QueryState> probe_state;
-    s = FanOut(probe, options, &control, &probe_state, m);
+    s = FanOut(probe, &control, &probe_state, m);
     if (s.IsQueryStop()) {
       // Pairs from completed probes are exact; the stopped probe's
       // partial matches are discarded (they could miss pairs).

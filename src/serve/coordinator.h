@@ -54,9 +54,6 @@
 //     degrade the answer to a verified subset, flagged via
 //     QueryMetrics::{partial, shards_skipped}; without it, the first
 //     unabsorbable fault fails the query with the shard attributed.
-//   * Per-tenant token buckets — over-quota tenants shed as one fast
-//     Status::Busy at the router, composing with each shard's
-//     AdmissionController underneath.
 //
 // Top-k merges maintain a shared monotonically tightening k-th-distance
 // bound: follow-up waves (retries and hedges launched after the first
@@ -89,7 +86,6 @@
 #include "serve/hint_journal.h"
 #include "serve/partitioner.h"
 #include "serve/shard_transport.h"
-#include "serve/tenant_quota.h"
 #include "util/query_context.h"
 #include "util/retry_policy.h"
 #include "util/status.h"
@@ -158,17 +154,6 @@ struct CoordinatorOptions {
   /// min_shard_budget_ms for the shard.
   double merge_reserve_fraction = 0.05;
   double min_shard_budget_ms = 1.0;
-
-  /// Per-tenant router quota (see serve/tenant_quota.h); <= 0 disables.
-  double tenant_tokens_per_sec = 0.0;
-  double tenant_burst = 0.0;
-};
-
-/// Coordinator-level per-query controls: the store's QueryOptions plus
-/// the tenant the query bills against.
-struct CoordinatorQueryOptions {
-  core::QueryOptions query;
-  std::string tenant = "default";
 };
 
 /// Per-shard outcome of one PutBatch — the attribution a sequential
@@ -273,17 +258,17 @@ class ShardCoordinator {
                          core::Measure measure,
                          std::vector<core::SearchResult>* results,
                          core::QueryMetrics* metrics = nullptr,
-                         const CoordinatorQueryOptions& options = {});
+                         const core::QueryOptions& options = {});
 
   Status TopKSearch(const std::vector<geo::Point>& query, int k,
                     core::Measure measure,
                     std::vector<core::SearchResult>* results,
                     core::QueryMetrics* metrics = nullptr,
-                    const CoordinatorQueryOptions& options = {});
+                    const core::QueryOptions& options = {});
 
   Status RangeQuery(const geo::Mbr& window, std::vector<uint64_t>* ids,
                     core::QueryMetrics* metrics = nullptr,
-                    const CoordinatorQueryOptions& options = {});
+                    const core::QueryOptions& options = {});
 
   /// Distributed similarity self-join: exports every shard's
   /// trajectories (deduped across replicas) and probes each against
@@ -293,14 +278,13 @@ class ShardCoordinator {
   Status SimilarityJoin(double eps, core::Measure measure,
                         std::vector<std::pair<uint64_t, uint64_t>>* pairs,
                         core::QueryMetrics* metrics = nullptr,
-                        const CoordinatorQueryOptions& options = {});
+                        const core::QueryOptions& options = {});
 
   // ---- observability / test hooks ----
 
   std::vector<ShardStats> Stats() const;
   CircuitBreaker* breaker(size_t shard) { return breakers_[shard].get(); }
   const Partitioner& partitioner() const { return partitioner_; }
-  TenantQuota* quota() { return &quota_; }
   const CoordinatorOptions& options() const { return options_; }
   /// Null when hint_journal_dir is empty or the journal failed to
   /// open (see hint_journal_status()).
@@ -344,9 +328,7 @@ class ShardCoordinator {
   /// answer (remaining stragglers are cancelled and the absorbed
   /// losses counted as shard_failovers). Populates `state_out` for the
   /// caller to merge.
-  Status FanOut(const ShardRequest& base,
-                const CoordinatorQueryOptions& options,
-                const QueryContext* control,
+  Status FanOut(const ShardRequest& base, const QueryContext* control,
                 std::shared_ptr<QueryState>* state_out,
                 core::QueryMetrics* m);
 
@@ -380,7 +362,6 @@ class ShardCoordinator {
   Partitioner partitioner_;
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
   std::vector<std::unique_ptr<PerShard>> per_shard_;
-  TenantQuota quota_;
   RetryPolicy retry_policy_;
 
   std::unique_ptr<HintJournal> journal_;

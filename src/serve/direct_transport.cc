@@ -85,9 +85,6 @@ Status FingerprintPartitions(core::TrassStore* store,
   if (request.num_shards == 0) {
     return Status::InvalidArgument("fingerprint needs num_shards");
   }
-  if (store->options().string_keys) {
-    return Status::NotSupported("fingerprint unsupported with string keys");
-  }
   QueryContext control;
   control.SetDeadlineAfterMillis(request.deadline_ms);
   control.SetCancelFlag(cancel);

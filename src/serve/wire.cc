@@ -1,5 +1,7 @@
 #include "serve/wire.h"
 
+#include <cstdint>
+#include <limits>
 #include <type_traits>
 
 #include "util/coding.h"
@@ -241,6 +243,9 @@ Status DecodeShardRequest(Slice payload, ShardRequest* request) {
   if (!GetDouble(&payload, &request->eps) || !GetVarint32(&payload, &k)) {
     return Malformed("eps/k");
   }
+  if (k > static_cast<uint32_t>(std::numeric_limits<int>::max())) {
+    return Malformed("k");
+  }
   request->k = static_cast<int>(k);
   if (payload.size() < 1 ||
       static_cast<uint8_t>(payload[0]) >
@@ -270,6 +275,13 @@ Status DecodeShardRequest(Slice payload, ShardRequest* request) {
   if (!GetVarint64(&payload, &request->num_shards) ||
       !GetVarint64(&payload, &export_primary_biased)) {
     return Malformed("placement fields");
+  }
+  // Biased by one: 0 is -1 (no filter), anything else must name a
+  // partition of the carried topology.
+  if (export_primary_biased > request->num_shards ||
+      export_primary_biased >
+          static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    return Malformed("export_primary");
   }
   request->export_primary = static_cast<int64_t>(export_primary_biased) - 1;
   if (!payload.empty()) return Malformed("request trailer");

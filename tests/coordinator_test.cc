@@ -1,8 +1,8 @@
 // ShardCoordinator: cross-shard merge equivalence (N shards must be
 // byte-identical to one store over the union dataset, per measure and
 // query shape), plus the fault behaviors — retries, hedges, circuit
-// breakers, tenant quotas, deadline budgeting, and the seeded chaos
-// matrix (CoordinatorChaos.*, rerun a failure with TRASS_CHAOS_SEED).
+// breakers, deadline budgeting, and the seeded chaos matrix
+// (CoordinatorChaos.*, rerun a failure with TRASS_CHAOS_SEED).
 
 #include "serve/coordinator.h"
 
@@ -15,6 +15,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -161,8 +162,8 @@ void RunEquivalenceSuite(int refine_threads) {
   EXPECT_GE(populated, 2u) << "hash partitioner left shards empty";
 
   for (const bool allow_partial : {false, true}) {
-    CoordinatorQueryOptions options;
-    options.query.allow_partial = allow_partial;
+    core::QueryOptions options;
+    options.allow_partial = allow_partial;
     for (const Measure measure :
          {Measure::kFrechet, Measure::kHausdorff, Measure::kDtw}) {
       const std::string label = std::string(MeasureName(measure)) +
@@ -431,7 +432,7 @@ TEST(CoordinatorFaults, StatsCountQueryAndWriteAttemptsApart) {
     EXPECT_EQ(stats[i].write_failures, i == kFlaky ? 1u : 0u);
   }
 
-  CoordinatorQueryOptions strict;
+  core::QueryOptions strict;
   std::vector<SearchResult> results;
   QueryMetrics m;
   const Status s = tier.coordinator()->ThresholdSearch(
@@ -468,8 +469,8 @@ TEST(CoordinatorFaults, RetryBackoffPastTheDeadlineFailsFast) {
   const auto data = trass::testing::RandomDataset(31, 40);
   tier.Load(data);
   const auto before = tier.coordinator()->Stats();
-  CoordinatorQueryOptions strict;
-  strict.query.deadline_ms = 2000.0;
+  core::QueryOptions strict;
+  strict.deadline_ms = 2000.0;
   std::vector<SearchResult> results;
   QueryMetrics m;
   const auto start = std::chrono::steady_clock::now();
@@ -569,9 +570,9 @@ TEST(CoordinatorFaults, WedgedShardDegradesToVerifiedPartialAndTripsBreaker) {
   tier.Load(data);
   wedgeable->SetWedged(true);
 
-  CoordinatorQueryOptions query_options;
-  query_options.query.deadline_ms = 300.0;
-  query_options.query.allow_partial = true;
+  core::QueryOptions query_options;
+  query_options.deadline_ms = 300.0;
+  query_options.allow_partial = true;
 
   // Wedged-shard queries: verified partial, the gap reported.
   QueryMetrics m;
@@ -641,9 +642,9 @@ TEST(CoordinatorFaults, ShardRecoversAfterACancelledHalfOpenProbe) {
   const auto data = trass::testing::RandomDataset(59, 60);
   tier.Load(data);
 
-  CoordinatorQueryOptions degraded;
-  degraded.query.deadline_ms = 100.0;
-  degraded.query.allow_partial = true;
+  core::QueryOptions degraded;
+  degraded.deadline_ms = 100.0;
+  degraded.allow_partial = true;
 
   // Trip the breaker: the wedged attempt reports IoError once reclaimed.
   faulty->SetWedged(true);
@@ -677,7 +678,7 @@ TEST(CoordinatorFaults, ShardRecoversAfterACancelledHalfOpenProbe) {
   // Shard healthy again: a strict query must be able to re-probe,
   // succeed on every shard, and reinstate the breaker.
   faulty->SetOptions(FaultInjectionTransport::Options{});
-  CoordinatorQueryOptions strict;
+  core::QueryOptions strict;
   const Status s = tier.coordinator()->ThresholdSearch(
       data[5].points, 0.05, Measure::kFrechet, &results, &m, strict);
   ASSERT_TRUE(s.ok()) << s.ToString();
@@ -742,8 +743,8 @@ TEST(CoordinatorFaults, DeadlineExpiresToTimedOutOrVerifiedPartial) {
   tier.Load(data);
   for (auto& w : wedges) w->SetWedged(true);
 
-  CoordinatorQueryOptions strict;
-  strict.query.deadline_ms = 150.0;
+  core::QueryOptions strict;
+  strict.deadline_ms = 150.0;
   std::vector<SearchResult> results;
   auto start = std::chrono::steady_clock::now();
   Status s = tier.coordinator()->ThresholdSearch(
@@ -751,8 +752,8 @@ TEST(CoordinatorFaults, DeadlineExpiresToTimedOutOrVerifiedPartial) {
   EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
   EXPECT_LT(ElapsedMs(start), 5000.0) << "hung past its deadline";
 
-  CoordinatorQueryOptions lenient = strict;
-  lenient.query.allow_partial = true;
+  core::QueryOptions lenient = strict;
+  lenient.allow_partial = true;
   QueryMetrics m;
   start = std::chrono::steady_clock::now();
   s = tier.coordinator()->ThresholdSearch(data[1].points, 0.05,
@@ -767,37 +768,136 @@ TEST(CoordinatorFaults, DeadlineExpiresToTimedOutOrVerifiedPartial) {
   tier.Reset();
 }
 
-TEST(CoordinatorFaults, TenantQuotaShedsAtTheRouter) {
-  Tier tier("coord_quota", 2, 1);
-  CoordinatorOptions options = FastCoordinatorOptions();
-  options.tenant_tokens_per_sec = 0.001;  // effectively no refill mid-test
-  options.tenant_burst = 2.0;
-  tier.BuildCoordinator(options);
-  const auto data = trass::testing::RandomDataset(59, 40);
+/// Forwards every call and keeps a copy of each request it saw.
+class RecordingTransport : public ShardTransport {
+ public:
+  explicit RecordingTransport(std::shared_ptr<ShardTransport> inner)
+      : inner_(std::move(inner)) {}
+
+  Status Execute(const ShardRequest& request, const std::atomic<bool>* cancel,
+                 ShardResponse* response) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      requests_.push_back(request);
+    }
+    return inner_->Execute(request, cancel, response);
+  }
+  std::string Describe() const override {
+    return "recording(" + inner_->Describe() + ")";
+  }
+
+  std::vector<ShardRequest> requests() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return requests_;
+  }
+
+ private:
+  std::shared_ptr<ShardTransport> inner_;
+  mutable std::mutex mu_;
+  std::vector<ShardRequest> requests_;
+};
+
+TEST(CoordinatorFaults, CallerQueryOptionsReachEveryShardAttempt) {
+  Tier tier("coord_query_options", 3, 1);
+  std::vector<std::shared_ptr<RecordingTransport>> recorders;
+  tier.BuildCoordinator(FastCoordinatorOptions(),
+                        [&](size_t, std::shared_ptr<ShardTransport> t)
+                            -> std::shared_ptr<ShardTransport> {
+                          recorders.push_back(
+                              std::make_shared<RecordingTransport>(
+                                  std::move(t)));
+                          return recorders.back();
+                        });
+  const auto data = trass::testing::RandomDataset(67, 40);
   tier.Load(data);
 
-  CoordinatorQueryOptions alice;
-  alice.tenant = "alice";
+  core::QueryOptions caller;
+  caller.deadline_ms = 5000.0;
+  caller.max_candidates = 100000;  // far above the dataset: never binds
+  caller.allow_partial = true;
   std::vector<SearchResult> results;
-  EXPECT_TRUE(tier.coordinator()
-                  ->ThresholdSearch(data[0].points, 0.05, Measure::kFrechet,
-                                    &results, nullptr, alice)
+  std::vector<uint64_t> ids;
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  ASSERT_TRUE(tier.coordinator()
+                  ->ThresholdSearch(data[1].points, 0.05, Measure::kFrechet,
+                                    &results, nullptr, caller)
                   .ok());
-  EXPECT_TRUE(tier.coordinator()
-                  ->ThresholdSearch(data[0].points, 0.05, Measure::kFrechet,
-                                    &results, nullptr, alice)
+  ASSERT_TRUE(tier.coordinator()
+                  ->TopKSearch(data[2].points, 5, Measure::kHausdorff,
+                               &results, nullptr, caller)
                   .ok());
-  const Status shed = tier.coordinator()->ThresholdSearch(
-      data[0].points, 0.05, Measure::kFrechet, &results, nullptr, alice);
-  EXPECT_TRUE(shed.IsBusy()) << shed.ToString();
+  ASSERT_TRUE(tier.coordinator()
+                  ->RangeQuery(geo::Mbr(0.3, 0.3, 0.6, 0.6), &ids, nullptr,
+                               caller)
+                  .ok());
+  ASSERT_TRUE(tier.coordinator()
+                  ->SimilarityJoin(0.02, Measure::kFrechet, &pairs, nullptr,
+                                   caller)
+                  .ok());
 
-  CoordinatorQueryOptions bob;
-  bob.tenant = "bob";
-  EXPECT_TRUE(tier.coordinator()
-                  ->ThresholdSearch(data[0].points, 0.05, Measure::kFrechet,
-                                    &results, nullptr, bob)
-                  .ok());
-  EXPECT_EQ(tier.coordinator()->quota()->counters().shed, 1u);
+  size_t recorded = 0;
+  bool saw_export = false;
+  for (const auto& recorder : recorders) {
+    for (const ShardRequest& request : recorder->requests()) {
+      if (request.op == ShardOp::kPut) continue;  // Load's writes
+      SCOPED_TRACE("op " + std::to_string(static_cast<int>(request.op)));
+      ++recorded;
+      EXPECT_TRUE(request.allow_partial);
+      EXPECT_GT(request.deadline_ms, 0.0);
+      EXPECT_LE(request.deadline_ms, caller.deadline_ms);
+      // An export is a full scan with no candidate budget; every other
+      // attempt carries the caller's.
+      if (request.op == ShardOp::kExport) {
+        saw_export = true;
+      } else {
+        EXPECT_EQ(request.max_candidates, caller.max_candidates);
+      }
+    }
+  }
+  // Three shards x (threshold, top-k, range, export) at the least, plus
+  // the join's probes.
+  EXPECT_GT(recorded, 12u);
+  EXPECT_TRUE(saw_export);
+  tier.Reset();
+}
+
+TEST(CoordinatorFaults, PresetCallerCancelStopsTheFanOut) {
+  Tier tier("coord_preset_cancel", 3, 1);
+  tier.BuildCoordinator(FastCoordinatorOptions());
+  const auto data = trass::testing::RandomDataset(71, 40);
+  tier.Load(data);
+
+  std::atomic<bool> cancel{true};
+  for (const bool allow_partial : {false, true}) {
+    SCOPED_TRACE(allow_partial ? "allow_partial" : "strict");
+    // Shard 1 would sit on its first query for 5 s unless cancelled (no
+    // hedge to answer for it).
+    CoordinatorOptions options = FastCoordinatorOptions();
+    options.enable_hedging = false;
+    tier.BuildCoordinator(options,
+                          [](size_t shard, std::shared_ptr<ShardTransport> t)
+                              -> std::shared_ptr<ShardTransport> {
+                            if (shard != 1) return t;
+                            return std::make_shared<SlowOnceTransport>(
+                                std::move(t), 5000.0);
+                          });
+    core::QueryOptions caller;
+    caller.cancel = &cancel;
+    caller.allow_partial = allow_partial;
+    std::vector<SearchResult> results;
+    QueryMetrics m;
+    const auto start = std::chrono::steady_clock::now();
+    const Status s = tier.coordinator()->ThresholdSearch(
+        data[4].points, 0.05, Measure::kFrechet, &results, &m, caller);
+    EXPECT_LT(ElapsedMs(start), 2500.0) << "waited out the slow shard";
+    if (allow_partial) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_TRUE(m.partial);
+      EXPECT_TRUE(m.cancelled);
+    } else {
+      EXPECT_TRUE(s.IsCancelled()) << s.ToString();
+    }
+  }
   tier.Reset();
 }
 
@@ -851,9 +951,9 @@ TEST(CoordinatorChaos, SeededFaultMatrix) {
     fault.delay_ms = 10.0;
     for (auto& c : chaos) c->SetOptions(fault);
 
-    CoordinatorQueryOptions query_options;
-    query_options.query.deadline_ms = 3000.0;
-    query_options.query.allow_partial = true;
+    core::QueryOptions query_options;
+    query_options.deadline_ms = 3000.0;
+    query_options.allow_partial = true;
 
     uint64_t partials = 0;
     for (int q = 0; q < 30; ++q) {
@@ -1242,8 +1342,8 @@ TEST(CoordinatorReplication, AnySingleShardLossKeepsStrictQueriesExact) {
   const auto data = trass::testing::RandomDataset(79, 100);
   tier.Load(data);
 
-  CoordinatorQueryOptions strict;
-  strict.query.deadline_ms = 10000.0;
+  core::QueryOptions strict;
+  strict.deadline_ms = 10000.0;
   for (size_t victim = 0; victim < tier.num_shards(); ++victim) {
     SCOPED_TRACE("victim shard " + std::to_string(victim));
     faults[victim]->SetWedged(true);
@@ -1588,8 +1688,8 @@ TEST(CoordinatorWriteChaos, AckedWritesSurviveShardKillAndWedge) {
     const auto data = trass::testing::RandomDataset(seed, 120);
     const size_t victim = rnd.Uniform(3);
     const bool wedge = rnd.Uniform(2) == 0;
-    CoordinatorQueryOptions strict;
-    strict.query.deadline_ms = 10000.0;
+    core::QueryOptions strict;
+    strict.deadline_ms = 10000.0;
 
     // 12 batches of 10; the victim dies before batch 4 and comes back
     // after batch 8. W=1 over R=2 must ack every batch throughout.

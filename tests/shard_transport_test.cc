@@ -1,7 +1,7 @@
 // Serving-tier building blocks: wire codec round-trips, circuit-breaker
-// state machine, tenant token buckets, fault-injection behaviors, and
-// the two transports (in-process direct, local-socket multi-process)
-// answering identically.
+// state machine, fault-injection behaviors, and the two transports
+// (in-process direct, local-socket multi-process) answering
+// identically.
 
 #include <gtest/gtest.h>
 
@@ -22,9 +22,9 @@
 #include "serve/shard_server.h"
 #include "serve/shard_transport.h"
 #include "serve/socket_transport.h"
-#include "serve/tenant_quota.h"
 #include "serve/wire.h"
 #include "test_util.h"
+#include "util/coding.h"
 
 namespace trass {
 namespace serve {
@@ -275,6 +275,52 @@ TEST(WireTest, RejectsUnknownMetricFlagBits) {
       DecodeShardResponse(Slice(payload), &response, &exec).IsCorruption());
 }
 
+TEST(WireTest, RejectsOutOfRangeK) {
+  ShardRequest request;
+  request.op = ShardOp::kTopK;
+  request.k = std::numeric_limits<int>::max();
+  std::string payload;
+  EncodeShardRequest(request, &payload);
+  ShardRequest decoded;
+  ASSERT_TRUE(DecodeShardRequest(Slice(payload), &decoded).ok());
+  EXPECT_EQ(decoded.k, std::numeric_limits<int>::max());
+  // k crosses as a uint32: 0xFFFFFFFF must not come back as k = -1.
+  request.k = -1;
+  EncodeShardRequest(request, &payload);
+  EXPECT_TRUE(DecodeShardRequest(Slice(payload), &decoded).IsCorruption());
+}
+
+TEST(WireTest, RejectsOutOfRangeExportPrimary) {
+  ShardRequest request;
+  request.op = ShardOp::kExport;
+  request.num_shards = 4;
+  request.export_primary = 3;
+  std::string payload;
+  EncodeShardRequest(request, &payload);
+  ShardRequest decoded;
+  ASSERT_TRUE(DecodeShardRequest(Slice(payload), &decoded).ok());
+  EXPECT_EQ(decoded.export_primary, 3);
+  // A partition past the topology, or any partition without one.
+  request.export_primary = 4;
+  EncodeShardRequest(request, &payload);
+  EXPECT_TRUE(DecodeShardRequest(Slice(payload), &decoded).IsCorruption());
+  request.num_shards = 0;
+  request.export_primary = 0;
+  EncodeShardRequest(request, &payload);
+  EXPECT_TRUE(DecodeShardRequest(Slice(payload), &decoded).IsCorruption());
+
+  // A biased value of 2^63 or more would wrap negative and turn the
+  // filter off, even under the largest topology. The biased field is
+  // the frame's last varint; -1 encodes it as one zero byte.
+  request.num_shards = std::numeric_limits<uint64_t>::max();
+  request.export_primary = -1;
+  EncodeShardRequest(request, &payload);
+  ASSERT_EQ(payload.back(), '\0');
+  payload.pop_back();
+  PutVarint64(&payload, (uint64_t{1} << 63) + 5);
+  EXPECT_TRUE(DecodeShardRequest(Slice(payload), &decoded).IsCorruption());
+}
+
 TEST(WireTest, RejectsTrailingBytes) {
   std::string payload;
   EncodeShardRequest(ShardRequest(), &payload);
@@ -427,39 +473,6 @@ TEST(CircuitBreakerTest, HalfOpenProbeFailureReopens) {
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(breaker.Admit(), CircuitBreaker::Decision::kReject);
   EXPECT_EQ(breaker.counters().trips, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Tenant quota
-
-TEST(TenantQuotaTest, DisabledQuotaAdmitsEverything) {
-  TenantQuota quota(TenantQuota::Options{0.0, 0.0});
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(quota.Acquire("anyone").ok());
-  }
-  EXPECT_EQ(quota.counters().shed, 0u);
-}
-
-TEST(TenantQuotaTest, BurstThenShedPerTenant) {
-  TenantQuota quota(TenantQuota::Options{1.0, 3.0});  // 1 qps, burst 3
-  EXPECT_TRUE(quota.Acquire("alice").ok());
-  EXPECT_TRUE(quota.Acquire("alice").ok());
-  EXPECT_TRUE(quota.Acquire("alice").ok());
-  const Status shed = quota.Acquire("alice");
-  EXPECT_TRUE(shed.IsBusy()) << shed.ToString();
-  // Buckets are per tenant: bob still has his full burst.
-  EXPECT_TRUE(quota.Acquire("bob").ok());
-  const auto counters = quota.counters();
-  EXPECT_EQ(counters.admitted, 4u);
-  EXPECT_EQ(counters.shed, 1u);
-}
-
-TEST(TenantQuotaTest, BucketRefillsOverTime) {
-  TenantQuota quota(TenantQuota::Options{50.0, 1.0});  // refill 1 token/20ms
-  EXPECT_TRUE(quota.Acquire("carol").ok());
-  EXPECT_TRUE(quota.Acquire("carol").IsBusy());
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_TRUE(quota.Acquire("carol").ok());
 }
 
 // ---------------------------------------------------------------------------

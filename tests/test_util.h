@@ -1,8 +1,10 @@
-// Shared test helpers: scratch directories and random trajectories.
+// Shared test helpers: scratch directories, a no-fsync Env and random
+// trajectories.
 
 #ifndef TRASS_TESTS_TEST_UTIL_H_
 #define TRASS_TESTS_TEST_UTIL_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,82 @@ class ScratchDir {
 
  private:
   std::string path_;
+};
+
+/// Env::Default() with every fsync skipped: WritableFile::Sync and
+/// WriteStringToFile's sync are no-ops, everything else forwards. For
+/// tests that never simulate a crash, where durability is not under
+/// test and the fsyncs only cost wall time (crash durability is
+/// covered on kv::FaultInjectionEnv).
+class NoSyncEnv final : public kv::Env {
+ public:
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<kv::WritableFile>* result) override {
+    std::unique_ptr<kv::WritableFile> file;
+    Status s = base_->NewWritableFile(fname, &file);
+    if (s.ok()) result->reset(new NoSyncFile(std::move(file)));
+    return s;
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<kv::RandomAccessFile>* result) override {
+    return base_->NewRandomAccessFile(fname, result);
+  }
+  Status NewSequentialFile(
+      const std::string& fname,
+      std::unique_ptr<kv::SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return base_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return base_->RemoveFile(fname);
+  }
+  Status CreateDir(const std::string& dirname) override {
+    return base_->CreateDir(dirname);
+  }
+  Status RemoveDirRecursively(const std::string& dirname) override {
+    return base_->RemoveDirRecursively(dirname);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return base_->GetFileSize(fname, size);
+  }
+  Status GetFreeDiskSpace(const std::string& path, uint64_t* bytes) override {
+    return base_->GetFreeDiskSpace(path, bytes);
+  }
+  Status ReadFileToString(const std::string& fname,
+                          std::string* data) override {
+    return base_->ReadFileToString(fname, data);
+  }
+  Status WriteStringToFile(const Slice& data, const std::string& fname,
+                           bool /*sync*/) override {
+    return base_->WriteStringToFile(data, fname, /*sync=*/false);
+  }
+
+ private:
+  class NoSyncFile final : public kv::WritableFile {
+   public:
+    explicit NoSyncFile(std::unique_ptr<kv::WritableFile> file)
+        : file_(std::move(file)) {}
+    Status Append(const Slice& data) override { return file_->Append(data); }
+    Status Flush() override { return file_->Flush(); }
+    Status Sync() override { return file_->Flush(); }
+    Status Close() override { return file_->Close(); }
+
+   private:
+    std::unique_ptr<kv::WritableFile> file_;
+  };
+
+  kv::Env* const base_ = kv::Env::Default();
 };
 
 /// Random-walk trajectory inside [lo, hi]^2.

@@ -245,30 +245,6 @@ TEST_F(TrassStoreTest, IngestStatisticsAreMaintained) {
   EXPECT_EQ(position_total, 100u);
   EXPECT_GT(store_->distinct_index_values(), 0u);
   EXPECT_LE(store_->distinct_index_values(), 100u);
-  EXPECT_DOUBLE_EQ(store_->average_rowkey_bytes(), 17.0);
-}
-
-TEST_F(TrassStoreTest, StringKeyModeStoresButRejectsQueries) {
-  TrassOptions options = DefaultOptions();
-  options.max_resolution = 16;
-  options.string_keys = true;
-  OpenStore(options);
-  // Compact trajectories index at deep resolutions, where string keys
-  // (1 + |seq| + 1 + 8 bytes) exceed the fixed 17-byte integer keys —
-  // the Figure 13(c) situation.
-  Random rnd(13);
-  std::vector<Trajectory> data;
-  for (int i = 0; i < 20; ++i) {
-    data.push_back(trass::testing::RandomTrajectory(&rnd, i + 1, 20, 0.3,
-                                                    0.7, 0.00001));
-  }
-  Load(data);
-  EXPECT_GT(store_->average_rowkey_bytes(), 17.0);
-  std::vector<SearchResult> results;
-  EXPECT_TRUE(store_
-                  ->ThresholdSearch(data[0].points, 0.01, Measure::kFrechet,
-                                    &results)
-                  .IsNotSupported());
 }
 
 TEST_F(TrassStoreTest, MetricsArePopulated) {
