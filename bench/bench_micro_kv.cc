@@ -1,5 +1,6 @@
-// Micro-benchmarks of the storage substrate: sequential/random writes,
-// point gets, and range scans on the embedded LSM engine.
+// Micro-benchmarks of the storage substrate: sequential/random writes
+// and range scans on the embedded LSM engine (which is scan-only, so
+// there is no point-get benchmark).
 
 #include <benchmark/benchmark.h>
 
@@ -55,25 +56,6 @@ void BM_RandomPut(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(count));
 }
 BENCHMARK(BM_RandomPut);
-
-void BM_PointGet(benchmark::State& state) {
-  auto db = FreshDb("get");
-  const std::string value(256, 'v');
-  constexpr uint64_t kKeys = 50000;
-  for (uint64_t i = 0; i < kKeys; ++i) {
-    db->Put(kv::WriteOptions(), KeyOf(i), value);
-  }
-  db->Flush();
-  Random rnd(2);
-  std::string out;
-  uint64_t count = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(db->Get(KeyOf(rnd.Uniform(kKeys)), &out));
-    ++count;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(count));
-}
-BENCHMARK(BM_PointGet);
 
 void BM_RangeScan(benchmark::State& state) {
   auto db = FreshDb("scan");

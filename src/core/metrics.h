@@ -91,8 +91,7 @@ enum class MetricFold {
   X(uint64_t, fingerprint_skips, kSum)                                        \
   X(uint64_t, filter_memory_bytes, kSum)                                      \
   /* Storage-engine I/O of the query's scans (ScanReport deltas; approximate  \
-     under concurrent work). Scans stream through a readahead window and      \
-     never touch the block cache. */                                          \
+     under concurrent work). Scans stream through a readahead window. */      \
   X(uint64_t, readahead_reads, kSum)                                          \
   X(uint64_t, readahead_bytes_read, kSum)                                     \
   /* Every trajectory with ticket <= this was fully visible to the query      \

@@ -117,9 +117,12 @@ struct QueryOptions {
   /// `allow_partial` is set.
   const std::atomic<bool>* cancel = nullptr;
 
-  /// Cap on rows local filtering may keep across all regions — the
-  /// query's candidate memory bound. 0 = unlimited. Exceeding it returns
-  /// Status::Busy unless `allow_partial` is set.
+  /// Cap on rows local filtering may keep across all regions of one
+  /// store — that store's candidate memory bound. 0 = unlimited.
+  /// Exceeding it returns Status::Busy unless `allow_partial` is set.
+  /// Behind the shard coordinator the cap binds per store: each shard
+  /// attempt gets the whole cap and enforces it on its own store, so a
+  /// tier query may keep up to one cap per shard.
   uint64_t max_candidates = 0;
 
   /// When a deadline/cancel/budget stop fires, return OK with the

@@ -1,6 +1,7 @@
 // Read-side of the prefix-compressed block format written by BlockBuilder:
 // serves binary-searchable forward iterators over a payload it either
-// owns (cacheable blocks) or merely views (zero-copy readahead scans).
+// owns (a table's index block, kept for the table's lifetime) or merely
+// views (data blocks inside a readahead window, zero-copy).
 
 #ifndef TRASS_KV_BLOCK_H_
 #define TRASS_KV_BLOCK_H_

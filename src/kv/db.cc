@@ -176,12 +176,10 @@ DB::DB(const Options& options, std::string name)
     : options_(options),
       dbname_(std::move(name)),
       env_(options.env != nullptr ? options.env : Env::Default()),
-      mem_(std::make_shared<MemTable>()),
-      block_cache_(options.block_cache_size) {
+      mem_(std::make_shared<MemTable>()) {
   options_.env = env_;
   versions_ = std::make_unique<VersionSet>(dbname_, env_);
-  table_cache_ =
-      std::make_unique<TableCache>(dbname_, options_, &block_cache_, &stats_);
+  table_cache_ = std::make_unique<TableCache>(dbname_, env_, &stats_);
 }
 
 DB::~DB() {
@@ -439,74 +437,6 @@ Status DB::Write(const WriteOptions& options, WriteBatch* batch) {
     }
   }
   return WriteBatch::InsertInto(*batch, mem_.get());
-}
-
-Status DB::Get(const Slice& key, std::string* value) {
-  std::unique_lock<std::mutex> lock(mu_);
-  stats_.point_gets.fetch_add(1, std::memory_order_relaxed);
-  const SequenceNumber snapshot = versions_->last_sequence();
-  Status s;
-  if (mem_->Get(key, snapshot, value, &s)) {
-    return s;
-  }
-  // Copy file metadata, then search tables without the mutex (the table
-  // cache has its own lock, and Table objects are immutable). The pin
-  // keeps files of this version on disk even if a background compaction
-  // replaces them mid-lookup.
-  Version version = versions_->current();
-  ScopedVersionPin pin(this);
-  lock.unlock();
-
-  const std::string lookup = MakeLookupKey(key, snapshot);
-
-  auto check_file = [&](const FileMetaData& f, bool* done) -> Status {
-    std::shared_ptr<Table> table;
-    Status ts = table_cache_->Get(f.number, &table);
-    if (!ts.ok()) return ts;
-    bool found = false;
-    std::string result_key, result_value;
-    ts = table->InternalGet(Slice(lookup), &found, &result_key,
-                            &result_value);
-    if (!ts.ok()) return ts;
-    if (found && ExtractUserKey(Slice(result_key)) == key) {
-      *done = true;
-      if (ExtractValueType(Slice(result_key)) == kTypeDeletion) {
-        return Status::NotFound("deleted");
-      }
-      value->assign(result_value);
-      return Status::OK();
-    }
-    *done = false;
-    return Status::OK();
-  };
-
-  // Level 0: newest file first (highest number).
-  std::vector<FileMetaData> l0 = version.files[0];
-  std::sort(l0.begin(), l0.end(),
-            [](const FileMetaData& a, const FileMetaData& b) {
-              return a.number > b.number;
-            });
-  for (const FileMetaData& f : l0) {
-    if (key.compare(ExtractUserKey(Slice(f.smallest))) < 0 ||
-        key.compare(ExtractUserKey(Slice(f.largest))) > 0) {
-      continue;
-    }
-    bool done = false;
-    s = check_file(f, &done);
-    if (done || !s.ok()) return s;
-  }
-  // Deeper levels: at most one file can contain the key.
-  for (int level = 1; level < kNumLevels; ++level) {
-    for (const FileMetaData& f : version.files[level]) {
-      if (key.compare(ExtractUserKey(Slice(f.smallest))) < 0) break;
-      if (key.compare(ExtractUserKey(Slice(f.largest))) > 0) continue;
-      bool done = false;
-      s = check_file(f, &done);
-      if (done || !s.ok()) return s;
-      break;
-    }
-  }
-  return Status::NotFound("key not found");
 }
 
 Iterator* DB::NewIterator() {
@@ -797,9 +727,8 @@ Status DB::RunCompaction(std::unique_lock<std::mutex>* lock,
 
   // Merge all inputs in internal-key order. Table iterators verify
   // every block's checksum (a compaction that rewrote a corrupt block
-  // would launder the corruption into a fresh, well-checksummed file),
-  // stream the inputs through their readahead window and never touch the
-  // block cache.
+  // would launder the corruption into a fresh, well-checksummed file)
+  // and stream the inputs through their readahead window.
   std::vector<Iterator*> children;
   auto add_children = [&](const std::vector<FileMetaData>& files) -> Status {
     for (const FileMetaData& f : files) {
@@ -947,7 +876,7 @@ Status DB::InstallCompactionLocked(const CompactionJob& job,
   Status s = versions_->WriteSnapshot();
   if (!s.ok()) return s;
   // Retire the inputs. Deletion is deferred while readers hold version
-  // pins: a Get/iterator that copied the pre-install version may still
+  // pins: an iterator that copied the pre-install version may still
   // open these files by name. The last unpin (or the next install with
   // no pins, or destruction) drops them.
   for (const FileMetaData& f : job.inputs0) {
@@ -968,7 +897,6 @@ Status DB::InstallCompactionLocked(const CompactionJob& job,
 void DB::DropObsoleteTables(const std::vector<uint64_t>& numbers) {
   for (uint64_t number : numbers) {
     table_cache_->Evict(number);
-    block_cache_.EvictFile(number);
     env_->RemoveFile(TableFileName(dbname_, number));
   }
 }
@@ -999,9 +927,9 @@ void DB::RemoveObsoleteFilesLocked() {
 
 namespace {
 
-// Walks every block of the SSTable at `fname` — footer, filter, index,
-// and all data blocks — verifying checksums. Reads go straight to the
-// env (no table/block cache) so the bytes on disk are what is checked.
+// Walks every block of the SSTable at `fname` — footer, index, and all
+// data blocks — verifying checksums. Reads go straight to the env (no
+// table cache) so the bytes on disk are what is checked.
 Status ScrubTableFile(Env* env, const std::string& fname, IoStats* stats) {
   auto count_verification = [&] {
     if (stats) {
@@ -1018,21 +946,8 @@ Status ScrubTableFile(Env* env, const std::string& fname, IoStats* stats) {
   std::unique_ptr<RandomAccessFile> file;
   Status s = env->NewRandomAccessFile(fname, &file);
   if (!s.ok()) return s;
-  const uint64_t size = file->Size();
-  if (size < Footer::kEncodedLength) {
-    return count_corruption(
-        Status::Corruption("file is too short to be an sstable"));
-  }
-  char footer_space[Footer::kEncodedLength];
-  Slice footer_input;
-  s = file->Read(size - Footer::kEncodedLength, Footer::kEncodedLength,
-                 &footer_input, footer_space);
-  if (!s.ok()) return s;
-  if (footer_input.size() != Footer::kEncodedLength) {
-    return count_corruption(Status::Corruption("truncated footer read"));
-  }
   Footer footer;
-  s = footer.DecodeFrom(&footer_input);
+  s = ReadFooter(file.get(), &footer);
   if (!s.ok()) return count_corruption(s);
 
   auto verify_block = [&](const BlockHandle& handle,
@@ -1041,11 +956,6 @@ Status ScrubTableFile(Env* env, const std::string& fname, IoStats* stats) {
     return count_corruption(ReadBlock(file.get(), handle, out));
   };
 
-  if (footer.filter_handle().size() > 0) {
-    BlockContents filter_contents;
-    s = verify_block(footer.filter_handle(), &filter_contents);
-    if (!s.ok()) return s;
-  }
   BlockContents index_contents;
   s = verify_block(footer.index_handle(), &index_contents);
   if (!s.ok()) return s;
@@ -1066,15 +976,13 @@ Status ScrubTableFile(Env* env, const std::string& fname, IoStats* stats) {
 // Reads the whole table at `fname` with checksums on, filling *meta's
 // key range and bumping *max_sequence. Any failure means the table is
 // not salvageable as-is.
-Status SalvageTable(Env* env, const Options& options, uint64_t number,
-                    const std::string& fname, FileMetaData* meta,
+Status SalvageTable(Env* env, const std::string& fname, FileMetaData* meta,
                     SequenceNumber* max_sequence) {
   std::unique_ptr<RandomAccessFile> file;
   Status s = env->NewRandomAccessFile(fname, &file);
   if (!s.ok()) return s;
   std::unique_ptr<Table> table;
-  s = Table::Open(options, number, std::move(file), nullptr, nullptr,
-                  &table);
+  s = Table::Open(std::move(file), nullptr, &table);
   if (!s.ok()) return s;
   std::unique_ptr<Iterator> iter(table->NewIterator());
   uint64_t entries = 0;
@@ -1149,8 +1057,7 @@ Status DB::Repair(const Options& options, const std::string& name) {
     const std::string fname = TableFileName(name, number);
     FileMetaData meta;
     meta.number = number;
-    Status ts =
-        SalvageTable(env, options, number, fname, &meta, &max_sequence);
+    Status ts = SalvageTable(env, fname, &meta, &max_sequence);
     if (!ts.ok()) {
       // Quarantine rather than delete: .bad files are invisible to the
       // store but preserved for forensics.

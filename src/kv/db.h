@@ -8,12 +8,13 @@
 // under the DB mutex, but the merge+build runs lock-free, so writes only
 // wait when the L0 ingest throttle (8 L0 files: slow down, 12: stop) says
 // the level is too deep. Only CompactRange() compacts on the caller's
-// thread. Table scans always stream through a per-iterator readahead
-// window and bypass the block cache; point gets go through the cache.
+// thread. The store is scan-only, as TraSS uses HBase: every read is an
+// iterator, and table scans stream through a per-iterator readahead
+// window.
 //
 // Failure semantics (RocksDB-style background-error model): any failed
 // WAL append/sync, flush, or compaction sets a sticky background error
-// and the DB degrades to read-only — Get/iterators/VerifyIntegrity keep
+// and the DB degrades to read-only — iterators/VerifyIntegrity keep
 // working off the installed version, every write is rejected with the
 // sticky status. Resume() re-establishes writability: it opens a fresh
 // WAL (the old one may carry a torn record), persists the memtable so no
@@ -33,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "kv/cache.h"
 #include "kv/dbformat.h"
 #include "kv/env.h"
 #include "kv/iterator.h"
@@ -74,9 +74,6 @@ class DB {
   Status Delete(const WriteOptions& options, const Slice& key);
   Status Write(const WriteOptions& options, WriteBatch* batch);
 
-  /// Point lookup. Every block read verifies its checksum.
-  Status Get(const Slice& key, std::string* value);
-
   /// Forward iterator over live user keys, ordered bytewise. Reflects a
   /// point-in-time snapshot taken at creation; verifies block checksums.
   Iterator* NewIterator();
@@ -96,7 +93,7 @@ class DB {
   void WaitForCompactions();
 
   /// Scrub: re-reads every SSTable referenced by the current version
-  /// (footer, filter, index, and all data blocks) straight from disk,
+  /// (footer, index, and all data blocks) straight from disk,
   /// verifying block checksums, and re-parses the manifest. Returns the
   /// first corruption found, with the offending file in the message.
   Status VerifyIntegrity();
@@ -170,7 +167,7 @@ class DB {
   void CompactionThreadMain();
   Status WriteLevel0TableLocked(MemTable* mem);
   void RemoveObsoleteFilesLocked();
-  // Evicts `numbers` from the table/block caches and unlinks the files.
+  // Evicts `numbers` from the table cache and unlinks the files.
   void DropObsoleteTables(const std::vector<uint64_t>& numbers);
   void UnpinVersion();
   // First failure sticks and flips the DB read-only; requires mu_.
@@ -212,13 +209,12 @@ class DB {
   bool compaction_scheduled_ = false;
   bool compaction_active_ = false;
   std::atomic<bool> shutting_down_{false};
-  // Reader pins + deferred table deletion: while version_pins_ > 0, a
-  // Get/iterator/scrub may still open files of a replaced version, so
+  // Reader pins + deferred table deletion: while version_pins_ > 0, an
+  // iterator/scrub may still open files of a replaced version, so
   // compaction install parks their numbers here instead of unlinking.
   int version_pins_ = 0;
   std::vector<uint64_t> obsolete_tables_;
 
-  BlockCache block_cache_;
   IoStats stats_;
   std::unique_ptr<TableCache> table_cache_;
 };

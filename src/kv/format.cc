@@ -20,9 +20,8 @@ Status BlockHandle::DecodeFrom(Slice* input) {
 
 void Footer::EncodeTo(std::string* dst) const {
   const size_t original_size = dst->size();
-  filter_handle_.EncodeTo(dst);
   index_handle_.EncodeTo(dst);
-  dst->resize(original_size + 2 * BlockHandle::kMaxEncodedLength);  // pad
+  dst->resize(original_size + BlockHandle::kMaxEncodedLength);  // pad
   PutFixed32(dst, static_cast<uint32_t>(kTableMagicNumber & 0xffffffffu));
   PutFixed32(dst, static_cast<uint32_t>(kTableMagicNumber >> 32));
 }
@@ -39,9 +38,23 @@ Status Footer::DecodeFrom(Slice* input) {
   if (magic != kTableMagicNumber) {
     return Status::Corruption("not an sstable (bad magic number)");
   }
-  Status s = filter_handle_.DecodeFrom(input);
-  if (s.ok()) s = index_handle_.DecodeFrom(input);
-  return s;
+  return index_handle_.DecodeFrom(input);
+}
+
+Status ReadFooter(RandomAccessFile* file, Footer* footer) {
+  const uint64_t size = file->Size();
+  if (size < Footer::kEncodedLength) {
+    return Status::Corruption("file is too short to be an sstable");
+  }
+  char footer_space[Footer::kEncodedLength];
+  Slice footer_input;
+  Status s = file->Read(size - Footer::kEncodedLength, Footer::kEncodedLength,
+                        &footer_input, footer_space);
+  if (!s.ok()) return s;
+  if (footer_input.size() != Footer::kEncodedLength) {
+    return Status::Corruption("truncated footer read");
+  }
+  return footer->DecodeFrom(&footer_input);
 }
 
 Status CheckBlockHandle(const BlockHandle& handle, uint64_t file_size) {

@@ -3,9 +3,8 @@
 //
 // Layout of an SSTable:
 //   [data block 1] ... [data block N]
-//   [filter block]            (bloom over user keys; optional)
 //   [index block]             (last-key -> data block handle)
-//   [footer]                  (filter handle | index handle | magic)
+//   [footer]                  (index handle | magic)
 // Every block is followed by a 5-byte trailer: type byte (0 = raw) and
 // crc32c of payload+type.
 
@@ -46,28 +45,32 @@ class BlockHandle {
 
 class Footer {
  public:
-  const BlockHandle& filter_handle() const { return filter_handle_; }
   const BlockHandle& index_handle() const { return index_handle_; }
-  void set_filter_handle(const BlockHandle& h) { filter_handle_ = h; }
   void set_index_handle(const BlockHandle& h) { index_handle_ = h; }
 
   void EncodeTo(std::string* dst) const;
   Status DecodeFrom(Slice* input);
 
-  static constexpr size_t kEncodedLength =
-      2 * BlockHandle::kMaxEncodedLength + 8;
+  static constexpr size_t kEncodedLength = BlockHandle::kMaxEncodedLength + 8;
 
  private:
-  BlockHandle filter_handle_;
   BlockHandle index_handle_;
 };
 
-static constexpr uint64_t kTableMagicNumber = 0x7472615353544232ull;  // "traSSTB2"
+// "traSSTB3". The magic names the footer layout, so a table written in an
+// older layout fails the magic check as Corruption instead of being
+// misread.
+static constexpr uint64_t kTableMagicNumber = 0x7472615353544233ull;
 static constexpr size_t kBlockTrailerSize = 5;
 
 struct BlockContents {
   std::string data;
 };
+
+/// Reads and decodes the footer at the end of `file`: Corruption when the
+/// file is too short to hold one, the read comes back short, or the
+/// footer does not decode.
+Status ReadFooter(RandomAccessFile* file, Footer* footer);
 
 /// Corruption unless the block at `handle` (payload plus trailer) lies
 /// inside a file of `file_size` bytes. Overflow-safe: footer and index

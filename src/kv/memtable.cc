@@ -51,33 +51,6 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
   empty_ = false;
 }
 
-bool MemTable::Get(const Slice& user_key, SequenceNumber seq,
-                   std::string* value, Status* status) const {
-  std::string lookup;
-  PutVarint32(&lookup, static_cast<uint32_t>(user_key.size() + 8));
-  AppendInternalKey(&lookup, user_key, seq, kTypeValue);
-  Table::Iterator iter(&table_);
-  iter.Seek(lookup.data());
-  if (!iter.Valid()) return false;
-  const char* entry = iter.entry();
-  const char* p = entry;
-  Slice internal_key = GetLengthPrefixed(&p);
-  if (ExtractUserKey(internal_key) != user_key) return false;
-  switch (ExtractValueType(internal_key)) {
-    case kTypeValue: {
-      const char* vp = p;
-      Slice v = GetLengthPrefixed(&vp);
-      value->assign(v.data(), v.size());
-      *status = Status::OK();
-      return true;
-    }
-    case kTypeDeletion:
-      *status = Status::NotFound("deleted");
-      return true;
-  }
-  return false;
-}
-
 class MemTableIterator final : public Iterator {
  public:
   explicit MemTableIterator(const MemTable::Table* table) : iter_(table) {}

@@ -29,11 +29,6 @@ class MemTable {
   void Add(SequenceNumber seq, ValueType type, const Slice& user_key,
            const Slice& value);
 
-  /// Point lookup as of `seq`. Returns true when the memtable holds an
-  /// answer: *status OK with *value set, or NotFound for a deletion.
-  bool Get(const Slice& user_key, SequenceNumber seq, std::string* value,
-           Status* status) const;
-
   /// Iterator over internal keys (caller owns it; memtable must outlive).
   Iterator* NewIterator() const;
 

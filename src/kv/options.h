@@ -1,6 +1,7 @@
 // Tuning knobs for the storage engine, mirroring the LevelDB/RocksDB
-// Options / WriteOptions split. Reads take no options: every block read
-// verifies its checksum.
+// Options / WriteOptions split. The engine is scan-only, so nothing here
+// tunes a point-lookup path (no block cache, no bloom filters), and reads
+// take no options: every block read verifies its checksum.
 
 #ifndef TRASS_KV_OPTIONS_H_
 #define TRASS_KV_OPTIONS_H_
@@ -28,12 +29,6 @@ struct Options {
 
   /// Keys between restart points inside a data block.
   int block_restart_interval = 16;
-
-  /// Bloom filter bits per key in SSTables (0 disables filters).
-  int bloom_bits_per_key = 10;
-
-  /// Capacity of the shared LRU block cache in bytes.
-  size_t block_cache_size = 8 * 1024 * 1024;
 
   /// Number of L0 files that triggers a compaction into L1.
   int l0_compaction_trigger = 4;

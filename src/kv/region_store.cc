@@ -67,21 +67,6 @@ Status RegionStore::ApplyBatch(const WriteOptions& options, int shard,
   return Status::OK();
 }
 
-Status RegionStore::Delete(const WriteOptions& options, const Slice& key) {
-  Status s = CheckKey(key, num_regions());
-  if (!s.ok()) return s;
-  const size_t shard = static_cast<unsigned char>(key[0]);
-  return regions_[shard]->Delete(options, key).WithContext(
-      RegionContext(shard));
-}
-
-Status RegionStore::Get(const Slice& key, std::string* value) {
-  Status s = CheckKey(key, num_regions());
-  if (!s.ok()) return s;
-  const size_t shard = static_cast<unsigned char>(key[0]);
-  return regions_[shard]->Get(key, value).WithContext(RegionContext(shard));
-}
-
 Status RegionStore::ScanRegion(size_t region,
                                const std::vector<ScanRange>& ranges,
                                const ScanFilter* filter,
@@ -297,14 +282,9 @@ IoStats::Snapshot RegionStore::TotalIoStats() const {
     const IoStats::Snapshot s = db->io_stats().Read();
     total.blocks_read += s.blocks_read;
     total.block_bytes_read += s.block_bytes_read;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.cache_fills += s.cache_fills;
     total.readahead_reads += s.readahead_reads;
     total.readahead_bytes_read += s.readahead_bytes_read;
     total.rows_scanned += s.rows_scanned;
-    total.bloom_skips += s.bloom_skips;
-    total.point_gets += s.point_gets;
     total.range_scans += s.range_scans;
     total.checksum_verifications += s.checksum_verifications;
     total.corruptions_detected += s.corruptions_detected;

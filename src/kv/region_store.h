@@ -24,12 +24,12 @@
 // stop must never mask a region that was proven down.
 //
 // Thread-safety contract:
-//  * Scan / Get are safe to call concurrently with each
-//    other and with writes (Put / Delete / ApplyBatch) — the LSM
-//    substrate supports one writer with any number of concurrent
-//    readers. Writes themselves are single-writer: the caller must
-//    serialize Put / Delete / ApplyBatch / Resume against each other
-//    (TrassStore serializes them under its ingest mutex).
+//  * Scan is safe to call concurrently with itself and with writes
+//    (Put / ApplyBatch) — the LSM substrate supports one writer with
+//    any number of concurrent readers. Writes themselves are
+//    single-writer: the caller must serialize Put / ApplyBatch / Resume
+//    against each other (TrassStore serializes them under its ingest
+//    mutex).
 //  * All health counters are guarded by one internal mutex.
 //    Health()/HealthSnapshot() return a copy taken under a single lock
 //    hold, so every counter of the returned value is mutually
@@ -57,11 +57,11 @@ namespace kv {
 
 /// Outcome of one fan-out scan beyond its rows.
 struct ScanReport {
-  /// Readahead traffic this scan caused (scans never touch the block
-  /// cache), measured as before/after deltas of each scanned region's
-  /// IoStats and summed over regions (failed regions included — their
-  /// I/O was real). Approximate when compactions or other queries read
-  /// the same region concurrently; exact on an otherwise idle store.
+  /// Readahead traffic this scan caused, measured as before/after deltas
+  /// of each scanned region's IoStats and summed over regions (failed
+  /// regions included — their I/O was real). Approximate when
+  /// compactions or other queries read the same region concurrently;
+  /// exact on an otherwise idle store.
   uint64_t readahead_reads = 0;       // readahead window preads issued
   uint64_t readahead_bytes_read = 0;  // bytes those preads fetched
 };
@@ -98,12 +98,9 @@ class RegionStore {
   int num_regions() const { return static_cast<int>(regions_.size()); }
 
   /// Routes by the first key byte (the shard). Keys must be non-empty and
-  /// their first byte must be < num_regions. Reads verify block
-  /// checksums (torn-page detection is part of the store's contract).
-  /// Errors carry the region.
+  /// their first byte must be < num_regions. Errors carry the region.
   Status Put(const WriteOptions& options, const Slice& key,
              const Slice& value);
-  Status Delete(const WriteOptions& options, const Slice& key);
 
   /// Applies one group-commit batch to region `shard`. Every key in the
   /// batch must carry that shard byte (the caller groups rows by shard).
@@ -111,7 +108,6 @@ class RegionStore {
   /// syncing), which is where group commit beats per-row Put.
   /// Single-writer like Put (see the contract above).
   Status ApplyBatch(const WriteOptions& options, int shard, WriteBatch* batch);
-  Status Get(const Slice& key, std::string* value);
 
   /// Scans every range in every region, applying `filter` server-side
   /// (null keeps all rows). Appends kept rows to *out (unordered across

@@ -13,14 +13,9 @@ namespace kv {
 struct IoStats {
   std::atomic<uint64_t> blocks_read{0};       // data blocks fetched from disk
   std::atomic<uint64_t> block_bytes_read{0};  // payload bytes of those blocks
-  std::atomic<uint64_t> cache_hits{0};        // data blocks served from cache
-  std::atomic<uint64_t> cache_misses{0};      // cache lookups that went to disk
-  std::atomic<uint64_t> cache_fills{0};       // blocks inserted into the cache
   std::atomic<uint64_t> readahead_reads{0};   // readahead window preads issued
   std::atomic<uint64_t> readahead_bytes_read{0};  // bytes those preads fetched
   std::atomic<uint64_t> rows_scanned{0};      // entries yielded to scans
-  std::atomic<uint64_t> bloom_skips{0};       // tables skipped by bloom
-  std::atomic<uint64_t> point_gets{0};
   std::atomic<uint64_t> range_scans{0};
   std::atomic<uint64_t> checksum_verifications{0};  // blocks CRC-checked
   std::atomic<uint64_t> corruptions_detected{0};    // checksum mismatches
@@ -34,14 +29,9 @@ struct IoStats {
   void Reset() {
     blocks_read = 0;
     block_bytes_read = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_fills = 0;
     readahead_reads = 0;
     readahead_bytes_read = 0;
     rows_scanned = 0;
-    bloom_skips = 0;
-    point_gets = 0;
     range_scans = 0;
     checksum_verifications = 0;
     corruptions_detected = 0;
@@ -56,14 +46,9 @@ struct IoStats {
   struct Snapshot {
     uint64_t blocks_read;
     uint64_t block_bytes_read;
-    uint64_t cache_hits;
-    uint64_t cache_misses;
-    uint64_t cache_fills;
     uint64_t readahead_reads;
     uint64_t readahead_bytes_read;
     uint64_t rows_scanned;
-    uint64_t bloom_skips;
-    uint64_t point_gets;
     uint64_t range_scans;
     uint64_t checksum_verifications;
     uint64_t corruptions_detected;
@@ -81,14 +66,9 @@ struct IoStats {
   Snapshot Read() const {
     return Snapshot{blocks_read.load(),
                     block_bytes_read.load(),
-                    cache_hits.load(),
-                    cache_misses.load(),
-                    cache_fills.load(),
                     readahead_reads.load(),
                     readahead_bytes_read.load(),
                     rows_scanned.load(),
-                    bloom_skips.load(),
-                    point_gets.load(),
                     range_scans.load(),
                     checksum_verifications.load(),
                     corruptions_detected.load(),

@@ -4,113 +4,29 @@
 #include <memory>
 #include <optional>
 
-#include "kv/dbformat.h"
-#include "kv/bloom.h"
-#include "util/coding.h"
-
 namespace trass {
 namespace kv {
 
-struct Table::Rep {
-  Options options;
-  std::unique_ptr<RandomAccessFile> file;
-  uint64_t file_id = 0;
-  std::unique_ptr<Block> index_block;
-  std::string filter_data;  // empty when the table has no filter
-  BlockCache* cache = nullptr;
-  IoStats* stats = nullptr;
-};
-
-Table::Table(std::unique_ptr<Rep> rep)
-    : rep_(std::move(rep)), file_id_(rep_->file_id) {}
+Table::Table(std::unique_ptr<RandomAccessFile> file,
+             std::unique_ptr<Block> index_block, IoStats* stats)
+    : file_(std::move(file)),
+      index_block_(std::move(index_block)),
+      stats_(stats) {}
 
 Table::~Table() = default;
 
-Status Table::Open(const Options& options, uint64_t file_id,
-                   std::unique_ptr<RandomAccessFile> file, BlockCache* cache,
-                   IoStats* stats, std::unique_ptr<Table>* table) {
+Status Table::Open(std::unique_ptr<RandomAccessFile> file, IoStats* stats,
+                   std::unique_ptr<Table>* table) {
   table->reset();
-  const uint64_t size = file->Size();
-  if (size < Footer::kEncodedLength) {
-    return Status::Corruption("file is too short to be an sstable");
-  }
-  char footer_space[Footer::kEncodedLength];
-  Slice footer_input;
-  Status s = file->Read(size - Footer::kEncodedLength, Footer::kEncodedLength,
-                        &footer_input, footer_space);
-  if (!s.ok()) return s;
-  if (footer_input.size() != Footer::kEncodedLength) {
-    return Status::Corruption("truncated footer read");
-  }
   Footer footer;
-  s = footer.DecodeFrom(&footer_input);
+  Status s = ReadFooter(file.get(), &footer);
   if (!s.ok()) return s;
-
   BlockContents index_contents;
   s = ReadBlock(file.get(), footer.index_handle(), &index_contents);
   if (!s.ok()) return s;
-
-  auto rep = std::make_unique<Rep>();
-  rep->options = options;
-  rep->file_id = file_id;
-  rep->index_block = std::make_unique<Block>(std::move(index_contents.data));
-  rep->cache = cache;
-  rep->stats = stats;
-
-  if (footer.filter_handle().size() > 0) {
-    BlockContents filter_contents;
-    s = ReadBlock(file.get(), footer.filter_handle(), &filter_contents);
-    if (!s.ok()) return s;
-    rep->filter_data = std::move(filter_contents.data);
-  }
-  rep->file = std::move(file);
-
-  table->reset(new Table(std::move(rep)));
+  auto index_block = std::make_unique<Block>(std::move(index_contents.data));
+  table->reset(new Table(std::move(file), std::move(index_block), stats));
   return Status::OK();
-}
-
-std::shared_ptr<const Block> Table::ReadDataBlock(const BlockHandle& handle,
-                                                  Status* s) const {
-  *s = Status::OK();
-  if (rep_->cache != nullptr) {
-    BlockCache::Key key{rep_->file_id, handle.offset()};
-    if (auto cached = rep_->cache->Lookup(key)) {
-      if (rep_->stats) {
-        rep_->stats->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      return cached;
-    }
-    if (rep_->stats) {
-      rep_->stats->cache_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  BlockContents contents;
-  if (rep_->stats) {
-    rep_->stats->checksum_verifications.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  }
-  *s = ReadBlock(rep_->file.get(), handle, &contents);
-  if (!s->ok()) {
-    if (rep_->stats && s->IsCorruption()) {
-      rep_->stats->corruptions_detected.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
-    return nullptr;
-  }
-  if (rep_->stats) {
-    rep_->stats->blocks_read.fetch_add(1, std::memory_order_relaxed);
-    rep_->stats->block_bytes_read.fetch_add(contents.data.size(),
-                                            std::memory_order_relaxed);
-  }
-  auto block = std::make_shared<Block>(std::move(contents.data));
-  if (rep_->cache != nullptr) {
-    rep_->cache->Insert(BlockCache::Key{rep_->file_id, handle.offset()}, block,
-                        block->size());
-    if (rep_->stats) {
-      rep_->stats->cache_fills.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return block;
 }
 
 namespace {
@@ -120,8 +36,8 @@ namespace {
 // the needed block (doubling from kMinWindow while the access pattern
 // stays sequential), and data blocks are parsed in place as non-owning
 // Block views, so key/value Slices are handed out with no per-block copy
-// or allocation and no block-cache lookups or fills. Empty data blocks
-// are skipped, and the first error sticks in status().
+// or allocation. Empty data blocks are skipped, and the first error
+// sticks in status().
 class ReadaheadTableIterator final : public Iterator {
  public:
   ReadaheadTableIterator(Iterator* index_iter, RandomAccessFile* file,
@@ -301,40 +217,8 @@ class ReadaheadTableIterator final : public Iterator {
 }  // namespace
 
 Iterator* Table::NewIterator() const {
-  return new ReadaheadTableIterator(rep_->index_block->NewIterator(),
-                                    rep_->file.get(), rep_->file->Size(),
-                                    rep_->stats);
-}
-
-Status Table::InternalGet(const Slice& internal_key, bool* found,
-                          std::string* result_key,
-                          std::string* result_value) const {
-  *found = false;
-  if (!rep_->filter_data.empty()) {
-    const Slice user_key = ExtractUserKey(internal_key);
-    if (!BloomKeyMayMatch(user_key, Slice(rep_->filter_data))) {
-      if (rep_->stats) {
-        rep_->stats->bloom_skips.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Status::OK();
-    }
-  }
-  std::unique_ptr<Iterator> index_iter(rep_->index_block->NewIterator());
-  index_iter->Seek(internal_key);
-  if (!index_iter->Valid()) return index_iter->status();
-  BlockHandle handle;
-  Slice input = index_iter->value();
-  Status s = handle.DecodeFrom(&input);
-  if (!s.ok()) return s;
-  auto block = ReadDataBlock(handle, &s);
-  if (block == nullptr) return s;
-  std::unique_ptr<Iterator> block_iter(block->NewIterator());
-  block_iter->Seek(internal_key);
-  if (!block_iter->Valid()) return block_iter->status();
-  *found = true;
-  result_key->assign(block_iter->key().data(), block_iter->key().size());
-  result_value->assign(block_iter->value().data(), block_iter->value().size());
-  return Status::OK();
+  return new ReadaheadTableIterator(index_block_->NewIterator(), file_.get(),
+                                    file_->Size(), stats_);
 }
 
 }  // namespace kv

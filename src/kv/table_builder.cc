@@ -13,12 +13,7 @@ TableBuilder::TableBuilder(const Options& options, WritableFile* file)
     : options_(options),
       file_(file),
       data_block_(options.block_restart_interval),
-      index_block_(1) {
-  if (options_.bloom_bits_per_key > 0) {
-    filter_ =
-        std::make_unique<BloomFilterBuilder>(options_.bloom_bits_per_key);
-  }
-}
+      index_block_(1) {}
 
 void TableBuilder::Add(const Slice& internal_key, const Slice& value) {
   if (!status_.ok()) return;
@@ -33,10 +28,6 @@ void TableBuilder::Add(const Slice& internal_key, const Slice& value) {
     pending_handle_.EncodeTo(&handle_encoding);
     index_block_.Add(Slice(last_key_), Slice(handle_encoding));
     pending_index_entry_ = false;
-  }
-
-  if (filter_) {
-    filter_->AddKey(ExtractUserKey(internal_key));
   }
 
   last_key_.assign(internal_key.data(), internal_key.size());
@@ -55,28 +46,25 @@ void TableBuilder::FlushDataBlock() {
 }
 
 void TableBuilder::WriteBlock(BlockBuilder* block, BlockHandle* handle) {
-  Slice contents = block->Finish();
-  WriteRawBlock(contents, handle);
-  block->Reset();
-}
-
-void TableBuilder::WriteRawBlock(const Slice& contents, BlockHandle* handle) {
+  const Slice contents = block->Finish();
   handle->set_offset(offset_);
   handle->set_size(contents.size());
   status_ = file_->Append(contents);
-  if (!status_.ok()) return;
-  // Trailer: type byte (0 = uncompressed) + masked crc of payload+type.
-  char trailer[kBlockTrailerSize];
-  trailer[0] = 0;
-  uint32_t crc = crc32c::Value(contents.data(), contents.size());
-  crc = crc32c::Extend(crc, trailer, 1);
-  std::string crc_enc;
-  PutFixed32(&crc_enc, crc32c::Mask(crc));
-  std::memcpy(trailer + 1, crc_enc.data(), 4);
-  status_ = file_->Append(Slice(trailer, kBlockTrailerSize));
+  if (status_.ok()) {
+    // Trailer: type byte (0 = uncompressed) + masked crc of payload+type.
+    char trailer[kBlockTrailerSize];
+    trailer[0] = 0;
+    uint32_t crc = crc32c::Value(contents.data(), contents.size());
+    crc = crc32c::Extend(crc, trailer, 1);
+    std::string crc_enc;
+    PutFixed32(&crc_enc, crc32c::Mask(crc));
+    std::memcpy(trailer + 1, crc_enc.data(), 4);
+    status_ = file_->Append(Slice(trailer, kBlockTrailerSize));
+  }
   if (status_.ok()) {
     offset_ += contents.size() + kBlockTrailerSize;
   }
+  block->Reset();
 }
 
 Status TableBuilder::Finish() {
@@ -91,19 +79,11 @@ Status TableBuilder::Finish() {
     pending_index_entry_ = false;
   }
 
-  BlockHandle filter_handle(0, 0);
-  if (filter_ && filter_->num_keys() > 0) {
-    const std::string filter_data = filter_->Finish();
-    WriteRawBlock(Slice(filter_data), &filter_handle);
-    if (!status_.ok()) return status_;
-  }
-
   BlockHandle index_handle;
   WriteBlock(&index_block_, &index_handle);
   if (!status_.ok()) return status_;
 
   Footer footer;
-  footer.set_filter_handle(filter_handle);
   footer.set_index_handle(index_handle);
   std::string footer_encoding;
   footer.EncodeTo(&footer_encoding);

@@ -5,11 +5,9 @@
 #define TRASS_KV_TABLE_BUILDER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "kv/block_builder.h"
-#include "kv/bloom.h"
 #include "kv/env.h"
 #include "kv/format.h"
 #include "kv/options.h"
@@ -30,7 +28,7 @@ class TableBuilder {
   /// Adds an entry; internal keys must arrive in strictly increasing order.
   void Add(const Slice& internal_key, const Slice& value);
 
-  /// Writes filter block, index block, and footer.
+  /// Writes the index block and the footer.
   Status Finish();
 
   Status status() const { return status_; }
@@ -40,7 +38,6 @@ class TableBuilder {
  private:
   void FlushDataBlock();
   void WriteBlock(BlockBuilder* block, BlockHandle* handle);
-  void WriteRawBlock(const Slice& contents, BlockHandle* handle);
 
   Options options_;
   WritableFile* file_;
@@ -48,7 +45,6 @@ class TableBuilder {
   Status status_;
   BlockBuilder data_block_;
   BlockBuilder index_block_;
-  std::unique_ptr<BloomFilterBuilder> filter_;
   std::string last_key_;
   uint64_t num_entries_ = 0;
   bool pending_index_entry_ = false;

@@ -1,6 +1,5 @@
 #include "kv/table_cache.h"
 
-#include "kv/env.h"
 #include "kv/filename.h"
 
 namespace trass {
@@ -19,11 +18,10 @@ Status TableCache::Get(uint64_t file_number, std::shared_ptr<Table>* table) {
   // wins the map insert).
   std::unique_ptr<RandomAccessFile> file;
   const std::string fname = TableFileName(dbname_, file_number);
-  Status s = options_.env->NewRandomAccessFile(fname, &file);
+  Status s = env_->NewRandomAccessFile(fname, &file);
   if (!s.ok()) return s;
   std::unique_ptr<Table> opened;
-  s = Table::Open(options_, file_number, std::move(file), block_cache_, stats_,
-                  &opened);
+  s = Table::Open(std::move(file), stats_, &opened);
   if (!s.ok()) return s;
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = tables_.emplace(file_number, std::move(opened));

@@ -10,8 +10,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "kv/cache.h"
-#include "kv/options.h"
+#include "kv/env.h"
 #include "kv/stats.h"
 #include "kv/table.h"
 #include "util/status.h"
@@ -21,12 +20,8 @@ namespace kv {
 
 class TableCache {
  public:
-  TableCache(std::string dbname, const Options& options, BlockCache* cache,
-             IoStats* stats)
-      : dbname_(std::move(dbname)),
-        options_(options),
-        block_cache_(cache),
-        stats_(stats) {}
+  TableCache(std::string dbname, Env* env, IoStats* stats)
+      : dbname_(std::move(dbname)), env_(env), stats_(stats) {}
 
   /// Opens (or returns the already-open) table `file_number`.
   Status Get(uint64_t file_number, std::shared_ptr<Table>* table);
@@ -36,8 +31,7 @@ class TableCache {
 
  private:
   const std::string dbname_;
-  const Options options_;
-  BlockCache* const block_cache_;
+  Env* const env_;
   IoStats* const stats_;
 
   std::mutex mu_;

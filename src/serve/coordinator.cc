@@ -32,8 +32,11 @@ std::string ShardLabel(size_t shard, const ShardTransport& transport) {
 void ArmControl(const core::QueryOptions& options, QueryContext* control) {
   control->SetDeadlineAfterMillis(options.deadline_ms);
   if (options.cancel != nullptr) control->SetCancelFlag(options.cancel);
-  // The candidate budget is enforced shard-side: it rides in
-  // ShardRequest::max_candidates, not in this (routing-only) context.
+  // The candidate budget binds per store, not per query: every shard
+  // attempt carries the caller's whole max_candidates in its
+  // ShardRequest and enforces it on its own store, never in this
+  // (routing-only) context. Splitting it across shards would make a
+  // skewed tier return Busy on queries that one store answers.
 }
 
 /// In-place first-occurrence dedup by trajectory id. With replication a

@@ -94,9 +94,9 @@ struct ShardRequest {
   /// still a superset of the shard's contribution to the global answer.
   double bound = std::numeric_limits<double>::infinity();
 
-  // Per-shard budget carved from the caller's QueryContext.
+  // Per-attempt limits from the caller's query options.
   double deadline_ms = 0.0;       // <= 0: undeadlined
-  uint64_t max_candidates = 0;    // shard-side candidate budget share
+  uint64_t max_candidates = 0;    // caller's whole budget, bound per shard
   bool allow_partial = false;     // propagate verified-partial semantics
 
   std::vector<core::Trajectory> trajectories;  // kPut payload

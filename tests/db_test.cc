@@ -15,6 +15,8 @@ namespace trass {
 namespace kv {
 namespace {
 
+using trass::testing::SeekLookup;
+
 class DbTest : public ::testing::Test {
  protected:
   DbTest() : dir_("db") { Reopen(); }
@@ -39,7 +41,7 @@ class DbTest : public ::testing::Test {
 
   std::string Get(const std::string& key) {
     std::string value;
-    Status s = db_->Get(key, &value);
+    Status s = SeekLookup(db_.get(), key, &value);
     return s.ok() ? value : s.ToString();
   }
 
@@ -62,7 +64,7 @@ TEST_F(DbTest, Overwrite) {
 TEST_F(DbTest, DeleteHidesKey) {
   ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v").ok());
   ASSERT_TRUE(db_->Delete(WriteOptions(), "k").ok());
-  EXPECT_EQ(Get("k"), "NotFound: deleted");
+  EXPECT_EQ(Get("k"), "NotFound: key not found");
 }
 
 TEST_F(DbTest, GetAcrossFlush) {
@@ -174,14 +176,16 @@ TEST_F(DbTest, ReadsStayCorrectWhileBackgroundCompactionReplacesFiles) {
       }
     }
   });
-  std::thread getter([this, &model, &failed] {
+  // A seek-reader: each lookup builds a fresh iterator, pinning and
+  // opening whatever version is current while files are replaced.
+  std::thread seeker([this, &model, &failed] {
     Random rnd(9);
     for (int i = 0; i < 2000; ++i) {
       char buf[16];
       std::snprintf(buf, sizeof(buf), "key-%04d",
                     static_cast<int>(rnd.Uniform(1500)));
       std::string value;
-      if (!db_->Get(buf, &value).ok() ||
+      if (!SeekLookup(db_.get(), buf, &value).ok() ||
           value != model.at(buf)) {
         failed = true;
         return;
@@ -203,7 +207,7 @@ TEST_F(DbTest, ReadsStayCorrectWhileBackgroundCompactionReplacesFiles) {
   ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
   EXPECT_EQ(model_it, model.end());
   writer.join();
-  getter.join();
+  seeker.join();
   EXPECT_FALSE(failed.load());
   iter.reset();  // last pin: deferred table deletions drain here
   db_->WaitForCompactions();

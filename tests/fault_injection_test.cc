@@ -21,6 +21,8 @@ namespace trass {
 namespace kv {
 namespace {
 
+using trass::testing::SeekLookup;
+
 class FaultInjectionTest : public ::testing::Test {
  protected:
   FaultInjectionTest() : dir_("fault_injection"), env_(Env::Default()) {}
@@ -56,7 +58,7 @@ class FaultInjectionTest : public ::testing::Test {
     ASSERT_TRUE(DB::Open(DbOptions(), DbPath(), &db).ok());
     for (int i = 0; i < acked; ++i) {
       std::string value;
-      ASSERT_TRUE(db->Get(KeyOf(i), &value).ok()) << KeyOf(i);
+      ASSERT_TRUE(SeekLookup(db.get(), KeyOf(i), &value).ok()) << KeyOf(i);
       EXPECT_EQ(value, ValueOf(i)) << KeyOf(i);
     }
     EXPECT_TRUE(db->VerifyIntegrity().ok());
@@ -81,7 +83,7 @@ TEST_F(FaultInjectionTest, CrashLosesExactlyTheUnsyncedWalTail) {
   ASSERT_TRUE(DB::Open(DbOptions(), DbPath(), &db).ok());
   for (int i = 0; i < 100; ++i) {
     std::string value;
-    const Status s = db->Get(KeyOf(i), &value);
+    const Status s = SeekLookup(db.get(), KeyOf(i), &value);
     if (i < 50) {
       ASSERT_TRUE(s.ok()) << KeyOf(i);
       EXPECT_EQ(value, ValueOf(i));
@@ -168,7 +170,7 @@ TEST_F(FaultInjectionTest, RepeatedCrashReopenCyclesStayConsistent) {
     ASSERT_TRUE(DB::Open(DbOptions(), DbPath(), &db).ok());
     for (int i = 0; i < acked; ++i) {  // everything acked so far is here
       std::string value;
-      ASSERT_TRUE(db->Get(KeyOf(i), &value).ok()) << KeyOf(i);
+      ASSERT_TRUE(SeekLookup(db.get(), KeyOf(i), &value).ok()) << KeyOf(i);
       ASSERT_EQ(value, ValueOf(i));
     }
     for (int i = 0; i < 25; ++i) {
@@ -255,7 +257,7 @@ TEST_F(FaultInjectionTest, FlippedTableBytesAreDetectedNotServed) {
   int failed = 0;
   for (int i = 0; i < 200; ++i) {
     std::string value;
-    const Status s = db->Get(KeyOf(i), &value);
+    const Status s = SeekLookup(db.get(), KeyOf(i), &value);
     if (s.ok()) {
       EXPECT_EQ(value, ValueOf(i)) << KeyOf(i);
     } else {

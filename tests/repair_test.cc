@@ -10,11 +10,16 @@
 
 #include "kv/db.h"
 #include "kv/filename.h"
+#include "kv/format.h"
+#include "kv/table.h"
 #include "test_util.h"
+#include "util/coding.h"
 
 namespace trass {
 namespace kv {
 namespace {
+
+using trass::testing::SeekLookup;
 
 class RepairTest : public ::testing::Test {
  protected:
@@ -69,11 +74,31 @@ class RepairTest : public ::testing::Test {
                     .ok());
   }
 
+  // Rewrites the table at `path` in the previous SST layout: the same
+  // blocks, then a footer of (filter handle, index handle) padded to 40
+  // bytes and that layout's "traSSTB2" magic.
+  void RewriteWithOldFooter(const std::string& path) {
+    std::string contents;
+    ASSERT_TRUE(Env::Default()->ReadFileToString(path, &contents).ok());
+    const size_t footer_at = contents.size() - Footer::kEncodedLength;
+    Footer footer;
+    Slice footer_input(contents.data() + footer_at, Footer::kEncodedLength);
+    ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+    contents.resize(footer_at);
+    BlockHandle(0, 0).EncodeTo(&contents);  // no filter block
+    footer.index_handle().EncodeTo(&contents);
+    contents.resize(footer_at + 2 * BlockHandle::kMaxEncodedLength);
+    PutFixed64(&contents, 0x7472615353544232ull);  // "traSSTB2"
+    ASSERT_TRUE(Env::Default()
+                    ->WriteStringToFile(contents, path, /*sync=*/false)
+                    .ok());
+  }
+
   void ExpectKeys(DB* db, const std::string& prefix, int count,
                   bool present) {
     for (int i = 0; i < count; ++i) {
       std::string value;
-      const Status s = db->Get(KeyOf(prefix, i), &value);
+      const Status s = SeekLookup(db, KeyOf(prefix, i), &value);
       if (present) {
         ASSERT_TRUE(s.ok()) << KeyOf(prefix, i) << ": " << s.ToString();
         EXPECT_EQ(value, ValueOf(i));
@@ -125,21 +150,45 @@ TEST_F(RepairTest, RecoversTablesOrphanedByMissingCurrent) {
 TEST_F(RepairTest, QuarantinesCorruptTableAndSalvagesTheRest) {
   FillAndClose("aaa", 120, /*flush=*/true);
   FillAndClose("bbb", 120, /*flush=*/true);
+  FillAndClose("ccc", 120, /*flush=*/true);
   const auto tables = FilesOfType(FileType::kTableFile);
-  ASSERT_EQ(tables.size(), 2u);
-  // Lower file number == earlier flush == the "aaa" batch.
+  ASSERT_EQ(tables.size(), 3u);
+  // File numbers follow flush order: aaa, bbb, ccc. The ccc table is
+  // intact but in the previous SST layout, which must be refused, not
+  // misread.
+  RewriteWithOldFooter(tables[2]);
+  {
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_TRUE(Env::Default()->NewRandomAccessFile(tables[2], &file).ok());
+    std::unique_ptr<Table> table;
+    const Status s = Table::Open(std::move(file), nullptr, &table);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("bad magic number"), std::string::npos)
+        << s.ToString();
+  }
+  {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(Options(), DbPath(), &db).ok());
+    const Status s = db->VerifyIntegrity();
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find(tables[2]), std::string::npos)
+        << s.ToString();
+  }
   CorruptMiddle(tables[0]);
   ASSERT_TRUE(Env::Default()->RemoveFile(CurrentFileName(DbPath())).ok());
 
   ASSERT_TRUE(DB::Repair(Options(), DbPath()).ok());
-  EXPECT_TRUE(Env::Default()->FileExists(tables[0] + ".bad"));
-  EXPECT_FALSE(Env::Default()->FileExists(tables[0]));
+  for (const size_t bad : {0, 2}) {
+    EXPECT_TRUE(Env::Default()->FileExists(tables[bad] + ".bad"));
+    EXPECT_FALSE(Env::Default()->FileExists(tables[bad]));
+  }
 
   Options options;
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, DbPath(), &db).ok());
   ExpectKeys(db.get(), "bbb", 120, /*present=*/true);
   ExpectKeys(db.get(), "aaa", 120, /*present=*/false);
+  ExpectKeys(db.get(), "ccc", 120, /*present=*/false);
   EXPECT_TRUE(db->VerifyIntegrity().ok());
 }
 

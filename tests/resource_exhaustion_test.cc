@@ -27,6 +27,8 @@ namespace trass {
 namespace kv {
 namespace {
 
+using trass::testing::SeekLookup;
+
 class ResourceExhaustionTest : public ::testing::Test {
  protected:
   ResourceExhaustionTest()
@@ -49,7 +51,7 @@ class ResourceExhaustionTest : public ::testing::Test {
   static void ExpectRows(DB* db, int acked) {
     for (int i = 0; i < acked; ++i) {
       std::string value;
-      ASSERT_TRUE(db->Get(KeyOf(i), &value).ok()) << KeyOf(i);
+      ASSERT_TRUE(SeekLookup(db, KeyOf(i), &value).ok()) << KeyOf(i);
       EXPECT_EQ(value, ValueOf(i)) << KeyOf(i);
     }
   }
@@ -89,7 +91,7 @@ TEST_F(ResourceExhaustionTest, ShortWriteMidWalWedgesReadOnlyThenResumes) {
   // Reads and scans keep working off the installed state.
   ExpectRows(db.get(), 40);
   std::string value;
-  EXPECT_TRUE(db->Get(KeyOf(1000), &value).IsNotFound());
+  EXPECT_TRUE(SeekLookup(db.get(), KeyOf(1000), &value).IsNotFound());
 
   // Resume switches to a fresh WAL and flushes, none of which appends
   // to a ".log" file, so it succeeds even while the fault persists —
@@ -114,7 +116,7 @@ TEST_F(ResourceExhaustionTest, ShortWriteMidWalWedgesReadOnlyThenResumes) {
   db.reset();
   ASSERT_TRUE(DB::Open(DbOptions(), DbPath(), &db).ok());
   ExpectRows(db.get(), 60);
-  EXPECT_TRUE(db->Get(KeyOf(1000), &value).IsNotFound());
+  EXPECT_TRUE(SeekLookup(db.get(), KeyOf(1000), &value).IsNotFound());
   EXPECT_TRUE(db->VerifyIntegrity().ok());
 }
 
@@ -150,7 +152,7 @@ TEST_F(ResourceExhaustionTest, AckedRowsSurviveWedgePlusCrash) {
   ASSERT_TRUE(DB::Open(DbOptions(), DbPath(), &db).ok());
   ExpectRows(db.get(), 30);
   std::string value;
-  EXPECT_TRUE(db->Get(KeyOf(1000), &value).IsNotFound());
+  EXPECT_TRUE(SeekLookup(db.get(), KeyOf(1000), &value).IsNotFound());
   EXPECT_TRUE(db->VerifyIntegrity().ok());
 }
 
@@ -335,6 +337,8 @@ TEST_F(ResourceExhaustionTest, TransientSyncErrorWedgesUntilResume) {
 
 namespace core {
 namespace {
+
+using trass::testing::SeekLookup;
 
 geo::Mbr Everywhere() { return geo::Mbr(0.0, 0.0, 1.0, 1.0); }
 
@@ -610,7 +614,7 @@ TEST(ResourceExhaustionChaos, CrashDuringBackgroundCompaction) {
     ASSERT_TRUE(kv::DB::Open(options, path, &db).ok());
     for (int i = 0; i < acked; ++i) {
       std::string value;
-      ASSERT_TRUE(db->Get(key_of(i), &value).ok())
+      ASSERT_TRUE(SeekLookup(db.get(), key_of(i), &value).ok())
           << "synced row lost across crash: " << key_of(i);
       ASSERT_EQ(value, value_of(i)) << key_of(i);
     }

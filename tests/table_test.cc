@@ -36,7 +36,7 @@ std::string UserKey(int i) {
 
 class TableTest : public ::testing::Test {
  protected:
-  TableTest() : dir_("table"), cache_(1 << 20) {}
+  TableTest() : dir_("table") {}
 
   void BuildTable(int n, const Options& options) {
     std::vector<std::pair<std::string, std::string>> entries;
@@ -58,26 +58,23 @@ class TableTest : public ::testing::Test {
     ASSERT_TRUE(file->Close().ok());
   }
 
-  std::unique_ptr<Table> OpenTable(const Options& options) {
+  std::unique_ptr<Table> OpenTable() {
     std::unique_ptr<RandomAccessFile> file;
     EXPECT_TRUE(Env::Default()->NewRandomAccessFile(path_, &file).ok());
     std::unique_ptr<Table> table;
-    EXPECT_TRUE(
-        Table::Open(options, 1, std::move(file), &cache_, &stats_, &table)
-            .ok());
+    EXPECT_TRUE(Table::Open(std::move(file), &stats_, &table).ok());
     return table;
   }
 
   trass::testing::ScratchDir dir_;
   std::string path_;
-  BlockCache cache_;
   IoStats stats_;
 };
 
 TEST_F(TableTest, RoundTripSmall) {
   Options options;
   BuildTable(10, options);
-  auto table = OpenTable(options);
+  auto table = OpenTable();
   std::unique_ptr<Iterator> iter(table->NewIterator());
   int i = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++i) {
@@ -91,7 +88,7 @@ TEST_F(TableTest, RoundTripManyBlocks) {
   Options options;
   options.block_size = 256;  // force many data blocks
   BuildTable(5000, options);
-  auto table = OpenTable(options);
+  auto table = OpenTable();
   std::unique_ptr<Iterator> iter(table->NewIterator());
   int i = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++i) {
@@ -104,7 +101,7 @@ TEST_F(TableTest, SeekAcrossBlocks) {
   Options options;
   options.block_size = 128;
   BuildTable(1000, options);
-  auto table = OpenTable(options);
+  auto table = OpenTable();
   std::unique_ptr<Iterator> iter(table->NewIterator());
   for (int i : {0, 1, 499, 500, 998, 999}) {
     iter->Seek(IKey(UserKey(i), kMaxSequenceNumber));
@@ -113,24 +110,6 @@ TEST_F(TableTest, SeekAcrossBlocks) {
   }
   iter->Seek(IKey("zzzz", kMaxSequenceNumber));
   EXPECT_FALSE(iter->Valid());
-}
-
-TEST_F(TableTest, InternalGetFindsKeys) {
-  Options options;
-  options.block_size = 128;
-  BuildTable(500, options);
-  auto table = OpenTable(options);
-  for (int i : {0, 123, 499}) {
-    bool found = false;
-    std::string key, value;
-    ASSERT_TRUE(table
-                    ->InternalGet(IKey(UserKey(i), kMaxSequenceNumber),
-                                  &found, &key, &value)
-                    .ok());
-    ASSERT_TRUE(found) << i;
-    EXPECT_EQ(ExtractUserKey(Slice(key)).ToString(), UserKey(i));
-    EXPECT_EQ(value, "value-" + std::to_string(i));
-  }
 }
 
 // A file that hands out slices of bytes it owns instead of filling the
@@ -159,10 +138,9 @@ TEST_F(TableTest, ReadsFromEnvOwnedBytes) {
   std::string contents;
   ASSERT_TRUE(Env::Default()->ReadFileToString(path_, &contents).ok());
   std::unique_ptr<Table> table;
-  ASSERT_TRUE(Table::Open(options, 1,
-                          std::make_unique<OwnedBytesFile>(contents), &cache_,
-                          &stats_, &table)
-                  .ok());
+  ASSERT_TRUE(
+      Table::Open(std::make_unique<OwnedBytesFile>(contents), &stats_, &table)
+          .ok());
   std::unique_ptr<Iterator> iter(table->NewIterator());
   int i = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++i) {
@@ -171,65 +149,6 @@ TEST_F(TableTest, ReadsFromEnvOwnedBytes) {
   }
   EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
   EXPECT_EQ(i, 500);
-  bool found = false;
-  std::string key, value;
-  ASSERT_TRUE(table
-                  ->InternalGet(IKey(UserKey(321), kMaxSequenceNumber),
-                                &found, &key, &value)
-                  .ok());
-  ASSERT_TRUE(found);
-  EXPECT_EQ(value, "value-321");
-}
-
-TEST_F(TableTest, BloomFilterSkipsAbsentKeys) {
-  Options options;
-  options.bloom_bits_per_key = 10;
-  BuildTable(1000, options);
-  auto table = OpenTable(options);
-  const uint64_t skips_before = stats_.bloom_skips.load();
-  int found_count = 0;
-  for (int i = 0; i < 200; ++i) {
-    bool found = false;
-    std::string key, value;
-    ASSERT_TRUE(table
-                    ->InternalGet(IKey("absent-" + std::to_string(i),
-                                       kMaxSequenceNumber),
-                                  &found, &key, &value)
-                    .ok());
-    if (found) ++found_count;
-  }
-  // Bloom must skip the large majority of absent probes without touching
-  // data blocks.
-  EXPECT_GT(stats_.bloom_skips.load() - skips_before, 150u);
-  (void)found_count;
-}
-
-TEST_F(TableTest, BlockCacheServesRepeatReads) {
-  Options options;
-  options.block_size = 128;
-  BuildTable(1000, options);
-  auto table = OpenTable(options);
-  auto get_all = [&] {
-    for (int i = 0; i < 1000; i += 7) {
-      bool found = false;
-      std::string key, value;
-      ASSERT_TRUE(table
-                      ->InternalGet(IKey(UserKey(i), kMaxSequenceNumber),
-                                    &found, &key, &value)
-                      .ok());
-      ASSERT_TRUE(found) << i;
-      EXPECT_EQ(value, "value-" + std::to_string(i));
-    }
-  };
-  get_all();
-  const uint64_t blocks_after_first = stats_.blocks_read.load();
-  const uint64_t hits_after_first = stats_.cache_hits.load();
-  EXPECT_GT(blocks_after_first, 0u);
-  EXPECT_GT(stats_.cache_fills.load(), 0u);
-  get_all();
-  // The second round of point gets is served entirely from the cache.
-  EXPECT_EQ(stats_.blocks_read.load(), blocks_after_first);
-  EXPECT_GT(stats_.cache_hits.load(), hits_after_first);
 }
 
 TEST_F(TableTest, StreamingIteratorMatchesBuiltKeys) {
@@ -244,7 +163,7 @@ TEST_F(TableTest, StreamingIteratorMatchesBuiltKeys) {
   }
   Options options;
   BuildTable(entries, options);
-  auto table = OpenTable(options);
+  auto table = OpenTable();
   std::unique_ptr<Iterator> iter(table->NewIterator());
 
   size_t i = 0;
@@ -255,9 +174,8 @@ TEST_F(TableTest, StreamingIteratorMatchesBuiltKeys) {
   }
   ASSERT_TRUE(iter->status().ok()) << iter->status().ToString();
   EXPECT_EQ(i, entries.size());
-  // Several windows were read, none of them through the block cache.
+  // Several windows were read.
   EXPECT_GT(stats_.readahead_reads.load(), 3u);
-  EXPECT_EQ(stats_.cache_misses.load() + stats_.cache_fills.load(), 0u);
 
   // Backward seeks after the forward scan land on the right entry and
   // keep iterating in order, across the oversized block too.
@@ -319,9 +237,7 @@ TEST_F(TableTest, OversizedFooterHandleIsCorruption) {
     std::unique_ptr<RandomAccessFile> file;
     ASSERT_TRUE(Env::Default()->NewRandomAccessFile(sst, &file).ok());
     std::unique_ptr<Table> table;
-    EXPECT_TRUE(Table::Open(Options(), 9, std::move(file), nullptr, nullptr,
-                            &table)
-                    .IsCorruption());
+    EXPECT_TRUE(Table::Open(std::move(file), nullptr, &table).IsCorruption());
     {
       std::unique_ptr<DB> db;
       ASSERT_TRUE(DB::Open(Options(), db_path, &db).ok());
@@ -335,8 +251,8 @@ TEST_F(TableTest, OversizedFooterHandleIsCorruption) {
 }
 
 // Data-block handles live in the checksummed index block, but a table
-// written with a bad handle must still fail the scan and the point get
-// with Corruption instead of a wrapped bounds check and a huge read.
+// written with a bad handle must still fail the scan with Corruption
+// instead of a wrapped bounds check and a huge read.
 TEST_F(TableTest, OversizedDataHandleIsCorruption) {
   Options options;
   options.block_size = 128;
@@ -361,16 +277,12 @@ TEST_F(TableTest, OversizedDataHandleIsCorruption) {
     Block index(std::move(index_contents.data));
     std::unique_ptr<Iterator> it(index.NewIterator());
     BlockBuilder rebuilt(options.block_restart_interval);
-    std::string bad_key;
     int entry = 0;
     for (it->SeekToFirst(); it->Valid(); it->Next(), ++entry) {
       BlockHandle handle;
       Slice input = it->value();
       ASSERT_TRUE(handle.DecodeFrom(&input).ok());
-      if (entry == 2) {
-        handle.set_size(bad_size);
-        bad_key = it->key().ToString();
-      }
+      if (entry == 2) handle.set_size(bad_size);
       std::string encoded;
       handle.EncodeTo(&encoded);
       rebuilt.Add(it->key(), encoded);
@@ -389,16 +301,12 @@ TEST_F(TableTest, OversizedDataHandleIsCorruption) {
     ASSERT_TRUE(
         Env::Default()->WriteStringToFile(contents, path_, false).ok());
 
-    auto table = OpenTable(options);
+    auto table = OpenTable();
     ASSERT_NE(table, nullptr);
     std::unique_ptr<Iterator> iter(table->NewIterator());
     for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     }
     EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
-    bool found = false;
-    std::string key, value;
-    EXPECT_TRUE(
-        table->InternalGet(bad_key, &found, &key, &value).IsCorruption());
   }
 }
 
@@ -463,7 +371,7 @@ TEST_F(TableTest, FlippedDataByteFailsScanAndIsCounted) {
   ASSERT_TRUE(
       Env::Default()->WriteStringToFile(contents, path_, false).ok());
 
-  auto table = OpenTable(options);
+  auto table = OpenTable();
   ASSERT_NE(table, nullptr);
   const uint64_t before = stats_.corruptions_detected.load();
   std::unique_ptr<Iterator> iter(table->NewIterator());
@@ -481,9 +389,7 @@ TEST_F(TableTest, OpenRejectsGarbage) {
   std::unique_ptr<RandomAccessFile> file;
   ASSERT_TRUE(Env::Default()->NewRandomAccessFile(path_, &file).ok());
   std::unique_ptr<Table> table;
-  EXPECT_FALSE(
-      Table::Open(Options(), 2, std::move(file), nullptr, nullptr, &table)
-          .ok());
+  EXPECT_FALSE(Table::Open(std::move(file), nullptr, &table).ok());
 }
 
 TEST_F(TableTest, OpenRejectsTruncatedFile) {
@@ -493,9 +399,7 @@ TEST_F(TableTest, OpenRejectsTruncatedFile) {
   std::unique_ptr<RandomAccessFile> file;
   ASSERT_TRUE(Env::Default()->NewRandomAccessFile(path_, &file).ok());
   std::unique_ptr<Table> table;
-  EXPECT_FALSE(
-      Table::Open(Options(), 3, std::move(file), nullptr, nullptr, &table)
-          .ok());
+  EXPECT_FALSE(Table::Open(std::move(file), nullptr, &table).ok());
 }
 
 }  // namespace

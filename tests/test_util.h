@@ -1,5 +1,5 @@
-// Shared test helpers: scratch directories, a no-fsync Env and random
-// trajectories.
+// Shared test helpers: scratch directories, a no-fsync Env, a seek-based
+// key lookup and random trajectories.
 
 #ifndef TRASS_TESTS_TEST_UTIL_H_
 #define TRASS_TESTS_TEST_UTIL_H_
@@ -10,6 +10,7 @@
 
 #include "core/trajectory.h"
 #include "geo/point.h"
+#include "kv/db.h"
 #include "kv/env.h"
 #include "util/random.h"
 
@@ -108,6 +109,20 @@ class NoSyncEnv final : public kv::Env {
 
   kv::Env* const base_ = kv::Env::Default();
 };
+
+/// Looks `key` up the way every read of the store goes: a fresh DB
+/// iterator seeked to it. NotFound when the key is absent or deleted;
+/// the iterator's error when a read along the seek fails.
+inline Status SeekLookup(kv::DB* db, const Slice& key, std::string* value) {
+  std::unique_ptr<kv::Iterator> iter(db->NewIterator());
+  iter->Seek(key);
+  if (!iter->status().ok()) return iter->status();
+  if (!iter->Valid() || iter->key() != key) {
+    return Status::NotFound("key not found");
+  }
+  value->assign(iter->value().data(), iter->value().size());
+  return Status::OK();
+}
 
 /// Random-walk trajectory inside [lo, hi]^2.
 inline core::Trajectory RandomTrajectory(Random* rnd, uint64_t id, int points,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -73,13 +74,18 @@ TEST(WriteBatchTest, InsertIntoMemTableAssignsSequences) {
   batch.set_sequence(10);
   MemTable mem;
   ASSERT_TRUE(WriteBatch::InsertInto(batch, &mem).ok());
-  std::string value;
-  Status status;
-  ASSERT_TRUE(mem.Get("k", 100, &value, &status));
-  EXPECT_EQ(value, "v2");
+  std::unique_ptr<Iterator> iter(mem.NewIterator());
+  iter->Seek(MakeLookupKey("k", 100));
+  ASSERT_TRUE(iter->Valid());
+  EXPECT_EQ(ExtractUserKey(iter->key()).ToString(), "k");
+  EXPECT_EQ(ExtractSequence(iter->key()), 11u);
+  EXPECT_EQ(iter->value().ToString(), "v2");
   // As of sequence 10 only the first op is visible.
-  ASSERT_TRUE(mem.Get("k", 10, &value, &status));
-  EXPECT_EQ(value, "v1");
+  iter->Seek(MakeLookupKey("k", 10));
+  ASSERT_TRUE(iter->Valid());
+  EXPECT_EQ(ExtractUserKey(iter->key()).ToString(), "k");
+  EXPECT_EQ(ExtractSequence(iter->key()), 10u);
+  EXPECT_EQ(iter->value().ToString(), "v1");
 }
 
 TEST(WriteBatchTest, CorruptContentsRejected) {
