@@ -2,7 +2,10 @@
 // system, disable one mechanism at a time and measure threshold-search
 // cost at eps = 0.01 (degrees):
 //
-//   full          — global pruning (Lemmas 6-11) + DP local filter (12-14)
+//   full          — global pruning (Lemmas 6-11) + the local-filter
+//                   cascade (Lemma 12, point-to-MBR, Lemma 13)
+//   +lemma14      — the cascade plus the paper's Lemma 14 both ways (DP
+//                   boxes against DP boxes), which the query path omits
 //   no-pos-codes  — stop global pruning at Lemma 9 (XZ-Ordering-granular
 //                   elements); quantifies the paper's XZ* contribution
 //   endpoints-LF  — replace the DP-feature local filter with the
@@ -14,6 +17,7 @@
 
 #include <atomic>
 
+#include "core/dp_features.h"
 #include "core/local_filter.h"
 #include "core/metrics.h"
 #include "core/similarity.h"
@@ -54,6 +58,35 @@ class EndpointOnlyFilter final : public kv::ScanFilter {
   mutable std::atomic<uint64_t> kept_{0};
 };
 
+// The query path's cascade plus Lemma 14 in both directions: what the
+// lemma still rejects once the cheaper levels have run.
+class Lemma14Filter final : public kv::ScanFilter {
+ public:
+  Lemma14Filter(const core::QueryGeometry* query, double eps)
+      : query_(query), eps_(eps) {}
+
+  bool Keep(const Slice& key, const Slice& value) const override {
+    core::StoredTrajectory t;
+    if (!core::DecodeRow(key, value, &t).ok() ||
+        !core::LocalFilterPass(*query_, t, eps_, core::Measure::kFrechet)) {
+      return false;
+    }
+    for (const geo::OrientedBox& box : t.features.boxes) {
+      if (core::BoxToFeatureDistance(box, query_->features) > eps_) {
+        return false;
+      }
+    }
+    for (const geo::OrientedBox& box : query_->features.boxes) {
+      if (core::BoxToFeatureDistance(box, t.features) > eps_) return false;
+    }
+    return true;
+  }
+
+ private:
+  const core::QueryGeometry* query_;
+  const double eps_;
+};
+
 struct VariantResult {
   double time_ms = 0.0;
   uint64_t retrieved = 0;
@@ -65,7 +98,8 @@ struct VariantResult {
 VariantResult RunVariant(core::TrassStore* store,
                          const std::vector<geo::Point>& query, double eps,
                          bool global_pruning, bool position_codes,
-                         int local_filter /*0=none,1=endpoints,2=full*/) {
+                         int local_filter
+                         /*0=none,1=endpoints,2=full,3=full+lemma14*/) {
   VariantResult out;
   Stopwatch total;
   const core::QueryGeometry ctx =
@@ -88,9 +122,11 @@ VariantResult RunVariant(core::TrassStore* store,
   std::vector<kv::Row> rows;
   core::LocalScanFilter full_filter(&ctx, eps, core::Measure::kFrechet);
   EndpointOnlyFilter endpoint_filter(&query, eps);
+  Lemma14Filter lemma14_filter(&ctx, eps);
   const kv::ScanFilter* filter = nullptr;
   if (local_filter == 1) filter = &endpoint_filter;
   if (local_filter == 2) filter = &full_filter;
+  if (local_filter == 3) filter = &lemma14_filter;
   kv::RegionStore* region_store = store->region_store();
   const auto before = region_store->TotalIoStats();
   if (!region_store->Scan(scan_ranges, filter, &rows).ok()) return out;
@@ -135,6 +171,7 @@ void RunDataset(const Dataset& dataset, const std::string& dir) {
   };
   const Variant variants[] = {
       {"full", true, true, 2},
+      {"+lemma14", true, true, 3},
       {"no-pos-codes", true, false, 2},
       {"endpoints-LF", true, true, 1},
       {"no-local-fltr", true, true, 0},

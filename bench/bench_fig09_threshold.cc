@@ -83,7 +83,7 @@ int RefineScalingPass(const Dataset& dataset, const std::string& dir,
   std::vector<std::vector<core::SearchResult>> reference;
   int rc = 0;
   std::printf("  %-8s %14s %14s %14s\n", "threads", "time-ms(p50)",
-              "refine-ms(p50)", "lb-reject(p50)");
+              "refine-ms(p50)", "candidates(p50)");
   for (size_t threads : {1, 2, 4, 8}) {
     core::TrassOptions options;
     options.refine_threads = threads;
@@ -93,7 +93,7 @@ int RefineScalingPass(const Dataset& dataset, const std::string& dir,
       std::printf("  %-8zu open failed: %s\n", threads, s.ToString().c_str());
       return 1;
     }
-    std::vector<double> times, refine, rejected;
+    std::vector<double> times, refine, candidates;
     bool identical = true;
     for (size_t q = 0; q < dataset.num_queries(); ++q) {
       std::vector<core::SearchResult> found;
@@ -103,7 +103,7 @@ int RefineScalingPass(const Dataset& dataset, const std::string& dir,
       if (!s.ok()) break;
       times.push_back(metrics.total_ms);
       refine.push_back(metrics.refine_ms);
-      rejected.push_back(static_cast<double>(metrics.lb_rejected));
+      candidates.push_back(static_cast<double>(metrics.candidates));
       if (threads == 1) {
         reference.push_back(found);
       } else if (found.size() != reference[q].size()) {
@@ -122,7 +122,7 @@ int RefineScalingPass(const Dataset& dataset, const std::string& dir,
       return 1;
     }
     std::printf("  %-8zu %14.2f %14.2f %14.0f%s\n", threads, Median(times),
-                Median(refine), Median(rejected),
+                Median(refine), Median(candidates),
                 identical ? "" : "  RESULTS DIVERGED");
     if (!identical) rc = 1;
   }

@@ -5,21 +5,22 @@
 // The BM_*Flat passes measure the structure-of-arrays kernels the
 // refinement engine (core/refiner.h) serves queries with, against the
 // scalar vector-of-Point reference right above them — the before/after
-// pair behind the engine's kernel speedup claim. BM_LowerBoundCascade
-// measures the per-pair cost of the cascade that lets refinement skip
-// the O(n*m) DP entirely.
+// pair behind the engine's kernel speedup claim. BM_LocalFilter times
+// the one lower-bound cascade (core/local_filter.h) the scan and the
+// top-k refiner run before the O(n*m) DP.
 //
-// `--smoke` runs a randomized flat-vs-scalar parity self-check instead
-// of timing anything (non-zero exit on any mismatch); ci.sh runs it in
-// the release configuration.
+// `--smoke` runs a randomized self-check instead of timing anything
+// (non-zero exit on any failure): flat-vs-scalar kernel parity, and
+// cascade soundness (a rejection at a bound implies the within-DP
+// rejects too). ci.sh runs it in the release configuration.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
 #include "core/local_filter.h"
-#include "core/refiner.h"
 #include "core/similarity.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -35,11 +36,10 @@ const std::vector<trass::core::Trajectory>& SharedData() {
   return data;
 }
 
-/// SharedData() flattened once into SoA buffers (plus MBRs for the
-/// lower-bound passes), mirroring what the engine's scratch arena holds.
+/// SharedData() flattened once into SoA buffers, mirroring what the
+/// engine's scratch arena holds.
 struct FlatTrajectory {
   std::vector<double> x, y;
-  trass::geo::Mbr mbr;
   FlatView view() const { return FlatView{x.data(), y.data(), x.size()}; }
 };
 
@@ -51,7 +51,6 @@ const std::vector<FlatTrajectory>& SharedFlatData() {
       for (const auto& p : t.points) {
         f.x.push_back(p.x);
         f.y.push_back(p.y);
-        f.mbr.Extend(p);
       }
       out.push_back(std::move(f));
     }
@@ -165,27 +164,6 @@ void BM_DtwFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_DtwFlat);
 
-// The engine's per-pair cascade: arg is eps in milli-units. At tight
-// bounds nearly every pair is disposed of here instead of in the DP.
-void BM_LowerBoundCascade(benchmark::State& state) {
-  const auto& data = SharedData();
-  const auto& flat = SharedFlatData();
-  const double eps = static_cast<double>(state.range(0)) / 1000.0;
-  const auto query = trass::core::RefineQuery::Make(data[0].points);
-  size_t i = 0;
-  size_t rejected = 0;
-  for (auto _ : state) {
-    const auto& t = flat[i % flat.size()];
-    rejected += trass::core::LowerBoundExceeds(Measure::kFrechet, query,
-                                               t.view(), t.mbr, eps);
-    ++i;
-  }
-  benchmark::DoNotOptimize(rejected);
-  state.counters["reject_rate"] =
-      i == 0 ? 0.0 : static_cast<double>(rejected) / static_cast<double>(i);
-}
-BENCHMARK(BM_LowerBoundCascade)->Arg(1)->Arg(100);
-
 void BM_DpFeatureComputation(benchmark::State& state) {
   const auto& data = SharedData();
   size_t i = 0;
@@ -217,8 +195,8 @@ void BM_LocalFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalFilter);
 
-/// Randomized flat-vs-scalar parity sweep. Returns the number of
-/// mismatches (0 = parity holds).
+/// Randomized flat-vs-scalar parity and cascade soundness sweep. Returns
+/// the number of failures (0 = both hold).
 int RunSmoke() {
   trass::Random rnd(20260806);
   int mismatches = 0;
@@ -236,7 +214,6 @@ int RunSmoke() {
       a.push_back(p);
       fa.x.push_back(p.x);
       fa.y.push_back(p.y);
-      fa.mbr.Extend(p);
     }
     for (size_t i = 0; i < nb; ++i) {
       const trass::geo::Point p{rnd.UniformDouble(0.0, 1.0),
@@ -244,8 +221,11 @@ int RunSmoke() {
       b.push_back(p);
       fb.x.push_back(p.x);
       fb.y.push_back(p.y);
-      fb.mbr.Extend(p);
     }
+    const auto query = trass::core::QueryGeometry::Make(a, 0.01);
+    trass::core::StoredTrajectory stored;
+    stored.points = b;
+    stored.features = trass::core::DpFeatures::ComputeCapped(b, 0.01);
     for (Measure m : measures) {
       const double scalar = trass::core::Similarity(m, a, b);
       const double flat =
@@ -256,20 +236,24 @@ int RunSmoke() {
                      trass::core::MeasureName(m), iter, scalar, flat);
         ++mismatches;
       }
-      // The cascade must never reject a pair the within-DP accepts.
-      const auto query = trass::core::RefineQuery::Make(a);
-      const double bound = scalar * rnd.UniformDouble(0.5, 1.5);
-      if (trass::core::LowerBoundExceeds(m, query, fb.view(), fb.mbr,
-                                         bound) &&
-          trass::core::SimilarityWithin(m, a, b, bound)) {
-        std::fprintf(stderr, "smoke: %s unsound lower bound iter=%d\n",
-                     trass::core::MeasureName(m), iter);
-        ++mismatches;
+      // The cascade must never reject a pair the within-DP accepts, at
+      // the exact distance and its lower ulp neighbour too.
+      for (double bound : {scalar * rnd.UniformDouble(0.5, 1.5), scalar,
+                           std::nextafter(scalar, 0.0)}) {
+        if (!trass::core::LocalFilterPass(query, stored, bound, m) &&
+            trass::core::SimilarityWithin(m, a, b, bound)) {
+          std::fprintf(stderr,
+                       "smoke: %s unsound cascade iter=%d bound=%.17g\n",
+                       trass::core::MeasureName(m), iter, bound);
+          ++mismatches;
+        }
       }
     }
   }
   if (mismatches == 0) {
-    std::printf("bench_micro_similarity --smoke: kernel parity OK\n");
+    std::printf(
+        "bench_micro_similarity --smoke: kernel parity and cascade "
+        "soundness OK\n");
   }
   return mismatches;
 }

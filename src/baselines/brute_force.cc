@@ -46,12 +46,15 @@ Status BruteForce::TopK(const std::vector<geo::Point>& query, int k,
     ++m->retrieved;
     ++m->candidates;
     ++m->refined;
-    const double d = core::Similarity(measure, query, t.points);
+    // The k smallest by (distance, id), so ties at the k-th distance do
+    // not depend on the data order.
+    const core::SearchResult r{t.id,
+                               core::Similarity(measure, query, t.points)};
     if (best.size() < static_cast<size_t>(k)) {
-      best.push(core::SearchResult{t.id, d});
-    } else if (d < best.top().distance) {
+      best.push(r);
+    } else if (r < best.top()) {
       best.pop();
-      best.push(core::SearchResult{t.id, d});
+      best.push(r);
     }
   }
   while (!best.empty()) {

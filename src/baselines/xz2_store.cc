@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <queue>
 
 #include "core/row_codec.h"
@@ -76,10 +77,12 @@ Status Xz2Store::Build(const std::vector<core::Trajectory>& data) {
     const uint8_t shard = static_cast<uint8_t>(
         HashId(t.id) % static_cast<uint64_t>(options_.shards));
     const std::string key = core::EncodeRowKey(shard, value, t.id);
-    // Same row payload as TraSS, but the XZ2 systems do not use the DP
-    // features; store points with empty features.
-    const std::string row_value =
-        core::EncodeRowValue(t.points, core::DpFeatures{});
+    // Same row payload as TraSS. The XZ2 systems do not use the DP
+    // features, so they store the coarsest valid set (an infinite
+    // tolerance keeps the two endpoints and one box).
+    const std::string row_value = core::EncodeRowValue(
+        t.points, core::DpFeatures::Compute(
+                      t.points, std::numeric_limits<double>::infinity()));
     s = store_->Put(kv::WriteOptions(), Slice(key), Slice(row_value));
     if (!s.ok()) return s;
     ++count_;

@@ -33,10 +33,10 @@ struct DpFeatures {
                             double tolerance);
 
   /// Like Compute, but doubles the tolerance until at most
-  /// `max_rep_points` representatives remain. Lemma 14 is quadratic in
-  /// the number of boxes, so uncapped features on long winding
-  /// trajectories would make the local filter costlier than the exact
-  /// similarity it is meant to avoid.
+  /// `max_rep_points` representatives remain. Lemma 13 checks every
+  /// representative against every box, so uncapped features on long
+  /// winding trajectories would make the local filter costlier than the
+  /// exact similarity it is meant to avoid.
   static DpFeatures ComputeCapped(const std::vector<geo::Point>& points,
                                   double tolerance,
                                   size_t max_rep_points = 8);
@@ -49,7 +49,8 @@ struct DpFeatures {
 /// Lemma 14's bound: max over `box`'s edges of the minimum distance from
 /// that edge to `target`'s boxes. Since a tight oriented box has a
 /// trajectory point on each edge, this lower-bounds the distance from
-/// some point of the boxed trajectory to the target trajectory.
+/// some point of the boxed trajectory to the target trajectory. Not on
+/// the query path (core/local_filter.h); bench_ablation reports it.
 double BoxToFeatureDistance(const geo::OrientedBox& box,
                             const DpFeatures& target);
 

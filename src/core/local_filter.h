@@ -1,15 +1,18 @@
-// Local filtering (paper Section V-D): cheap rejection of retrieved
-// candidates before the exact O(n*m) similarity computation.
+// Local filtering (paper Section V-D): the query path's one lower-bound
+// cascade. A candidate is rejected when a level proves its distance to
+// the query exceeds the bound, cheapest level first:
 //
-//   Lemma 12 — start/end point distances must be <= eps (Fréchet, DTW).
-//   Lemma 13 — every representative point of one trajectory must be
-//              within eps of the union of the other's DP boxes.
-//   Lemma 14 — every DP box must have all four edges within eps of the
-//              other trajectory's DP boxes.
+//   Lemma 12     — start/end point distances <= eps (Fréchet, DTW).
+//   point-to-MBR — every point of one trajectory within eps of the
+//                  other's MBR (all three measures), O(n + m).
+//   Lemma 13     — every representative point of one trajectory within
+//                  eps of the union of the other's DP boxes.
 //
-// The filter implements kv::ScanFilter so it can be pushed down into the
-// storage scan (the coprocessor analog); rows it rejects never reach the
-// query processor.
+// Each level compares a distance, not its square, with the bound. The
+// scan pushdown below (the coprocessor analog) runs it at the query's
+// eps, and the top-k refiner again at the live k-th distance; threshold
+// refinement runs none. Lemma 14 (BoxToFeatureDistance) is off the path:
+// it rejects too few rows to pay for itself (DESIGN.md §12).
 
 #ifndef TRASS_CORE_LOCAL_FILTER_H_
 #define TRASS_CORE_LOCAL_FILTER_H_
@@ -26,8 +29,9 @@
 namespace trass {
 namespace core {
 
-/// The pure predicate: true when (query, candidate) survives Lemmas
-/// 12-14 under `eps` (i.e. the pair still *may* be similar).
+/// The pure predicate: true when (query, candidate) survives every level
+/// under `eps` (the pair still *may* be similar). An infinite `eps` keeps
+/// every non-empty candidate at once.
 bool LocalFilterPass(const QueryGeometry& query,
                      const StoredTrajectory& candidate, double eps,
                      Measure measure);

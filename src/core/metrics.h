@@ -45,18 +45,23 @@ enum class MetricFold {
      spaces handed to a store round-trip, minus filter-tier prunes. */        \
   X(uint64_t, index_values, kSum)                                             \
   X(uint64_t, retrieved, kSum)  /* rows scanned in the store (I/O) */         \
-  X(uint64_t, candidates, kSum) /* rows surviving local filtering */          \
+  X(uint64_t, candidates, kSum) /* rows the scan's LB cascade kept */         \
   X(uint64_t, refined, kSum)    /* candidates entering exact refinement */    \
   X(uint64_t, results, kOwned)  /* final answers */                           \
   /* Refinement engine (core/refiner.h): of the `refined` candidates,         \
-     `lb_rejected` were disposed of by the lower-bound cascade and            \
-     `refine_dp_runs` ran the O(n*m) DP. The refine_*_ms fields are CPU       \
-     time summed across workers, so they can exceed refine_ms. */             \
+     `lb_rejected` were disposed of by the lower-bound cascade                \
+     (core/local_filter.h) and `refine_dp_runs` ran the O(n*m) DP. Only       \
+     top-k refinement runs the cascade, again at the live k-th distance;      \
+     threshold refinement runs none (the scan proved it at the same eps),     \
+     so there lb_rejected is 0 and refine_dp_runs == refined (== candidates   \
+     unless the query stopped early).                                         \
+     The refine_*_ms fields are CPU time summed across workers, so they       \
+     can exceed refine_ms. */                                                 \
   X(uint64_t, lb_rejected, kSum)                                              \
   X(uint64_t, refine_dp_runs, kSum)                                           \
   X(uint64_t, refine_threads, kMax) /* engine parallelism */                  \
   X(double, refine_decode_ms, kSum) /* row decode + SoA flatten */            \
-  X(double, refine_lb_ms, kSum)     /* lower-bound cascade */                 \
+  X(double, refine_lb_ms, kSum)     /* top-k cascade (0 for threshold) */     \
   X(double, refine_dp_ms, kSum)     /* exact DP kernels */                    \
   /* The answer may be missing rows: a cooperative stop under allow_partial   \
      (reason in the flags below), or shards skipped from a merge. */          \

@@ -13,6 +13,12 @@ QueryGeometry QueryGeometry::Make(const std::vector<geo::Point>& query_points,
                                 double dp_tolerance) {
   QueryGeometry ctx;
   ctx.points = query_points;
+  ctx.x.reserve(query_points.size());
+  ctx.y.reserve(query_points.size());
+  for (const geo::Point& p : query_points) {
+    ctx.x.push_back(p.x);
+    ctx.y.push_back(p.y);
+  }
   ctx.mbr = geo::Mbr::Of(query_points);
   ctx.features = DpFeatures::ComputeCapped(query_points, dp_tolerance);
   return ctx;

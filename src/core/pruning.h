@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/dp_features.h"
+#include "core/similarity.h"
 #include "geo/mbr.h"
 #include "geo/point.h"
 #include "index/xzstar.h"
@@ -31,11 +32,16 @@
 namespace trass {
 namespace core {
 
-/// Query-side context reused across pruning and filtering.
+/// The query side of one query, built once and shared read-only by the
+/// global pruner, the scan's local filter and the refiner: its points
+/// (also flattened into x/y for the DP kernels), MBR and DP features.
 struct QueryGeometry {
   std::vector<geo::Point> points;
+  std::vector<double> x, y;
   geo::Mbr mbr;
   DpFeatures features;
+
+  FlatView view() const { return FlatView{x.data(), y.data(), x.size()}; }
 
   static QueryGeometry Make(const std::vector<geo::Point>& query_points,
                            double dp_tolerance);

@@ -1,8 +1,8 @@
 #include "core/refiner.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "core/local_filter.h"
 #include "util/slice.h"
 #include "util/stopwatch.h"
 
@@ -15,75 +15,7 @@ namespace {
 // chunk of expensive candidates does not serialize the tail.
 constexpr size_t kChunksPerThread = 4;
 
-inline double DistanceSq(double ax, double ay, double bx, double by) {
-  const double dx = ax - bx;
-  const double dy = ay - by;
-  return dx * dx + dy * dy;
-}
-
-// max over the flat points of the squared distance to `box` (0 for points
-// inside). SoA layout keeps this a branch-light vectorizable scan.
-double MaxPointToBoxDistanceSq(const FlatView& pts, const geo::Mbr& box) {
-  const double min_x = box.min_x(), max_x = box.max_x();
-  const double min_y = box.min_y(), max_y = box.max_y();
-  double worst = 0.0;
-  for (size_t i = 0; i < pts.n; ++i) {
-    const double x = pts.x[i];
-    const double y = pts.y[i];
-    const double dx = std::max(std::max(min_x - x, x - max_x), 0.0);
-    const double dy = std::max(std::max(min_y - y, y - max_y), 0.0);
-    const double d = dx * dx + dy * dy;
-    worst = d > worst ? d : worst;
-  }
-  return worst;
-}
-
-inline double EndpointBoundSq(const RefineQuery& q, const FlatView& t) {
-  const size_t n = q.x.size();
-  const double start = DistanceSq(q.x[0], q.y[0], t.x[0], t.y[0]);
-  const double end =
-      DistanceSq(q.x[n - 1], q.y[n - 1], t.x[t.n - 1], t.y[t.n - 1]);
-  return start > end ? start : end;
-}
-
 }  // namespace
-
-RefineQuery RefineQuery::Make(const std::vector<geo::Point>& points) {
-  RefineQuery q;
-  q.x.reserve(points.size());
-  q.y.reserve(points.size());
-  for (const geo::Point& p : points) {
-    q.x.push_back(p.x);
-    q.y.push_back(p.y);
-    q.mbr.Extend(p);
-  }
-  return q;
-}
-
-double RefineLowerBound(Measure measure, const RefineQuery& query,
-                        const FlatView& t, const geo::Mbr& t_mbr) {
-  double lb = query.mbr.Distance(t_mbr);
-  if (measure != Measure::kHausdorff) {
-    lb = std::max(lb, std::sqrt(EndpointBoundSq(query, t)));
-  }
-  lb = std::max(lb, std::sqrt(MaxPointToBoxDistanceSq(query.view(), t_mbr)));
-  lb = std::max(lb, std::sqrt(MaxPointToBoxDistanceSq(t, query.mbr)));
-  return lb;
-}
-
-bool LowerBoundExceeds(Measure measure, const RefineQuery& query,
-                       const FlatView& t, const geo::Mbr& t_mbr,
-                       double bound) {
-  if (!std::isfinite(bound)) return false;  // nothing can exceed +inf
-  if (query.mbr.Distance(t_mbr) > bound) return true;
-  const double bound_sq = bound * bound;
-  if (measure != Measure::kHausdorff &&
-      EndpointBoundSq(query, t) > bound_sq) {
-    return true;
-  }
-  if (MaxPointToBoxDistanceSq(query.view(), t_mbr) > bound_sq) return true;
-  return MaxPointToBoxDistanceSq(t, query.mbr) > bound_sq;
-}
 
 Status Refiner::ProcessRows(const std::vector<kv::Row>& rows,
                             const QueryContext* control,
@@ -115,16 +47,13 @@ Status Refiner::ProcessRows(const std::vector<kv::Row>& rows,
         s->tx.resize(m);
         s->ty.resize(m);
       }
-      geo::Mbr mbr;
       for (size_t j = 0; j < m; ++j) {
-        const geo::Point& p = s->decoded.points[j];
-        s->tx[j] = p.x;
-        s->ty[j] = p.y;
-        mbr.Extend(p);
+        s->tx[j] = s->decoded.points[j].x;
+        s->ty[j] = s->decoded.points[j].y;
       }
       s->stats.decode_ms += watch.ElapsedMillis();
       ++s->stats.refined;
-      fn(i, s->decoded, FlatView{s->tx.data(), s->ty.data(), m}, mbr, s);
+      fn(i, s->decoded, FlatView{s->tx.data(), s->ty.data(), m}, s);
     }
   };
 
@@ -144,7 +73,7 @@ Status Refiner::ProcessRows(const std::vector<kv::Row>& rows,
   return control->Check();
 }
 
-Status Refiner::RefineThreshold(const RefineQuery& query, double eps,
+Status Refiner::RefineThreshold(const QueryGeometry& query, double eps,
                                 Measure measure,
                                 const std::vector<kv::Row>& rows,
                                 const QueryContext* control,
@@ -161,15 +90,8 @@ Status Refiner::RefineThreshold(const RefineQuery& query, double eps,
   Status s = ProcessRows(
       rows, control,
       [&](size_t i, const StoredTrajectory& t, const FlatView& tv,
-          const geo::Mbr& mbr, Scratch* sc) {
+          Scratch* sc) {
         Stopwatch watch;
-        if (LowerBoundExceeds(measure, query, tv, mbr, eps)) {
-          ++sc->stats.lb_rejected;
-          sc->stats.lb_ms += watch.ElapsedMillis();
-          return;
-        }
-        sc->stats.lb_ms += watch.ElapsedMillis();
-        watch.Reset();
         ++sc->stats.dp_runs;
         double d = 0.0;
         if (SimilarityWithinDistanceFlat(measure, qv, tv, eps, &d,
@@ -195,17 +117,17 @@ Status TopKRefiner::RefineBatch(const std::vector<kv::Row>& rows,
   return engine_->ProcessRows(
       rows, control,
       [&](size_t, const StoredTrajectory& t, const FlatView& tv,
-          const geo::Mbr& mbr, Refiner::Scratch* sc) {
+          Refiner::Scratch* sc) {
         // A stale (larger) bound only admits extra candidates that the
         // heap then rejects; it can never drop one that belongs.
         const double bound = bound_.load(std::memory_order_relaxed);
         Stopwatch watch;
-        if (LowerBoundExceeds(measure_, *query_, tv, mbr, bound)) {
+        const bool pass = LocalFilterPass(*query_, t, bound, measure_);
+        sc->stats.lb_ms += watch.ElapsedMillis();
+        if (!pass) {
           ++sc->stats.lb_rejected;
-          sc->stats.lb_ms += watch.ElapsedMillis();
           return;
         }
-        sc->stats.lb_ms += watch.ElapsedMillis();
         watch.Reset();
         ++sc->stats.dp_runs;
         double d = 0.0;

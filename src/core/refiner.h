@@ -5,9 +5,11 @@
 //   - decodes candidate rows into structure-of-arrays buffers (flat
 //     x[]/y[] arrays, reused via a per-worker scratch arena) so the DP
 //     distance passes in core/similarity.cc auto-vectorize;
-//   - runs a cheap lower-bound cascade per pair (query-MBR-to-candidate-
-//     MBR, endpoints, directed point-to-MBR) that proves dist > bound
-//     without touching the O(n*m) DP for most losers;
+//   - for top-k, runs the local-filter cascade (core/local_filter.h) at
+//     the live k-th distance before each DP: the bound has tightened
+//     since the scan checked the row, so more losers fall without the
+//     O(n*m) DP. Threshold refinement runs no cascade, because the scan
+//     proved every level at the same eps;
 //   - fans candidates out over a cancellation-aware
 //     ThreadPool::ParallelFor in contiguous chunks, polling the
 //     QueryContext before every candidate;
@@ -36,10 +38,10 @@
 #include <vector>
 
 #include "core/measure.h"
+#include "core/pruning.h"
 #include "core/row_codec.h"
 #include "core/similarity.h"
 #include "core/trajectory.h"
-#include "geo/mbr.h"
 #include "kv/scan.h"
 #include "util/query_context.h"
 #include "util/status.h"
@@ -52,10 +54,10 @@ namespace core {
 /// The *_ms fields are summed across workers (CPU time, not wall time).
 struct RefineStats {
   uint64_t refined = 0;      // candidates decoded and considered
-  uint64_t lb_rejected = 0;  // lower-bound cascade skipped the DP
+  uint64_t lb_rejected = 0;  // top-k cascade skipped the DP
   uint64_t dp_runs = 0;      // exact DP kernels executed
   double decode_ms = 0.0;    // row decode + SoA flatten
-  double lb_ms = 0.0;        // lower-bound cascade
+  double lb_ms = 0.0;        // top-k cascade
   double dp_ms = 0.0;        // exact DP kernels
 
   void Fold(const RefineStats& other) {
@@ -67,34 +69,6 @@ struct RefineStats {
     dp_ms += other.dp_ms;
   }
 };
-
-/// Query-side state flattened once per query and shared (read-only) by
-/// every refine worker.
-struct RefineQuery {
-  std::vector<double> x, y;
-  geo::Mbr mbr;
-
-  FlatView view() const { return FlatView{x.data(), y.data(), x.size()}; }
-
-  static RefineQuery Make(const std::vector<geo::Point>& points);
-};
-
-/// The full cascade's lower bound on measure(query, candidate) — every
-/// level evaluated, the max returned. Exposed for tests and benches; the
-/// engine itself runs the short-circuiting LowerBoundExceeds.
-double RefineLowerBound(Measure measure, const RefineQuery& query,
-                        const FlatView& t, const geo::Mbr& t_mbr);
-
-/// True when some cascade level proves measure(query, candidate) > bound,
-/// cheapest level first: (1) query-MBR to candidate-MBR distance, O(1),
-/// sound for all measures; (2) endpoint distances (Lemma 12), O(1),
-/// Fréchet and DTW; (3) directed max point-to-MBR distance both ways,
-/// O(n + m), sound for all measures (every point is matched by each
-/// measure at least once, at distance >= its distance to the other
-/// trajectory's MBR).
-bool LowerBoundExceeds(Measure measure, const RefineQuery& query,
-                       const FlatView& t, const geo::Mbr& t_mbr,
-                       double bound);
 
 class Refiner {
  public:
@@ -113,7 +87,7 @@ class Refiner {
   /// measure(query, candidate) <= eps to `out` as (id, exact distance),
   /// in row order. Returns the first decode error, else the control's
   /// stop status, else OK; on a stop `out` holds the verified subset.
-  Status RefineThreshold(const RefineQuery& query, double eps,
+  Status RefineThreshold(const QueryGeometry& query, double eps,
                          Measure measure, const std::vector<kv::Row>& rows,
                          const QueryContext* control,
                          std::vector<SearchResult>* out,
@@ -134,8 +108,7 @@ class Refiner {
 
   using CandidateFn =
       std::function<void(size_t index, const StoredTrajectory& t,
-                         const FlatView& tv, const geo::Mbr& mbr,
-                         Scratch* scratch)>;
+                         const FlatView& tv, Scratch* scratch)>;
 
   /// Decodes and flattens rows in contiguous chunks (serial or via the
   /// pool), invoking `fn` per surviving candidate. Polls `control` before
@@ -154,7 +127,7 @@ class Refiner {
 /// results among all offered candidates — identical to serial execution.
 class TopKRefiner {
  public:
-  TopKRefiner(const Refiner* engine, const RefineQuery* query, size_t k,
+  TopKRefiner(const Refiner* engine, const QueryGeometry* query, size_t k,
               Measure measure)
       : engine_(engine), query_(query), k_(k), measure_(measure) {}
 
@@ -183,7 +156,7 @@ class TopKRefiner {
   void Offer(const SearchResult& r);
 
   const Refiner* engine_;
-  const RefineQuery* query_;
+  const QueryGeometry* query_;
   const size_t k_;
   const Measure measure_;
   mutable std::mutex mu_;

@@ -79,7 +79,7 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
   uint32_t n = 0;
   // Every count is checked against the bytes left before it sizes an
   // allocation: a stored value is untrusted input.
-  if (!GetVarint32(&input, &n) || n > input.size() / kPointBytes) {
+  if (!GetVarint32(&input, &n) || n == 0 || n > input.size() / kPointBytes) {
     return Status::Corruption("bad point count");
   }
   points->clear();
@@ -105,15 +105,22 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
     if (!GetVarint32(&input, &delta)) {
       return Status::Corruption("bad dp-point index");
     }
-    idx += delta;
-    if (idx >= points->size()) {
+    // Representatives rise strictly from the first point to the last:
+    // the local filter reads them as the trajectory's DP skeleton.
+    if ((i == 0 && delta != 0) || (i > 0 && delta == 0) ||
+        delta >= n - idx) {
       return Status::Corruption("dp-point index out of range");
     }
+    idx += delta;
     features->rep_indices.push_back(idx);
     features->rep_points.push_back((*points)[idx]);
   }
+  if (n_rep == 0 || idx != n - 1) {
+    return Status::Corruption("dp-points do not span the trajectory");
+  }
   uint32_t n_boxes = 0;
-  if (!GetVarint32(&input, &n_boxes) || n_boxes > input.size() / kBoxBytes) {
+  if (!GetVarint32(&input, &n_boxes) || n_boxes != n_rep - 1 ||
+      n_boxes > input.size() / kBoxBytes) {
     return Status::Corruption("bad dp-mbr count");
   }
   features->boxes.clear();

@@ -63,6 +63,9 @@ std::string EncodeStringRowKey(uint8_t shard,
 std::string EncodeRowValue(const std::vector<geo::Point>& points,
                            const DpFeatures& features);
 
+/// Corruption unless the value holds at least one point, representative
+/// indices rising strictly from 0 to the last point, and one box per gap
+/// between representatives.
 Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
                       DpFeatures* features);
 

@@ -12,6 +12,25 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// The largest squared bound whose square root is <= eps. The kernels
+// decide in squared space but report sqrt of the squared distance, and
+// fl(sqrt(D))^2 can fall below D: squaring eps directly would reject a
+// candidate whose reported distance equals eps exactly (a tie at the
+// k-th distance would then depend on offer order). sqrt is correctly
+// rounded and monotone, so D <= SquaredBound(eps) iff sqrt(D) <= eps.
+// A negative (or NaN) eps maps to -1, below every squared distance.
+double SquaredBound(double eps) {
+  if (!(eps >= 0.0)) return -1.0;
+  if (std::isinf(eps)) return kInf;
+  double s = eps * eps;
+  while (std::sqrt(s) > eps) s = std::nextafter(s, 0.0);
+  for (double up = std::nextafter(s, kInf); std::sqrt(up) <= eps;
+       up = std::nextafter(s, kInf)) {
+    s = up;
+  }
+  return s;
+}
+
 // Candidate points per block in the flat Hausdorff nearest-point scans.
 constexpr size_t kBlock = 8;
 
@@ -91,7 +110,7 @@ bool FrechetWithin(const std::vector<geo::Point>& q,
   assert(!q.empty() && !t.empty());
   const size_t n = q.size();
   const size_t m = t.size();
-  const double eps_sq = eps * eps;
+  const double eps_sq = SquaredBound(eps);
   std::vector<double> prev(m), curr(m);
   for (size_t j = 0; j < m; ++j) {
     const double d = geo::DistanceSquared(q[0], t[j]);
@@ -134,7 +153,7 @@ double Hausdorff(const std::vector<geo::Point>& q,
 
 bool HausdorffWithin(const std::vector<geo::Point>& q,
                      const std::vector<geo::Point>& t, double eps) {
-  const double eps_sq = eps * eps;
+  const double eps_sq = SquaredBound(eps);
   auto directed_within = [eps_sq](const std::vector<geo::Point>& a,
                                   const std::vector<geo::Point>& b) {
     for (const geo::Point& pa : a) {
@@ -203,7 +222,7 @@ bool FrechetWithinDistance(const std::vector<geo::Point>& q,
   assert(!q.empty() && !t.empty());
   const size_t n = q.size();
   const size_t m = t.size();
-  const double eps_sq = eps * eps;
+  const double eps_sq = SquaredBound(eps);
   std::vector<double> prev(m), curr(m);
   for (size_t j = 0; j < m; ++j) {
     const double d = geo::DistanceSquared(q[0], t[j]);
@@ -229,7 +248,7 @@ bool HausdorffWithinDistance(const std::vector<geo::Point>& q,
                              const std::vector<geo::Point>& t, double eps,
                              double* distance) {
   assert(!q.empty() && !t.empty());
-  const double eps_sq = eps * eps;
+  const double eps_sq = SquaredBound(eps);
   double result = 0.0;
   auto directed = [eps_sq, &result](const std::vector<geo::Point>& a,
                                     const std::vector<geo::Point>& b) {
@@ -246,7 +265,9 @@ bool HausdorffWithinDistance(const std::vector<geo::Point>& q,
     }
     return true;
   };
-  if (!directed(q, t) || !directed(t, q)) return false;
+  // The passes test only a nearest that raises the max, so a distance of
+  // 0 still has to face a negative eps here.
+  if (!directed(q, t) || !directed(t, q) || result > eps_sq) return false;
   *distance = std::sqrt(result);
   return true;
 }
@@ -397,7 +418,7 @@ bool FrechetWithinDistanceFlat(const FlatView& q, const FlatView& t,
   // no cell within eps every later cell provably exceeds it.
   const size_t n = q.n;
   const size_t m = t.n;
-  const double eps_sq = eps * eps;
+  const double eps_sq = SquaredBound(eps);
   scratch->ReserveDiag(n, m);
   double* __restrict d0 = scratch->diag0.data();
   double* __restrict d1 = scratch->diag1.data();
@@ -460,12 +481,12 @@ double HausdorffFlat(const FlatView& q, const FlatView& t) {
 bool HausdorffWithinDistanceFlat(const FlatView& q, const FlatView& t,
                                  double eps, double* distance) {
   assert(q.n > 0 && t.n > 0);
-  const double eps_sq = eps * eps;
+  const double eps_sq = SquaredBound(eps);
   bool exceeded = false;
   double h = DirectedHausdorffSq(q, t, 0.0, eps_sq, &exceeded);
   if (exceeded) return false;
   h = DirectedHausdorffSq(t, q, h, eps_sq, &exceeded);
-  if (exceeded) return false;
+  if (exceeded || h > eps_sq) return false;  // h == 0 vs a negative eps
   *distance = std::sqrt(h);
   return true;
 }

@@ -532,16 +532,13 @@ Status TrassStore::ThresholdSearchInternal(
   if (!s.ok()) return s;
 
   // Refine: the engine decodes the survivors into SoA buffers and runs
-  // the exact kernels in parallel (lower-bound cascade first, one
-  // within-distance DP per survivor instead of the old Within + exact
-  // pair), stopping cooperatively — everything verified so far is a
-  // sound (if partial) answer.
+  // one within-distance DP per survivor in parallel (the scan already
+  // ran the lower-bound cascade at this eps), stopping cooperatively —
+  // everything verified so far is a sound (if partial) answer.
   phase.Reset();
-  const RefineQuery refine_query = RefineQuery::Make(query);
   RefineStats refine_stats;
-  Status stopped = refiner_->RefineThreshold(refine_query, eps, measure,
-                                             rows, control, results,
-                                             &refine_stats);
+  Status stopped = refiner_->RefineThreshold(ctx, eps, measure, rows, control,
+                                             results, &refine_stats);
   FoldRefineStats(refine_stats, refiner_->threads(), m);
   m->refine_ms = phase.ElapsedMillis();
   std::sort(results->begin(), results->end());
@@ -617,9 +614,7 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
   // distance bound it maintains doubles as the best-first exploration's
   // pruning eps, so a refine worker's improvement immediately shrinks
   // both the other workers' early-abandon threshold and the frontier.
-  const RefineQuery refine_query = RefineQuery::Make(query);
-  TopKRefiner topk(refiner_.get(), &refine_query, static_cast<size_t>(k),
-                   measure);
+  TopKRefiner topk(refiner_.get(), &ctx, static_cast<size_t>(k), measure);
   auto current_eps = [&]() { return topk.CurrentBound(); };
 
   // An element is only worth expanding when some stored trajectory lives

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/similarity.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -40,6 +43,85 @@ TEST_F(LocalFilterTest, NeverRejectsSimilarPairs) {
             << MeasureName(measure) << " d=" << d << " eps=" << eps;
       }
     }
+  }
+}
+
+// The cascade is sound at the ulp: a rejection at any bound, including
+// the exact distance d and its ulp neighbours, means the within-DP
+// rejects too. Both near and far candidates, so every level fires.
+TEST(LocalFilterCascadeTest, RejectionImpliesNotWithin) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Random rnd(23);
+  for (int iter = 0; iter < 60; ++iter) {
+    const auto qpts =
+        trass::testing::RandomTrajectory(&rnd, 1, 5 + iter % 40).points;
+    const double lo = (iter % 2 == 0) ? 0.2 : 0.6;
+    const auto tpts =
+        trass::testing::RandomTrajectory(&rnd, 2, 3 + iter % 50, lo, lo + 0.3)
+            .points;
+    const QueryGeometry query = QueryGeometry::Make(qpts, 0.01);
+    const StoredTrajectory stored = MakeStored(2, tpts);
+    for (Measure measure :
+         {Measure::kFrechet, Measure::kHausdorff, Measure::kDtw}) {
+      const double d = Similarity(measure, qpts, tpts);
+      for (double bound : {0.0, d * 0.5, std::nextafter(d, 0.0), d,
+                           std::nextafter(d, kInf), d * 2 + 0.01}) {
+        if (!LocalFilterPass(query, stored, bound, measure)) {
+          EXPECT_FALSE(SimilarityWithin(measure, qpts, tpts, bound))
+              << MeasureName(measure) << " iter=" << iter
+              << " bound=" << bound;
+        }
+      }
+      EXPECT_TRUE(LocalFilterPass(query, stored, kInf, measure));
+    }
+  }
+}
+
+// A query point off the query's DP skeleton, far from the candidate:
+// Lemma 13 passes both ways, and only the point-to-MBR level sees it.
+TEST(LocalFilterCascadeTest, PointToMbrRejectsAFarNonRepresentativePoint) {
+  const std::vector<geo::Point> q = {{0.1, 0.5}, {0.5, 0.53}, {0.9, 0.5}};
+  const std::vector<geo::Point> t = {{0.1, 0.5}, {0.5, 0.5}, {0.9, 0.5}};
+  // A coarse tolerance keeps only the query's endpoints.
+  const QueryGeometry query = QueryGeometry::Make(q, 0.5);
+  ASSERT_EQ(query.features.rep_points.size(), 2u);
+  const StoredTrajectory stored = MakeStored(2, t);
+  const double eps = 0.02;
+  for (const geo::Point& p : stored.features.rep_points) {
+    ASSERT_LE(query.features.DistancePointToBoxes(p), eps);
+  }
+  for (const geo::Point& p : query.features.rep_points) {
+    ASSERT_LE(stored.features.DistancePointToBoxes(p), eps);
+  }
+  const double d = Hausdorff(q, t);
+  EXPECT_GT(d, eps);
+  EXPECT_FALSE(LocalFilterPass(query, stored, eps, Measure::kHausdorff));
+  EXPECT_TRUE(LocalFilterPass(query, stored, d, Measure::kHausdorff));
+}
+
+// A 2-point candidate's DP box is the segment between its points, with
+// corners rebuilt from a rotated frame. Without Lemma 13's slack the box
+// distance (0.67548495291519928) overshot the exact distance
+// (0.67548495291519906) and the cascade rejected the pair at eps = d.
+TEST(LocalFilterCascadeTest, Lemma13IsSoundAtTheUlp) {
+  const std::vector<geo::Point> q = {
+      {0.37676541476568448, 0.023941638794021003},
+      {0.26986314140947809, 0.26864251419604068},
+      {0.9758353299965975, 0.16610335137085863},
+      {0.2164077684510185, 0.45292970399513122},
+      {0.17430581993626448, 0.98300254646479268},
+      {0.6448653148924155, 0.62466604960714478},
+      {0.13942516928074244, 0.88545487831760084},
+      {0.59426204877967914, 0.58482472603846292}};
+  const std::vector<geo::Point> t = {
+      {0.61602646796690008, 0.65563307457251385},
+      {0.73171716322137104, 0.76059977324165928}};
+  const QueryGeometry query = QueryGeometry::Make(q, 0.01);
+  const StoredTrajectory stored = MakeStored(2, t);
+  for (Measure measure : {Measure::kFrechet, Measure::kHausdorff}) {
+    const double d = Similarity(measure, q, t);
+    EXPECT_TRUE(LocalFilterPass(query, stored, d, measure))
+        << MeasureName(measure) << " d=" << d;
   }
 }
 

@@ -29,13 +29,11 @@ const Measure kMeasures[] = {Measure::kFrechet, Measure::kHausdorff,
 
 struct Flat {
   std::vector<double> x, y;
-  geo::Mbr mbr;
 
   explicit Flat(const std::vector<geo::Point>& pts) {
     for (const geo::Point& p : pts) {
       x.push_back(p.x);
       y.push_back(p.y);
-      mbr.Extend(p);
     }
   }
   FlatView view() const { return FlatView{x.data(), y.data(), x.size()}; }
@@ -119,25 +117,25 @@ TEST(WithinDistanceTest, MatchesExactAroundTheBoundary) {
     Flat fa(a), fb(b);
     for (Measure measure : kMeasures) {
       const double exact = Similarity(measure, a, b);
-      // Slightly above / below the exact distance have forced outcomes;
-      // exactly at it the decision is made in squared space (as the
-      // pre-existing Within kernels do), so the requirement there is
-      // agreement with the decision-only kernel, not a fixed answer.
+      // Every kernel accepts exactly the eps >= the distance it reports:
+      // the reported distance itself is within, its lower ulp neighbour
+      // is not (even though the decision is made in squared space).
       const struct {
         double eps;
-        int within;  // 1 = yes, 0 = no, -1 = must match SimilarityWithin
-      } probes[] = {{exact * (1 + 1e-9) + 1e-300, 1},
-                    {exact, -1},
-                    {exact * (1 - 1e-9) - 1e-300, 0}};
+        bool within;
+      } probes[] = {{exact * (1 + 1e-9) + 1e-300, true},
+                    {exact, true},
+                    {std::nextafter(exact, 0.0), false},
+                    {exact * (1 - 1e-9) - 1e-300, false}};
       for (const auto& probe : probes) {
         double d_vec = -1.0, d_flat = -1.0;
         const bool vec =
             SimilarityWithinDistance(measure, a, b, probe.eps, &d_vec);
         const bool flat = SimilarityWithinDistanceFlat(
             measure, fa.view(), fb.view(), probe.eps, &d_flat, &scratch);
-        const bool want = probe.within == -1
-                              ? SimilarityWithin(measure, a, b, probe.eps)
-                              : probe.within == 1;
+        const bool want = probe.within;
+        EXPECT_EQ(SimilarityWithin(measure, a, b, probe.eps), want)
+            << MeasureName(measure) << " eps=" << probe.eps;
         EXPECT_EQ(vec, want) << MeasureName(measure) << " eps=" << probe.eps
                              << " exact=" << exact;
         EXPECT_EQ(flat, want);
@@ -151,6 +149,23 @@ TEST(WithinDistanceTest, MatchesExactAroundTheBoundary) {
         }
       }
     }
+  }
+}
+
+// No distance is <= a negative eps, not even 0: squaring the eps admitted
+// pairs within |eps|.
+TEST(WithinDistanceTest, NegativeEpsAdmitsNothing) {
+  Random rnd(21);
+  const auto a = trass::testing::RandomTrajectory(&rnd, 1, 12).points;
+  Flat fa(a);
+  DpScratch scratch;
+  for (Measure measure : kMeasures) {
+    double d = -1.0;
+    EXPECT_FALSE(SimilarityWithin(measure, a, a, -0.5)) << MeasureName(measure);
+    EXPECT_FALSE(SimilarityWithinDistance(measure, a, a, -0.5, &d));
+    EXPECT_FALSE(SimilarityWithinDistanceFlat(measure, fa.view(), fa.view(),
+                                              -0.5, &d, &scratch));
+    EXPECT_EQ(d, -1.0);
   }
 }
 
@@ -170,40 +185,6 @@ TEST(WithinDistanceTest, InfiniteEpsIsUnconditionalExact) {
   }
 }
 
-// ---- lower-bound cascade soundness ----
-
-TEST(LowerBoundTest, NeverExceedsExactDistance) {
-  Random rnd(23);
-  for (int iter = 0; iter < 60; ++iter) {
-    const auto qpts =
-        trass::testing::RandomTrajectory(&rnd, 1, 5 + iter % 40).points;
-    // Mix of nearby and far-away candidates so some cascade levels fire.
-    const double lo = (iter % 2 == 0) ? 0.2 : 0.6;
-    const auto tpts =
-        trass::testing::RandomTrajectory(&rnd, 2, 3 + iter % 50, lo, lo + 0.3)
-            .points;
-    const RefineQuery query = RefineQuery::Make(qpts);
-    Flat ft(tpts);
-    for (Measure measure : kMeasures) {
-      const double exact = Similarity(measure, qpts, tpts);
-      const double lb = RefineLowerBound(measure, query, ft.view(), ft.mbr);
-      EXPECT_LE(lb, exact + 1e-12)
-          << MeasureName(measure) << " iter=" << iter;
-      // The engine-level soundness invariant: the cascade never rejects
-      // a candidate the within-DP would accept (both decide in squared
-      // space, so this holds exactly even at the ulp boundary).
-      for (double bound : {0.0, lb * 0.5, lb, exact, exact * 2 + 0.01}) {
-        if (LowerBoundExceeds(measure, query, ft.view(), ft.mbr, bound)) {
-          EXPECT_FALSE(SimilarityWithin(measure, qpts, tpts, bound))
-              << MeasureName(measure) << " bound=" << bound;
-        }
-      }
-      // Nothing exceeds an infinite bound.
-      EXPECT_FALSE(LowerBoundExceeds(measure, query, ft.view(), ft.mbr, kInf));
-    }
-  }
-}
-
 // ---- the engine itself: serial == parallel, both == brute force ----
 
 class RefinerEngineTest : public ::testing::Test {
@@ -217,7 +198,7 @@ class RefinerEngineTest : public ::testing::Test {
       });
     }
     query_points_ = data_[7].points;
-    query_ = RefineQuery::Make(query_points_);
+    query_ = QueryGeometry::Make(query_points_, 0.01);
   }
 
   std::vector<SearchResult> BruteThreshold(double eps, Measure measure) {
@@ -232,7 +213,7 @@ class RefinerEngineTest : public ::testing::Test {
   std::vector<Trajectory> data_;
   std::vector<kv::Row> rows_;
   std::vector<geo::Point> query_points_;
-  RefineQuery query_;
+  QueryGeometry query_;
 };
 
 TEST_F(RefinerEngineTest, ThresholdSerialEqualsParallelEqualsBrute) {
@@ -261,14 +242,14 @@ TEST_F(RefinerEngineTest, ThresholdSerialEqualsParallelEqualsBrute) {
         EXPECT_EQ(got_parallel[i].id, expected[i].id);
         EXPECT_DOUBLE_EQ(got_parallel[i].distance, expected[i].distance);
       }
-      // Every candidate was decoded and either rejected by the cascade
-      // or ran the DP — and the split is thread-count independent only
-      // for threshold refinement (fixed bound).
+      // Every candidate was decoded and ran the DP: threshold
+      // refinement runs no cascade (the scan ran it at this eps).
       EXPECT_EQ(s1.refined, rows_.size());
       EXPECT_EQ(s2.refined, rows_.size());
-      EXPECT_EQ(s1.lb_rejected + s1.dp_runs, s1.refined);
-      EXPECT_EQ(s2.lb_rejected + s2.dp_runs, s2.refined);
-      EXPECT_EQ(s1.lb_rejected, s2.lb_rejected);
+      EXPECT_EQ(s1.lb_rejected, 0u);
+      EXPECT_EQ(s2.lb_rejected, 0u);
+      EXPECT_EQ(s1.dp_runs, s1.refined);
+      EXPECT_EQ(s2.dp_runs, s2.refined);
     }
   }
 }
@@ -305,6 +286,34 @@ TEST_F(RefinerEngineTest, TopKSerialEqualsParallelEqualsBrute) {
         }
         EXPECT_EQ(stats.refined, rows_.size());
       }
+    }
+  }
+}
+
+// Two rows at exactly the k-th distance: the k smallest by (distance,
+// id) keep the lower id whichever row is offered first. Here the squared
+// distance D = 9.9999999999994635e-08 has fl(sqrt(D))^2 < D, so squaring
+// the bound rejected the second copy and the first one offered won.
+TEST(TopKRefinerTest, TieAtTheBoundKeepsTheLowerIdInEitherOrder) {
+  const QueryGeometry query = QueryGeometry::Make({{0.1, 0.1}}, 0.01);
+  const std::vector<geo::Point> copy = {{0.1001, 0.1003}};
+  const std::string value =
+      EncodeRowValue(copy, DpFeatures::ComputeCapped(copy, 0.01));
+  const kv::Row row1{EncodeRowKey(0, 0, 1), value};
+  const kv::Row row2{EncodeRowKey(0, 0, 2), value};
+  Refiner serial(nullptr, 1);
+  QueryContext control;
+  for (Measure measure : kMeasures) {
+    for (const auto& rows : {std::vector<kv::Row>{row2, row1},
+                             std::vector<kv::Row>{row1, row2}}) {
+      TopKRefiner topk(&serial, &query, 1, measure);
+      RefineStats stats;
+      ASSERT_TRUE(topk.RefineBatch(rows, &control, &stats).ok());
+      std::vector<SearchResult> got;
+      topk.Drain(&got);
+      ASSERT_EQ(got.size(), 1u);
+      EXPECT_EQ(got[0].id, 1u) << MeasureName(measure) << " first offered "
+                               << (rows[0].key == row1.key ? 1 : 2);
     }
   }
 }

@@ -114,6 +114,50 @@ TEST(RowCodecTest, DecodeValueRejectsCorruption) {
   ASSERT_TRUE(DecodeRowValue(Slice(bad), &out, &fout).ok());
 }
 
+// DP features that do not describe the points are Corruption: the local
+// filter would read them as the row's skeleton and drop the row from
+// strict answers.
+TEST(RowCodecTest, FeaturesThatDoNotMatchThePointsAreCorruption) {
+  const std::vector<geo::Point> points = {
+      {0.1, 0.1}, {0.2, 0.3}, {0.4, 0.2}, {0.5, 0.5}};
+  const DpFeatures good = DpFeatures::Compute(points, 0.0);
+  ASSERT_EQ(good.rep_indices, (std::vector<uint32_t>{0, 1, 2, 3}));
+  std::vector<geo::Point> out;
+  DpFeatures fout;
+  ASSERT_TRUE(DecodeRowValue(EncodeRowValue(points, good), &out, &fout).ok());
+
+  auto with_reps = [&](std::vector<uint32_t> reps) {
+    DpFeatures f = good;
+    f.rep_indices = std::move(reps);
+    f.boxes.resize(f.rep_indices.empty() ? 0 : f.rep_indices.size() - 1,
+                   good.boxes.front());
+    return f;
+  };
+  DpFeatures fewer_boxes = good;
+  fewer_boxes.boxes.pop_back();
+  DpFeatures more_boxes = good;
+  more_boxes.boxes.push_back(good.boxes.front());
+  const struct {
+    const char* name;
+    std::vector<geo::Point> points;
+    DpFeatures features;
+  } cases[] = {
+      {"no points", {}, DpFeatures{}},
+      {"points without reps or boxes", {points.begin(), points.begin() + 3},
+       DpFeatures{}},
+      {"first rep is not point 0", points, with_reps({1, 3})},
+      {"last rep is not the last point", points, with_reps({0, 2})},
+      {"reps repeat", points, with_reps({0, 2, 2, 3})},
+      {"fewer boxes than rep gaps", points, fewer_boxes},
+      {"more boxes than rep gaps", points, more_boxes},
+  };
+  for (const auto& c : cases) {
+    const Status s =
+        DecodeRowValue(EncodeRowValue(c.points, c.features), &out, &fout);
+    EXPECT_TRUE(s.IsCorruption()) << c.name << ": " << s.ToString();
+  }
+}
+
 TEST(RowCodecTest, HugeCountIsCorruptionNotBadAlloc) {
   // A point count of 2^32 - 1 in a 5-byte value: the decoder must not
   // size an allocation from it.
