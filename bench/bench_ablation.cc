@@ -119,26 +119,38 @@ VariantResult RunVariant(core::TrassStore* store,
     scan_ranges.push_back(kv::ScanRange{"", ""});
   }
 
-  std::vector<kv::Row> rows;
-  core::LocalScanFilter full_filter(&ctx, eps, core::Measure::kFrechet);
+  core::LocalScanFilter full_filter(&ctx, eps, core::Measure::kFrechet,
+                                    store->options().shards);
   EndpointOnlyFilter endpoint_filter(&query, eps);
   Lemma14Filter lemma14_filter(&ctx, eps);
   const kv::ScanFilter* filter = nullptr;
   if (local_filter == 1) filter = &endpoint_filter;
   if (local_filter == 2) filter = &full_filter;
   if (local_filter == 3) filter = &lemma14_filter;
+  // The query path's filter collects what it keeps, decoded; the other
+  // variants return rows, decoded here.
+  const bool collecting = local_filter == 2;
+  std::vector<kv::Row> rows;
   kv::RegionStore* region_store = store->region_store();
   const auto before = region_store->TotalIoStats();
-  if (!region_store->Scan(scan_ranges, filter, &rows).ok()) return out;
+  if (!region_store->Scan(scan_ranges, filter, collecting ? nullptr : &rows)
+           .ok() ||
+      !full_filter.status().ok()) {
+    return out;
+  }
   const auto after = region_store->TotalIoStats();
   out.retrieved = after.rows_scanned - before.rows_scanned;
-  out.candidates = rows.size();
 
+  std::vector<core::StoredTrajectory> candidates;
+  if (collecting) candidates = full_filter.TakeCandidates();
   for (const kv::Row& row : rows) {
     core::StoredTrajectory t;
-    if (!core::DecodeRow(Slice(row.key), Slice(row.value), &t).ok()) {
-      continue;
+    if (core::DecodeRow(Slice(row.key), Slice(row.value), &t).ok()) {
+      candidates.push_back(std::move(t));
     }
+  }
+  out.candidates = candidates.size();
+  for (const core::StoredTrajectory& t : candidates) {
     if (core::SimilarityWithin(core::Measure::kFrechet, query, t.points,
                                eps)) {
       ++out.results;

@@ -253,8 +253,8 @@ void RunLowSpaceTable(const Dataset& dataset, const std::string& dir) {
   const uint64_t payload =
       static_cast<uint64_t>(PayloadMegabytes(dataset.data) * 1024.0 * 1024.0);
   const uint64_t budget = std::max<uint64_t>(payload / 4, 2ull << 20);
-  options.soft_space_watermark_bytes = budget / 2;
-  options.hard_space_watermark_bytes = budget / 8;
+  options.db_options.soft_space_watermark_bytes = budget / 2;
+  options.db_options.hard_space_watermark_bytes = budget / 8;
   options.db_options.write_stall_ms = 1;
   const std::string path = dir + "/lowspace";
   kv::Env::Default()->RemoveDirRecursively(path);
@@ -281,9 +281,9 @@ void RunLowSpaceTable(const Dataset& dataset, const std::string& dir) {
               "accepted %zu rows before ENOSPC\n",
               static_cast<unsigned long long>(budget >> 10),
               static_cast<unsigned long long>(
-                  options.soft_space_watermark_bytes >> 10),
+                  options.db_options.soft_space_watermark_bytes >> 10),
               static_cast<unsigned long long>(
-                  options.hard_space_watermark_bytes >> 10),
+                  options.db_options.hard_space_watermark_bytes >> 10),
               accepted);
   std::printf("write stalls %llu  total stall %llu ms;  put latency us: "
               "p50 %.1f  p95 %.1f  p99 %.1f  max %.1f\n",

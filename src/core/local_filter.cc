@@ -84,11 +84,34 @@ bool LocalFilterPass(const QueryGeometry& query,
 
 bool LocalScanFilter::Keep(const Slice& key, const Slice& value) const {
   scanned_.fetch_add(1, std::memory_order_relaxed);
+  Region& region = regions_[static_cast<uint8_t>(key[0])];
   StoredTrajectory candidate;
-  if (!DecodeRow(key, value, &candidate).ok()) return false;
+  const Status s = DecodeRow(key, value, &candidate);
+  if (!s.ok()) {
+    if (region.error.ok()) region.error = s;
+    return false;
+  }
   if (!LocalFilterPass(*query_, candidate, eps_, measure_)) return false;
   kept_.fetch_add(1, std::memory_order_relaxed);
+  region.kept.push_back(std::move(candidate));
   return true;
+}
+
+Status LocalScanFilter::status() const {
+  for (const Region& region : regions_) {
+    if (!region.error.ok()) return region.error;
+  }
+  return Status::OK();
+}
+
+std::vector<StoredTrajectory> LocalScanFilter::TakeCandidates() {
+  std::vector<StoredTrajectory> out;
+  out.reserve(kept());
+  for (Region& region : regions_) {
+    for (StoredTrajectory& t : region.kept) out.push_back(std::move(t));
+    region.kept.clear();
+  }
+  return out;
 }
 
 }  // namespace core

@@ -19,12 +19,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "core/dp_features.h"
 #include "core/measure.h"
 #include "core/pruning.h"
 #include "core/row_codec.h"
 #include "kv/scan.h"
+#include "util/status.h"
 
 namespace trass {
 namespace core {
@@ -36,21 +38,43 @@ bool LocalFilterPass(const QueryGeometry& query,
                      const StoredTrajectory& candidate, double eps,
                      Measure measure);
 
-/// Pushdown form. Thread-safe; counts scanned/kept rows for the metrics.
+/// Pushdown form, and the query path's only row decode: it keeps the
+/// decoded trajectory of every row that passes, so the refiner never sees
+/// row bytes. Counts scanned/kept rows for the metrics. Thread-safe under
+/// the RegionStore scan contract (each region's rows arrive on one
+/// thread, in key order; regions run in parallel).
 class LocalScanFilter final : public kv::ScanFilter {
  public:
-  LocalScanFilter(const QueryGeometry* query, double eps, Measure measure)
-      : query_(query), eps_(eps), measure_(measure) {}
+  /// `regions`: the store's region count; every scanned key's shard byte
+  /// must be below it.
+  LocalScanFilter(const QueryGeometry* query, double eps, Measure measure,
+                  int regions)
+      : query_(query), eps_(eps), measure_(measure), regions_(regions) {}
 
+  /// Drops a row whose value does not decode, recording the error.
   bool Keep(const Slice& key, const Slice& value) const override;
 
   uint64_t scanned() const { return scanned_.load(); }
   uint64_t kept() const { return kept_.load(); }
 
+  /// The first row that failed to decode (region first, then key), as
+  /// Corruption naming it; OK when every row decoded.
+  Status status() const;
+
+  /// Moves the kept trajectories out in the order the scan would return
+  /// their rows: region first, then key.
+  std::vector<StoredTrajectory> TakeCandidates();
+
  private:
+  struct Region {
+    std::vector<StoredTrajectory> kept;
+    Status error;
+  };
+
   const QueryGeometry* query_;
   const double eps_;
   const Measure measure_;
+  mutable std::vector<Region> regions_;  // slot i: rows of shard byte i
   mutable std::atomic<uint64_t> scanned_{0};
   mutable std::atomic<uint64_t> kept_{0};
 };

@@ -35,7 +35,7 @@ enum class MetricFold {
   /* Phase wall times; total_ms (the query after admission) is written by     \
      TotalTimer on every return path. */                                      \
   X(double, pruning_ms, kSum) /* global pruning (range generation) */         \
-  X(double, scan_ms, kSum)    /* store scan incl. pushdown local filter */    \
+  X(double, scan_ms, kSum)    /* scan incl. the row decode + local filter */  \
   X(double, refine_ms, kSum)  /* exact similarity computations */             \
   X(double, total_ms, kOwned)                                                 \
   X(uint64_t, scan_ranges, kSum) /* key ranges issued to the store */         \
@@ -60,7 +60,7 @@ enum class MetricFold {
   X(uint64_t, lb_rejected, kSum)                                              \
   X(uint64_t, refine_dp_runs, kSum)                                           \
   X(uint64_t, refine_threads, kMax) /* engine parallelism */                  \
-  X(double, refine_decode_ms, kSum) /* row decode + SoA flatten */            \
+  X(double, refine_decode_ms, kSum) /* SoA flatten before each DP */          \
   X(double, refine_lb_ms, kSum)     /* top-k cascade (0 for threshold) */     \
   X(double, refine_dp_ms, kSum)     /* exact DP kernels */                    \
   /* The answer may be missing rows: a cooperative stop under allow_partial   \

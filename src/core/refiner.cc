@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/local_filter.h"
-#include "util/slice.h"
 #include "util/stopwatch.h"
 
 namespace trass {
@@ -17,11 +16,26 @@ constexpr size_t kChunksPerThread = 4;
 
 }  // namespace
 
-Status Refiner::ProcessRows(const std::vector<kv::Row>& rows,
-                            const QueryContext* control,
-                            const CandidateFn& fn,
-                            RefineStats* stats) const {
-  const size_t n = rows.size();
+FlatView Refiner::Scratch::Flatten(const StoredTrajectory& t) {
+  Stopwatch watch;
+  const size_t m = t.points.size();
+  if (tx.size() < m) {
+    tx.resize(m);
+    ty.resize(m);
+  }
+  for (size_t j = 0; j < m; ++j) {
+    tx[j] = t.points[j].x;
+    ty[j] = t.points[j].y;
+  }
+  stats.decode_ms += watch.ElapsedMillis();
+  return FlatView{tx.data(), ty.data(), m};
+}
+
+Status Refiner::ProcessCandidates(
+    const std::vector<StoredTrajectory>& candidates,
+    const QueryContext* control, const CandidateFn& fn,
+    RefineStats* stats) const {
+  const size_t n = candidates.size();
   if (n == 0) return control->Check();
   const size_t workers = std::min(threads_, n);
   const size_t chunks =
@@ -32,28 +46,10 @@ Status Refiner::ProcessRows(const std::vector<kv::Row>& rows,
     Scratch* s = &scratch[c];
     const size_t lo = c * n / chunks;
     const size_t hi = (c + 1) * n / chunks;
-    Stopwatch watch;
     for (size_t i = lo; i < hi; ++i) {
       if (control->ShouldStop()) return;  // poll every candidate
-      watch.Reset();
-      Status st =
-          DecodeRow(Slice(rows[i].key), Slice(rows[i].value), &s->decoded);
-      if (!st.ok()) {
-        if (s->error.ok()) s->error = st;
-        return;
-      }
-      const size_t m = s->decoded.points.size();
-      if (s->tx.size() < m) {
-        s->tx.resize(m);
-        s->ty.resize(m);
-      }
-      for (size_t j = 0; j < m; ++j) {
-        s->tx[j] = s->decoded.points[j].x;
-        s->ty[j] = s->decoded.points[j].y;
-      }
-      s->stats.decode_ms += watch.ElapsedMillis();
       ++s->stats.refined;
-      fn(i, s->decoded, FlatView{s->tx.data(), s->ty.data(), m}, s);
+      fn(i, candidates[i], s);
     }
   };
 
@@ -64,39 +60,33 @@ Status Refiner::ProcessRows(const std::vector<kv::Row>& rows,
                        [control] { return control->ShouldStop(); });
   }
 
-  Status first_error;
-  for (const Scratch& s : scratch) {
-    stats->Fold(s.stats);
-    if (first_error.ok() && !s.error.ok()) first_error = s.error;
-  }
-  if (!first_error.ok()) return first_error;
+  for (const Scratch& s : scratch) stats->Fold(s.stats);
   return control->Check();
 }
 
 Status Refiner::RefineThreshold(const QueryGeometry& query, double eps,
                                 Measure measure,
-                                const std::vector<kv::Row>& rows,
+                                const std::vector<StoredTrajectory>& candidates,
                                 const QueryContext* control,
                                 std::vector<SearchResult>* out,
                                 RefineStats* stats) const {
-  const size_t n = rows.size();
-  // Hit slots indexed by row: workers never contend, and compacting in
-  // row order afterwards makes the output independent of thread count.
-  std::vector<uint64_t> ids(n, 0);
+  const size_t n = candidates.size();
+  // Hit slots indexed by candidate: workers never contend, and compacting
+  // in candidate order afterwards makes the output independent of thread
+  // count.
   std::vector<double> dist(n, 0.0);
   std::vector<char> hit(n, 0);
   const FlatView qv = query.view();
 
-  Status s = ProcessRows(
-      rows, control,
-      [&](size_t i, const StoredTrajectory& t, const FlatView& tv,
-          Scratch* sc) {
+  Status s = ProcessCandidates(
+      candidates, control,
+      [&](size_t i, const StoredTrajectory& t, Scratch* sc) {
+        const FlatView tv = sc->Flatten(t);
         Stopwatch watch;
         ++sc->stats.dp_runs;
         double d = 0.0;
         if (SimilarityWithinDistanceFlat(measure, qv, tv, eps, &d,
                                          &sc->dp)) {
-          ids[i] = t.id;
           dist[i] = d;
           hit[i] = 1;
         }
@@ -105,19 +95,18 @@ Status Refiner::RefineThreshold(const QueryGeometry& query, double eps,
       stats);
 
   for (size_t i = 0; i < n; ++i) {
-    if (hit[i]) out->push_back(SearchResult{ids[i], dist[i]});
+    if (hit[i]) out->push_back(SearchResult{candidates[i].id, dist[i]});
   }
   return s;
 }
 
-Status TopKRefiner::RefineBatch(const std::vector<kv::Row>& rows,
+Status TopKRefiner::RefineBatch(const std::vector<StoredTrajectory>& candidates,
                                 const QueryContext* control,
                                 RefineStats* stats) {
   const FlatView qv = query_->view();
-  return engine_->ProcessRows(
-      rows, control,
-      [&](size_t, const StoredTrajectory& t, const FlatView& tv,
-          Refiner::Scratch* sc) {
+  return engine_->ProcessCandidates(
+      candidates, control,
+      [&](size_t, const StoredTrajectory& t, Refiner::Scratch* sc) {
         // A stale (larger) bound only admits extra candidates that the
         // heap then rejects; it can never drop one that belongs.
         const double bound = bound_.load(std::memory_order_relaxed);
@@ -128,6 +117,7 @@ Status TopKRefiner::RefineBatch(const std::vector<kv::Row>& rows,
           ++sc->stats.lb_rejected;
           return;
         }
+        const FlatView tv = sc->Flatten(t);
         watch.Reset();
         ++sc->stats.dp_runs;
         double d = 0.0;

@@ -1,15 +1,17 @@
 // Refinement engine: the exact-similarity stage both query paths run on
 // the candidates that survive global pruning and local filtering.
 //
-// What it does beyond the hand-rolled loops it replaced:
-//   - decodes candidate rows into structure-of-arrays buffers (flat
-//     x[]/y[] arrays, reused via a per-worker scratch arena) so the DP
-//     distance passes in core/similarity.cc auto-vectorize;
-//   - for top-k, runs the local-filter cascade (core/local_filter.h) at
-//     the live k-th distance before each DP: the bound has tightened
-//     since the scan checked the row, so more losers fall without the
-//     O(n*m) DP. Threshold refinement runs no cascade, because the scan
-//     proved every level at the same eps;
+// It takes the trajectories the scan filter already decoded
+// (core/local_filter.h), so refinement reads no row bytes. Beyond the
+// hand-rolled loops it replaced, it:
+//   - flattens a candidate into structure-of-arrays buffers (flat
+//     x[]/y[] arrays, reused via a per-worker scratch arena) right before
+//     its DP, so the distance passes in core/similarity.cc auto-vectorize;
+//   - for top-k, runs the local-filter cascade at the live k-th distance
+//     before each DP: the bound has tightened since the scan checked the
+//     row, so more losers fall without the O(n*m) DP (or the flatten).
+//     Threshold refinement runs no cascade, because the scan proved
+//     every level at the same eps;
 //   - fans candidates out over a cancellation-aware
 //     ThreadPool::ParallelFor in contiguous chunks, polling the
 //     QueryContext before every candidate;
@@ -17,9 +19,10 @@
 //     (an atomic) across all workers and batches, so one worker's
 //     improvement shrinks every other worker's early-abandon threshold.
 //
-// Determinism contract: for a fixed row set the results are identical to
-// serial execution regardless of thread count. Threshold refinement
-// writes each hit into its candidate's slot and compacts in row order;
+// Determinism contract: for a fixed candidate set the results are
+// identical to serial execution regardless of thread count. Threshold
+// refinement writes each hit into its candidate's slot and compacts in
+// candidate order;
 // top-k keeps the k smallest results under the total order
 // (distance, id), which no interleaving can change (a candidate is only
 // ever abandoned against a bound that its distance provably exceeds, and
@@ -42,7 +45,6 @@
 #include "core/row_codec.h"
 #include "core/similarity.h"
 #include "core/trajectory.h"
-#include "kv/scan.h"
 #include "util/query_context.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -53,10 +55,10 @@ namespace core {
 /// Refine-stage counters, folded into QueryMetrics by the query paths.
 /// The *_ms fields are summed across workers (CPU time, not wall time).
 struct RefineStats {
-  uint64_t refined = 0;      // candidates decoded and considered
+  uint64_t refined = 0;      // candidates considered
   uint64_t lb_rejected = 0;  // top-k cascade skipped the DP
   uint64_t dp_runs = 0;      // exact DP kernels executed
-  double decode_ms = 0.0;    // row decode + SoA flatten
+  double decode_ms = 0.0;    // SoA flatten before each DP
   double lb_ms = 0.0;        // top-k cascade
   double dp_ms = 0.0;        // exact DP kernels
 
@@ -85,10 +87,11 @@ class Refiner {
 
   /// Threshold refinement: appends every candidate with
   /// measure(query, candidate) <= eps to `out` as (id, exact distance),
-  /// in row order. Returns the first decode error, else the control's
-  /// stop status, else OK; on a stop `out` holds the verified subset.
+  /// in candidate order. Returns the control's stop status, else OK; on
+  /// a stop `out` holds the verified subset.
   Status RefineThreshold(const QueryGeometry& query, double eps,
-                         Measure measure, const std::vector<kv::Row>& rows,
+                         Measure measure,
+                         const std::vector<StoredTrajectory>& candidates,
                          const QueryContext* control,
                          std::vector<SearchResult>* out,
                          RefineStats* stats) const;
@@ -96,32 +99,32 @@ class Refiner {
  private:
   friend class TopKRefiner;
 
-  /// Per-chunk scratch arena: decode buffers, SoA arrays, and DP rows are
-  /// reused across every candidate the chunk refines.
+  /// Per-chunk scratch arena: SoA arrays and DP rows are reused across
+  /// every candidate the chunk refines.
   struct Scratch {
-    StoredTrajectory decoded;
     std::vector<double> tx, ty;
     DpScratch dp;
     RefineStats stats;
-    Status error;
+
+    /// Flattens `t` into tx/ty, timed into stats.decode_ms.
+    FlatView Flatten(const StoredTrajectory& t);
   };
 
-  using CandidateFn =
-      std::function<void(size_t index, const StoredTrajectory& t,
-                         const FlatView& tv, Scratch* scratch)>;
+  using CandidateFn = std::function<void(
+      size_t index, const StoredTrajectory& t, Scratch* scratch)>;
 
-  /// Decodes and flattens rows in contiguous chunks (serial or via the
-  /// pool), invoking `fn` per surviving candidate. Polls `control` before
-  /// every candidate. Folds per-chunk stats into `stats`.
-  Status ProcessRows(const std::vector<kv::Row>& rows,
-                     const QueryContext* control, const CandidateFn& fn,
-                     RefineStats* stats) const;
+  /// Runs `fn` on every candidate in contiguous chunks (serial or via the
+  /// pool), polling `control` before each. Folds per-chunk stats into
+  /// `stats`; returns the control's stop status, else OK.
+  Status ProcessCandidates(const std::vector<StoredTrajectory>& candidates,
+                           const QueryContext* control, const CandidateFn& fn,
+                           RefineStats* stats) const;
 
   ThreadPool* pool_;
   size_t threads_;
 };
 
-/// One top-k refinement session: feeds batches of candidate rows through
+/// One top-k refinement session: feeds batches of candidates through
 /// the engine against a shared, monotonically tightening k-th-distance
 /// bound. The final contents are exactly the k smallest (distance, id)
 /// results among all offered candidates — identical to serial execution.
@@ -134,8 +137,8 @@ class TopKRefiner {
   TopKRefiner(const TopKRefiner&) = delete;
   TopKRefiner& operator=(const TopKRefiner&) = delete;
 
-  /// Refines one batch of rows; same status contract as RefineThreshold.
-  Status RefineBatch(const std::vector<kv::Row>& rows,
+  /// Refines one batch; same status contract as RefineThreshold.
+  Status RefineBatch(const std::vector<StoredTrajectory>& candidates,
                      const QueryContext* control, RefineStats* stats);
 
   /// The current k-th distance (+inf until k results exist). Never rises;

@@ -141,10 +141,12 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
 
 Status DecodeRow(const Slice& key, const Slice& value, StoredTrajectory* out) {
   uint8_t shard;
-  int64_t index_value;
-  Status s = DecodeRowKey(key, &shard, &index_value, &out->id);
+  Status s = DecodeRowKey(key, &shard, &out->index_value, &out->id);
   if (!s.ok()) return s;
-  return DecodeRowValue(value, &out->points, &out->features);
+  return DecodeRowValue(value, &out->points, &out->features)
+      .WithContext("row tid " + std::to_string(out->id) + " (shard " +
+                   std::to_string(shard) + ", index value " +
+                   std::to_string(out->index_value) + ")");
 }
 
 }  // namespace core

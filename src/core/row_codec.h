@@ -29,9 +29,11 @@
 namespace trass {
 namespace core {
 
-/// A decoded row: the trajectory plus its precomputed features.
+/// A decoded row: the trajectory, its key's index value, and its
+/// precomputed features.
 struct StoredTrajectory {
   uint64_t id = 0;
+  int64_t index_value = 0;
   std::vector<geo::Point> points;
   DpFeatures features;
 };
@@ -69,7 +71,8 @@ std::string EncodeRowValue(const std::vector<geo::Point>& points,
 Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
                       DpFeatures* features);
 
-/// Decodes a full (integer-keyed) row.
+/// Decodes a full (integer-keyed) row. A value that does not decode is
+/// Corruption naming the row's tid, shard and index value.
 Status DecodeRow(const Slice& key, const Slice& value, StoredTrajectory* out);
 
 }  // namespace core

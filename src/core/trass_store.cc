@@ -113,7 +113,8 @@ class StoredRowCollector final : public kv::ScanFilter {
 };
 
 // Pushdown filter for the spatial range query: keep rows with at least
-// one point inside the window.
+// one point inside the window, collecting their tids. A row whose value
+// does not decode is dropped and its error recorded.
 class WindowScanFilter final : public kv::ScanFilter {
  public:
   explicit WindowScanFilter(const geo::Mbr& window) : window_(window) {}
@@ -121,19 +122,41 @@ class WindowScanFilter final : public kv::ScanFilter {
   bool Keep(const Slice& key, const Slice& value) const override {
     scanned_.fetch_add(1, std::memory_order_relaxed);
     StoredTrajectory t;
-    if (!DecodeRow(key, value, &t).ok()) return false;
-    for (const geo::Point& p : t.points) {
-      if (window_.Contains(p)) return true;
+    const Status s = DecodeRow(key, value, &t);
+    if (s.ok() && std::none_of(t.points.begin(), t.points.end(),
+                               [&](const geo::Point& p) {
+                                 return window_.Contains(p);
+                               })) {
+      return false;
     }
-    return false;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (s.ok()) {
+      tids_.push_back(t.id);
+    } else if (status_.ok()) {
+      status_ = s;
+    }
+    return s.ok();
   }
 
   uint64_t scanned() const { return scanned_.load(); }
+  /// The first row that failed to decode; OK when every row decoded.
+  Status status() const { return status_; }
+  std::vector<uint64_t> TakeTids() { return std::move(tids_); }
 
  private:
   const geo::Mbr window_;
   mutable std::atomic<uint64_t> scanned_{0};
+  mutable std::mutex mu_;
+  mutable Status status_;
+  mutable std::vector<uint64_t> tids_;
 };
+
+// The collecting filters drop a row that does not decode; its
+// Corruption outranks a query stop, as a region fault does.
+Status WithDecodeError(const Status& scan, const Status& decode) {
+  if (decode.ok() || (!scan.ok() && !scan.IsQueryStop())) return scan;
+  return decode;
+}
 
 }  // namespace
 
@@ -142,13 +165,7 @@ TrassStore::TrassStore(const TrassOptions& options)
       xz_(options.max_resolution),
       resolution_histogram_(options.max_resolution + 1, 0),
       position_histogram_(11, 0),
-      filter_tier_(options.filter_tier.enable) {
-  AdmissionController::Options admission;
-  admission.max_concurrent = options.max_concurrent_queries;
-  admission.max_queue = options.admission_queue;
-  admission.queue_timeout_ms = options.admission_queue_timeout_ms;
-  admission_.Configure(admission);
-}
+      filter_tier_(options.filter_tier.enable) {}
 
 Status TrassStore::Open(const TrassOptions& options, const std::string& path,
                         std::unique_ptr<TrassStore>* store) {
@@ -163,12 +180,6 @@ Status TrassStore::Open(const TrassOptions& options, const std::string& path,
   std::unique_ptr<TrassStore> impl(new TrassStore(options));
   kv::RegionStore::RegionOptions region_options;
   region_options.db_options = options.db_options;
-  // Space watermarks are store-level knobs threaded into every region
-  // database (each polls free space on its own write path).
-  region_options.db_options.soft_space_watermark_bytes =
-      options.soft_space_watermark_bytes;
-  region_options.db_options.hard_space_watermark_bytes =
-      options.hard_space_watermark_bytes;
   region_options.num_regions = options.shards;
   region_options.scan_threads = options.scan_threads;
   Status s = kv::RegionStore::Open(region_options, path, &impl->store_);
@@ -519,26 +530,27 @@ Status TrassStore::ThresholdSearchInternal(
 
   // Scan with the local filter pushed down (Algorithm 2 + 3).
   phase.Reset();
-  LocalScanFilter filter(&ctx, eps, measure);
-  std::vector<kv::Row> rows;
+  LocalScanFilter filter(&ctx, eps, measure, options_.shards);
   kv::ScanReport report;
-  Status s = store_->Scan(ToScanRanges(scan_ranges), &filter, &rows,
+  Status s = store_->Scan(ToScanRanges(scan_ranges), &filter, nullptr,
                           &report, control);
   FoldScanReport(report, m);
   m->scan_ms = phase.ElapsedMillis();
   m->retrieved = filter.scanned();
   m->candidates = filter.kept();
+  s = WithDecodeError(s, filter.status());
   if (s.IsQueryStop()) return ResolveStop(s, allow_partial, m);
   if (!s.ok()) return s;
 
-  // Refine: the engine decodes the survivors into SoA buffers and runs
-  // one within-distance DP per survivor in parallel (the scan already
-  // ran the lower-bound cascade at this eps), stopping cooperatively —
-  // everything verified so far is a sound (if partial) answer.
+  // Refine: the engine runs one within-distance DP per survivor the scan
+  // decoded, in parallel (the scan already ran the lower-bound cascade
+  // at this eps), stopping cooperatively — everything verified so far is
+  // a sound (if partial) answer.
   phase.Reset();
   RefineStats refine_stats;
-  Status stopped = refiner_->RefineThreshold(ctx, eps, measure, rows, control,
-                                             results, &refine_stats);
+  Status stopped = refiner_->RefineThreshold(
+      ctx, eps, measure, filter.TakeCandidates(), control, results,
+      &refine_stats);
   FoldRefineStats(refine_stats, refiner_->threads(), m);
   m->refine_ms = phase.ElapsedMillis();
   std::sort(results->begin(), results->end());
@@ -699,10 +711,9 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
       pruning_ms += phase.ElapsedMillis();
       phase.Reset();
       if (batch_values.empty()) continue;  // whole batch filter-pruned
-      LocalScanFilter filter(&ctx, current_eps(), measure);
-      std::vector<kv::Row> rows;
+      LocalScanFilter filter(&ctx, current_eps(), measure, options_.shards);
       kv::ScanReport report;
-      Status s = store_->Scan(ToScanRanges(batch_values), &filter, &rows,
+      Status s = store_->Scan(ToScanRanges(batch_values), &filter, nullptr,
                               &report, control);
       FoldScanReport(report, m);
       m->retrieved += filter.scanned();
@@ -710,50 +721,49 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
       m->index_values += drained;
       m->scan_ms += phase.ElapsedMillis();
       phase.Reset();
+      s = WithDecodeError(s, filter.status());
       if (s.IsQueryStop()) {
         stopped = s;
         break;
       }
       if (!s.ok()) return s;
-      if (!query_sig.empty() && rows.size() > 1) {
+      std::vector<StoredTrajectory> candidates = filter.TakeCandidates();
+      if (!query_sig.empty() && candidates.size() > 1) {
         // Order the batch by estimated sketch similarity (descending):
         // likely winners refine first, tightening the shared k-th bound
         // sooner so later rows fall to the refiner's existing
         // lower-bound prune. Ordering only — the refiner's answer is
         // offer-order invariant, so results stay byte-identical.
-        std::vector<std::pair<double, size_t>> order(rows.size());
-        for (size_t i = 0; i < rows.size(); ++i) {
+        std::vector<std::pair<double, size_t>> order(candidates.size());
+        for (size_t i = 0; i < candidates.size(); ++i) {
+          const int64_t tid = static_cast<int64_t>(candidates[i].id);
+          const filter::RowSpan records =
+              snap->RowsForValue(candidates[i].index_value);
+          const filter::RowRecord* end = records.rows + records.count;
+          const filter::RowRecord* hit = std::lower_bound(
+              records.rows, end, tid,
+              [](const filter::RowRecord& record, int64_t t) {
+                return record.tid < t;
+              });
           double sim = 0.0;
-          uint8_t shard;
-          int64_t value;
-          uint64_t tid;
-          if (DecodeRowKey(Slice(rows[i].key), &shard, &value, &tid).ok()) {
-            const filter::RowSpan records = snap->RowsForValue(value);
-            const filter::RowRecord* end = records.rows + records.count;
-            const filter::RowRecord* hit = std::lower_bound(
-                records.rows, end, static_cast<int64_t>(tid),
-                [](const filter::RowRecord& record, int64_t t) {
-                  return record.tid < t;
-                });
-            if (hit != end && hit->tid == static_cast<int64_t>(tid)) {
-              sim = filter::EstimateSimilarity(
-                  query_sig.data(),
-                  records.sigs + (hit - records.rows) * query_sig.size(),
-                  query_sig.size());
-            }
+          if (hit != end && hit->tid == tid) {
+            sim = filter::EstimateSimilarity(
+                query_sig.data(),
+                records.sigs + (hit - records.rows) * query_sig.size(),
+                query_sig.size());
           }
           order[i] = {-sim, i};
         }
         std::stable_sort(order.begin(), order.end());
-        std::vector<kv::Row> reordered;
-        reordered.reserve(rows.size());
+        std::vector<StoredTrajectory> reordered;
+        reordered.reserve(candidates.size());
         for (const auto& entry : order) {
-          reordered.push_back(std::move(rows[entry.second]));
+          reordered.push_back(std::move(candidates[entry.second]));
         }
-        rows = std::move(reordered);
+        candidates = std::move(reordered);
       }
       RefineStats refine_stats;
-      Status rs = topk.RefineBatch(rows, control, &refine_stats);
+      Status rs = topk.RefineBatch(candidates, control, &refine_stats);
       FoldRefineStats(refine_stats, refiner_->threads(), m);
       m->refine_ms += phase.ElapsedMillis();
       phase.Reset();
@@ -979,36 +989,20 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
 
   phase.Reset();
   WindowScanFilter filter(window);
-  std::vector<kv::Row> rows;
   kv::ScanReport report;
-  Status s =
-      store_->Scan(ToScanRanges(scan_ranges), &filter, &rows, &report,
-                   &control);
+  Status s = store_->Scan(ToScanRanges(scan_ranges), &filter, nullptr,
+                          &report, &control);
   FoldScanReport(report, m);
   m->scan_ms = phase.ElapsedMillis();
   m->retrieved = filter.scanned();
-  m->candidates = rows.size();
+  s = WithDecodeError(s, filter.status());
   if (s.IsQueryStop()) return ResolveStop(s, query_options.allow_partial, m);
   if (!s.ok()) return s;
 
-  Status stopped;
-  for (const kv::Row& row : rows) {
-    if (Status stop = control.Check(); !stop.ok()) {
-      stopped = stop;
-      break;
-    }
-    uint8_t shard;
-    int64_t value;
-    uint64_t tid;
-    s = DecodeRowKey(Slice(row.key), &shard, &value, &tid);
-    if (!s.ok()) return s;
-    ids->push_back(tid);
-  }
+  *ids = filter.TakeTids();
+  m->candidates = ids->size();
   std::sort(ids->begin(), ids->end());
   m->results = ids->size();
-  if (!stopped.ok()) {
-    return ResolveStop(stopped, query_options.allow_partial, m);
-  }
   return Status::OK();
 }
 

@@ -56,14 +56,6 @@ struct TrassOptions {
   /// concurrently admitted queries.
   size_t refine_threads = 4;
 
-  /// Admission control for the four query APIs: at most
-  /// `max_concurrent_queries` run at once (0 = unlimited), at most
-  /// `admission_queue` more wait up to `admission_queue_timeout_ms` for
-  /// a slot; everything beyond is shed with Status::Busy.
-  int max_concurrent_queries = 0;
-  int admission_queue = 0;
-  double admission_queue_timeout_ms = 100.0;
-
   /// Online ingest pipeline (SubmitAsync): bounded queue slots before
   /// Submit sheds with Busy, group-commit batch bound and linger, and
   /// the encoding worker count (0 = encode on the commit thread).
@@ -71,14 +63,6 @@ struct TrassOptions {
   size_t ingest_batch_max_rows = 256;
   double ingest_batch_linger_ms = 2.0;
   size_t ingest_encode_threads = 2;
-
-  /// Disk-space watermarks, copied into every region database (see
-  /// kv::Options). Below `soft` free bytes, writes are throttled and
-  /// compactions deferred; below `hard`, writes are shed with
-  /// Status::NoSpace before touching the WAL, so the store degrades
-  /// cleanly instead of hitting a raw ENOSPC mid-record. 0 disables.
-  uint64_t soft_space_watermark_bytes = 0;
-  uint64_t hard_space_watermark_bytes = 0;
 
   /// When > 0, a background prober wakes at this cadence and, if any
   /// region is wedged read-only by a background error (disk full, write
@@ -99,7 +83,8 @@ struct TrassOptions {
     bool enable = false;
   } filter_tier;
 
-  /// Underlying LSM engine tuning.
+  /// Underlying LSM engine tuning, copied into every region database
+  /// (the disk-space watermarks included).
   kv::Options db_options;
 };
 
@@ -279,9 +264,9 @@ class TrassStore {
   ingest::IngestPipeline* ingest_pipeline() { return pipeline_.get(); }
   const TrassOptions& options() const { return options_; }
 
-  /// The overload gate in front of the four query APIs. Exposed so
-  /// operators can inspect counters, reconfigure limits at runtime
-  /// (AdmissionController::Configure), and tests can occupy slots.
+  /// The overload gate in front of the four query APIs. It starts
+  /// unlimited; operators set limits (AdmissionController::Configure),
+  /// inspect counters, and tests occupy slots through it.
   AdmissionController* admission_controller() { return &admission_; }
 
   // ---- ingest statistics (Figure 12 / 13) ----

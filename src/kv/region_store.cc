@@ -98,12 +98,14 @@ Status RegionStore::ScanRegion(size_t region,
         if (control != nullptr && !control->ChargeCandidates(1)) {
           return control->Check();  // Busy: candidate budget exhausted
         }
-        kept.push_back(Row{key.ToString(), iter->value().ToString()});
+        if (rows != nullptr) {
+          kept.push_back(Row{key.ToString(), iter->value().ToString()});
+        }
       }
     }
     if (!iter->status().ok()) return iter->status();
   }
-  *rows = std::move(kept);
+  if (rows != nullptr) *rows = std::move(kept);
   return Status::OK();
 }
 
@@ -127,8 +129,8 @@ Status RegionStore::Scan(const std::vector<ScanRange>& ranges,
     attempted[region] = 1;
     const IoStats& io = regions_[region]->io_stats();
     const IoStats::Snapshot before = io.Read();
-    Status s =
-        ScanRegion(region, ranges, filter, control, &per_region[region]);
+    Status s = ScanRegion(region, ranges, filter, control,
+                          out == nullptr ? nullptr : &per_region[region]);
     const IoStats::Snapshot after = io.Read();
     RegionIo& delta = region_io[region];
     delta.ra_reads = after.readahead_reads - before.readahead_reads;
@@ -183,7 +185,7 @@ Status RegionStore::Scan(const std::vector<ScanRange>& ranges,
                                    std::to_string(region))
                : stop;
   }
-  for (auto& rows : per_region) {
+  for (auto& rows : per_region) {  // all empty when out is null
     for (auto& row : rows) out->push_back(std::move(row));
   }
   return Status::OK();

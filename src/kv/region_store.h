@@ -110,8 +110,10 @@ class RegionStore {
   Status ApplyBatch(const WriteOptions& options, int shard, WriteBatch* batch);
 
   /// Scans every range in every region, applying `filter` server-side
-  /// (null keeps all rows). Appends kept rows to *out (unordered across
-  /// regions). Ranges must NOT include the shard byte: the store prepends
+  /// (null keeps all rows). Appends kept rows to *out, region by region,
+  /// each region's in key order; a null `out` counts and charges kept
+  /// rows without copying them (a filter that collects what it keeps).
+  /// Ranges must NOT include the shard byte: the store prepends
   /// each shard to each range, mirroring how TraSS fans a scan out
   /// across salted key spaces. When `report` is non-null it receives the
   /// scan's I/O deltas. `control`, when non-null, is polled
@@ -171,7 +173,8 @@ class RegionStore {
  private:
   RegionStore() = default;
 
-  /// Scans one region; *rows is only filled on success.
+  /// Scans one region; *rows (null: not collected) is only filled on
+  /// success.
   Status ScanRegion(size_t region, const std::vector<ScanRange>& ranges,
                     const ScanFilter* filter, const QueryContext* control,
                     std::vector<Row>* rows);

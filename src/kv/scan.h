@@ -20,7 +20,8 @@ struct ScanRange {
 };
 
 /// Server-side row predicate. Must be thread-safe: regions are scanned in
-/// parallel and share one filter instance.
+/// parallel and share one filter instance. One region's rows reach Keep
+/// from one thread at a time, in key order.
 class ScanFilter {
  public:
   virtual ~ScanFilter() = default;

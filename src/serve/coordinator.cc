@@ -20,6 +20,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Share of the remaining deadline withheld from shard budgets for the
+// coordinator-side merge, and the floor a shard budget never drops below.
+constexpr double kMergeReserveFraction = 0.05;
+constexpr double kMinShardBudgetMs = 1.0;
+
 Clock::duration MillisDuration(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(ms));
@@ -205,9 +210,7 @@ ShardCoordinator::ShardCoordinator(
   }
   if (!options_.hint_journal_dir.empty()) {
     HintJournal::Options journal_options;
-    journal_options.env = options_.hint_env;
     journal_options.dir = options_.hint_journal_dir;
-    journal_options.sync = options_.hint_sync;
     journal_status_ = HintJournal::Open(journal_options, &journal_);
     // A journal that failed to open degrades hints to
     // WriteReport::under_replicated (scrub-healed); the error stays
@@ -215,36 +218,6 @@ ShardCoordinator::ShardCoordinator(
   }
   pool_ = std::make_unique<ThreadPool>(
       options_.pool_threads == 0 ? 1 : options_.pool_threads);
-  if (journal_ != nullptr && options_.hint_replay_interval_ms > 0) {
-    replayer_ = std::thread([this] { ReplayLoop(); });
-  }
-}
-
-// The replayer joins first (it uses transports and the journal), then
-// members destroy in reverse order: the pool next, joining in-flight
-// attempt tasks while the transports they use are still alive.
-ShardCoordinator::~ShardCoordinator() {
-  if (replayer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(replay_mu_);
-      stop_replayer_ = true;
-    }
-    replay_cv_.notify_all();
-    replayer_.join();
-  }
-}
-
-void ShardCoordinator::ReplayLoop() {
-  std::unique_lock<std::mutex> lock(replay_mu_);
-  for (;;) {
-    replay_cv_.wait_for(lock,
-                        MillisDuration(options_.hint_replay_interval_ms),
-                        [&] { return stop_replayer_; });
-    if (stop_replayer_) return;
-    lock.unlock();
-    if (journal_->pending_records() > 0) (void)ReplayHints();
-    lock.lock();
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -253,8 +226,7 @@ void ShardCoordinator::ReplayLoop() {
 double ShardCoordinator::ShardBudgetMs(const QueryContext* control) const {
   const double remaining = control->RemainingMillis();
   if (!std::isfinite(remaining)) return 0.0;  // undeadlined
-  return std::max(options_.min_shard_budget_ms,
-                  remaining * (1.0 - options_.merge_reserve_fraction));
+  return std::max(kMinShardBudgetMs, remaining * (1.0 - kMergeReserveFraction));
 }
 
 double ShardCoordinator::HedgeDelayMs(size_t shard) const {

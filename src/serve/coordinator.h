@@ -16,9 +16,8 @@
 //     partial state. Replicas that miss the write (fault or open
 //     breaker) divert to the hinted-handoff journal.
 //   * Hinted handoff — a WAL-backed journal (serve/hint_journal.h)
-//     durably captures writes for unreachable shards; ReplayHints (or
-//     the background replayer) re-delivers them when the shard's
-//     half-open probe reinstates it. Replay is at-least-once and leans
+//     durably captures writes for unreachable shards; ReplayHints
+//     re-delivers them when the shard's half-open probe reinstates it. Replay is at-least-once and leans
 //     on TrassStore's idempotent re-puts.
 //   * Read failover — queries always fan out to every shard; with
 //     replication the merge needs only a covering set (every primary
@@ -69,11 +68,9 @@
 #ifndef TRASS_SERVE_COORDINATOR_H_
 #define TRASS_SERVE_COORDINATOR_H_
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/measure.h"
@@ -122,14 +119,9 @@ struct CoordinatorOptions {
 
   /// Hinted handoff. Empty dir disables the journal (replica misses
   /// then surface only as WriteReport::under_replicated, healed by
-  /// ScrubShards). hint_env null uses kv::Env::Default().
+  /// ScrubShards). The journal syncs every record before counting it;
+  /// ReplayHints delivers it.
   std::string hint_journal_dir;
-  kv::Env* hint_env = nullptr;
-  bool hint_sync = true;
-  /// > 0: a background thread replays pending hints at this cadence
-  /// (delivery still gated by each shard's breaker). 0 = manual
-  /// ReplayHints only.
-  double hint_replay_interval_ms = 0.0;
 
   /// Hedging. A shard quiet past max(hedge_min_delay_ms, its p95 over
   /// the last hedge_latency_window successful attempts) gets one
@@ -148,12 +140,6 @@ struct CoordinatorOptions {
   /// Circuit breaker per shard.
   int breaker_failure_threshold = 3;
   double breaker_cooldown_ms = 500.0;
-
-  /// Fraction of the remaining deadline withheld from shard budgets
-  /// for coordinator-side merging, clamped to at least
-  /// min_shard_budget_ms for the shard.
-  double merge_reserve_fraction = 0.05;
-  double min_shard_budget_ms = 1.0;
 };
 
 /// Per-shard outcome of one PutBatch — the attribution a sequential
@@ -216,7 +202,6 @@ class ShardCoordinator {
  public:
   ShardCoordinator(const CoordinatorOptions& options,
                    std::vector<std::shared_ptr<ShardTransport>> shards);
-  ~ShardCoordinator();
 
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
@@ -351,9 +336,6 @@ class ShardCoordinator {
   /// (on error) write_failures. Breaker bookkeeping stays with the caller.
   Status ExecuteWrite(size_t shard, const ShardRequest& request);
 
-  /// Background hint replayer body (hint_replay_interval_ms > 0).
-  void ReplayLoop();
-
   double ShardBudgetMs(const QueryContext* control) const;
   double HedgeDelayMs(size_t shard) const;
 
@@ -366,13 +348,6 @@ class ShardCoordinator {
 
   std::unique_ptr<HintJournal> journal_;
   Status journal_status_;
-
-  // Background replayer (joined in the destructor before any member
-  // dies, so declaration order does not matter for it).
-  mutable std::mutex replay_mu_;
-  std::condition_variable replay_cv_;
-  bool stop_replayer_ = false;  // guarded by replay_mu_
-  std::thread replayer_;
 
   // Declared last: destroyed first, joining in-flight attempt tasks
   // while the transports and trackers they reference are still alive.

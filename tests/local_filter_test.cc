@@ -163,9 +163,9 @@ TEST_F(LocalFilterTest, EmptyCandidateRejected) {
 TEST_F(LocalFilterTest, ScanFilterCountsAndDecodes) {
   const auto q = trass::testing::RandomTrajectory(&rnd_, 1, 20).points;
   const QueryGeometry ctx = QueryGeometry::Make(q, 0.01);
-  LocalScanFilter filter(&ctx, 0.02, Measure::kFrechet);
+  LocalScanFilter filter(&ctx, 0.02, Measure::kFrechet, /*regions=*/1);
 
-  // A row that is the query itself (kept).
+  // A row that is the query itself (kept, decoded once).
   const DpFeatures f = DpFeatures::Compute(q, 0.01);
   const std::string key = EncodeRowKey(0, 1, 1);
   const std::string value = EncodeRowValue(q, f);
@@ -179,12 +179,22 @@ TEST_F(LocalFilterTest, ScanFilterCountsAndDecodes) {
   const std::string far_value =
       EncodeRowValue(far, DpFeatures::Compute(far, 0.01));
   EXPECT_FALSE(filter.Keep(key, far_value));
+  EXPECT_TRUE(filter.status().ok());
 
-  // Garbage row (dropped, no crash).
-  EXPECT_FALSE(filter.Keep(key, Slice("garbage")));
+  // Garbage row: dropped, no crash, and the filter reports Corruption
+  // naming the row.
+  EXPECT_FALSE(filter.Keep(EncodeRowKey(0, 5, 9), Slice("garbage")));
+  EXPECT_TRUE(filter.status().IsCorruption());
+  EXPECT_NE(filter.status().ToString().find("tid 9"), std::string::npos)
+      << filter.status().ToString();
 
   EXPECT_EQ(filter.scanned(), 3u);
   EXPECT_EQ(filter.kept(), 1u);
+  const std::vector<StoredTrajectory> kept = filter.TakeCandidates();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].id, 1u);
+  EXPECT_EQ(kept[0].index_value, 1);
+  EXPECT_EQ(kept[0].points, q);
 }
 
 TEST_F(LocalFilterTest, FilterRateIsMeaningful) {

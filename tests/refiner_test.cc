@@ -192,10 +192,8 @@ class RefinerEngineTest : public ::testing::Test {
   void SetUp() override {
     data_ = trass::testing::RandomDataset(31, 120);
     for (const Trajectory& t : data_) {
-      rows_.push_back(kv::Row{
-          EncodeRowKey(0, 0, t.id),
-          EncodeRowValue(t.points, DpFeatures::ComputeCapped(t.points, 0.01)),
-      });
+      candidates_.push_back(StoredTrajectory{
+          t.id, 0, t.points, DpFeatures::ComputeCapped(t.points, 0.01)});
     }
     query_points_ = data_[7].points;
     query_ = QueryGeometry::Make(query_points_, 0.01);
@@ -211,7 +209,7 @@ class RefinerEngineTest : public ::testing::Test {
   }
 
   std::vector<Trajectory> data_;
-  std::vector<kv::Row> rows_;
+  std::vector<StoredTrajectory> candidates_;
   std::vector<geo::Point> query_points_;
   QueryGeometry query_;
 };
@@ -227,12 +225,12 @@ TEST_F(RefinerEngineTest, ThresholdSerialEqualsParallelEqualsBrute) {
       std::vector<SearchResult> got_serial, got_parallel;
       RefineStats s1, s2;
       ASSERT_TRUE(serial
-                      .RefineThreshold(query_, eps, measure, rows_, &control,
-                                       &got_serial, &s1)
+                      .RefineThreshold(query_, eps, measure, candidates_,
+                                       &control, &got_serial, &s1)
                       .ok());
       ASSERT_TRUE(parallel
-                      .RefineThreshold(query_, eps, measure, rows_, &control,
-                                       &got_parallel, &s2)
+                      .RefineThreshold(query_, eps, measure, candidates_,
+                                       &control, &got_parallel, &s2)
                       .ok());
       ASSERT_EQ(got_serial.size(), expected.size());
       ASSERT_EQ(got_parallel.size(), expected.size());
@@ -242,10 +240,10 @@ TEST_F(RefinerEngineTest, ThresholdSerialEqualsParallelEqualsBrute) {
         EXPECT_EQ(got_parallel[i].id, expected[i].id);
         EXPECT_DOUBLE_EQ(got_parallel[i].distance, expected[i].distance);
       }
-      // Every candidate was decoded and ran the DP: threshold
-      // refinement runs no cascade (the scan ran it at this eps).
-      EXPECT_EQ(s1.refined, rows_.size());
-      EXPECT_EQ(s2.refined, rows_.size());
+      // Every candidate ran the DP: threshold refinement runs no
+      // cascade (the scan ran it at this eps).
+      EXPECT_EQ(s1.refined, candidates_.size());
+      EXPECT_EQ(s2.refined, candidates_.size());
       EXPECT_EQ(s1.lb_rejected, 0u);
       EXPECT_EQ(s2.lb_rejected, 0u);
       EXPECT_EQ(s1.dp_runs, s1.refined);
@@ -269,8 +267,10 @@ TEST_F(RefinerEngineTest, TopKSerialEqualsParallelEqualsBrute) {
         TopKRefiner topk(engine, &query_, k, measure);
         RefineStats stats;
         // Feed in two batches to exercise the bound carrying over.
-        std::vector<kv::Row> batch1(rows_.begin(), rows_.begin() + 40);
-        std::vector<kv::Row> batch2(rows_.begin() + 40, rows_.end());
+        std::vector<StoredTrajectory> batch1(candidates_.begin(),
+                                             candidates_.begin() + 40);
+        std::vector<StoredTrajectory> batch2(candidates_.begin() + 40,
+                                             candidates_.end());
         ASSERT_TRUE(topk.RefineBatch(batch1, &control, &stats).ok());
         const double bound_after_first = topk.CurrentBound();
         ASSERT_TRUE(topk.RefineBatch(batch2, &control, &stats).ok());
@@ -284,7 +284,7 @@ TEST_F(RefinerEngineTest, TopKSerialEqualsParallelEqualsBrute) {
           EXPECT_EQ(got[i].id, expected[i].id);
           EXPECT_DOUBLE_EQ(got[i].distance, expected[i].distance);
         }
-        EXPECT_EQ(stats.refined, rows_.size());
+        EXPECT_EQ(stats.refined, candidates_.size());
       }
     }
   }
@@ -297,15 +297,14 @@ TEST_F(RefinerEngineTest, TopKSerialEqualsParallelEqualsBrute) {
 TEST(TopKRefinerTest, TieAtTheBoundKeepsTheLowerIdInEitherOrder) {
   const QueryGeometry query = QueryGeometry::Make({{0.1, 0.1}}, 0.01);
   const std::vector<geo::Point> copy = {{0.1001, 0.1003}};
-  const std::string value =
-      EncodeRowValue(copy, DpFeatures::ComputeCapped(copy, 0.01));
-  const kv::Row row1{EncodeRowKey(0, 0, 1), value};
-  const kv::Row row2{EncodeRowKey(0, 0, 2), value};
+  const DpFeatures features = DpFeatures::ComputeCapped(copy, 0.01);
+  const StoredTrajectory row1{1, 0, copy, features};
+  const StoredTrajectory row2{2, 0, copy, features};
   Refiner serial(nullptr, 1);
   QueryContext control;
   for (Measure measure : kMeasures) {
-    for (const auto& rows : {std::vector<kv::Row>{row2, row1},
-                             std::vector<kv::Row>{row1, row2}}) {
+    for (const auto& rows : {std::vector<StoredTrajectory>{row2, row1},
+                             std::vector<StoredTrajectory>{row1, row2}}) {
       TopKRefiner topk(&serial, &query, 1, measure);
       RefineStats stats;
       ASSERT_TRUE(topk.RefineBatch(rows, &control, &stats).ok());
@@ -313,7 +312,7 @@ TEST(TopKRefinerTest, TieAtTheBoundKeepsTheLowerIdInEitherOrder) {
       topk.Drain(&got);
       ASSERT_EQ(got.size(), 1u);
       EXPECT_EQ(got[0].id, 1u) << MeasureName(measure) << " first offered "
-                               << (rows[0].key == row1.key ? 1 : 2);
+                               << rows[0].id;
     }
   }
 }
@@ -323,7 +322,7 @@ TEST_F(RefinerEngineTest, TopKZeroKeepsNothing) {
   QueryContext control;
   TopKRefiner topk(&serial, &query_, 0, Measure::kFrechet);
   RefineStats stats;
-  ASSERT_TRUE(topk.RefineBatch(rows_, &control, &stats).ok());
+  ASSERT_TRUE(topk.RefineBatch(candidates_, &control, &stats).ok());
   EXPECT_EQ(topk.size(), 0u);
 }
 
@@ -335,24 +334,11 @@ TEST_F(RefinerEngineTest, PreCancelledStopsBeforeAnyWork) {
   control.SetCancelFlag(&cancel);
   std::vector<SearchResult> out;
   RefineStats stats;
-  Status s = parallel.RefineThreshold(query_, 1.0, Measure::kFrechet, rows_,
-                                      &control, &out, &stats);
+  Status s = parallel.RefineThreshold(query_, 1.0, Measure::kFrechet,
+                                      candidates_, &control, &out, &stats);
   EXPECT_TRUE(s.IsCancelled());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.refined, 0u);
-}
-
-TEST_F(RefinerEngineTest, CorruptRowSurfacesDecodeError) {
-  Refiner serial(nullptr, 1);
-  QueryContext control;
-  auto rows = rows_;
-  rows[3].value = "garbage";
-  std::vector<SearchResult> out;
-  RefineStats stats;
-  Status s = serial.RefineThreshold(query_, 1.0, Measure::kFrechet, rows,
-                                    &control, &out, &stats);
-  EXPECT_FALSE(s.ok());
-  EXPECT_FALSE(s.IsQueryStop());
 }
 
 // ---- store-level determinism and partial-result semantics ----

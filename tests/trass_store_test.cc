@@ -232,6 +232,60 @@ TEST_F(TrassStoreTest, RangeQueryMatchesDirectCheck) {
   }
 }
 
+// A stored value that does not decode fails every query path that scans
+// it with Corruption naming the row, instead of an OK answer that
+// silently lacks a stored trajectory.
+TEST_F(TrassStoreTest, UndecodableRowFailsEveryQueryPath) {
+  OpenStore();
+  const auto data = trass::testing::RandomDataset(5, 60);
+  Load(data);
+  const Trajectory& victim = data[9];
+  std::vector<kv::Row> rows;
+  ASSERT_TRUE(store_->region_store()
+                  ->Scan({kv::ScanRange{"", ""}}, nullptr, &rows)
+                  .ok());
+  std::string key;
+  for (const kv::Row& row : rows) {
+    StoredTrajectory t;
+    ASSERT_TRUE(DecodeRow(row.key, row.value, &t).ok());
+    if (t.id == victim.id) key = row.key;
+  }
+  ASSERT_FALSE(key.empty());
+  ASSERT_TRUE(
+      store_->region_store()->Put(kv::WriteOptions(), key, "garbage").ok());
+
+  const std::string named = "row tid " + std::to_string(victim.id) + " (";
+  std::vector<SearchResult> results;
+  Status s = store_->ThresholdSearch(victim.points, 0.01, Measure::kFrechet,
+                                     &results);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find(named), std::string::npos) << s.ToString();
+  s = store_->TopKSearch(victim.points, 3, Measure::kFrechet, &results);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find(named), std::string::npos) << s.ToString();
+  std::vector<uint64_t> ids;
+  s = store_->RangeQuery(geo::Mbr::Of(victim.points), &ids);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find(named), std::string::npos) << s.ToString();
+}
+
+// The disk-space watermarks are set in db_options alone and reach every
+// region database as set.
+TEST_F(TrassStoreTest, HardWatermarkFromDbOptionsShedsWrites) {
+  kv::FaultInjectionEnv env(kv::Env::Default());
+  TrassOptions options = DefaultOptions();
+  options.db_options.env = &env;
+  options.db_options.hard_space_watermark_bytes = 2 << 20;
+  std::unique_ptr<TrassStore> store;
+  ASSERT_TRUE(
+      TrassStore::Open(options, dir_.path() + "/watermark", &store).ok());
+  env.SetDiskSpaceBudget(1 << 20);  // free space below the hard watermark
+  const Status s = store->Put(trass::testing::RandomDataset(6, 1)[0]);
+  EXPECT_TRUE(s.IsNoSpace()) << s.ToString();
+  // Shed before the WAL: no region is wedged read-only.
+  EXPECT_FALSE(store->Health().writes_degraded);
+}
+
 TEST_F(TrassStoreTest, IngestStatisticsAreMaintained) {
   OpenStore();
   const auto data = trass::testing::RandomDataset(12, 100);
