@@ -56,6 +56,11 @@ for config in "${configs[@]}"; do
       # Filter-tier gate: byte-identical answers filter-on vs -off and
       # the >= 5x sparse-region reduction (non-zero exit on either).
       build-ci/release/bench/bench_fig11_pruning --smoke
+      # Shard-tier top-k gate: the 4-shard tier's top-k answers equal one
+      # store's (non-zero exit on any difference); prints both paths'
+      # rows retrieved and DPs per query.
+      TRASS_BENCH_N=2000 TRASS_BENCH_QUERIES=8 \
+        build-ci/release/bench/bench_fig19_shards --shards 4
       # KV-engine mixed-load gate: under concurrent writes and scans the
       # final row count equals what was written, scans actually used
       # readahead, the background thread actually compacted past L0

@@ -109,7 +109,7 @@ Status TopKRefiner::RefineBatch(const std::vector<StoredTrajectory>& candidates,
       [&](size_t, const StoredTrajectory& t, Refiner::Scratch* sc) {
         // A stale (larger) bound only admits extra candidates that the
         // heap then rejects; it can never drop one that belongs.
-        const double bound = bound_.load(std::memory_order_relaxed);
+        const double bound = CurrentBound();
         Stopwatch watch;
         const bool pass = LocalFilterPass(*query_, t, bound, measure_);
         sc->stats.lb_ms += watch.ElapsedMillis();
@@ -135,9 +135,7 @@ void TopKRefiner::Offer(const SearchResult& r) {
   std::lock_guard<std::mutex> lock(mu_);
   if (heap_.size() < k_) {
     heap_.push(r);
-    if (heap_.size() == k_) {
-      bound_.store(heap_.top().distance, std::memory_order_relaxed);
-    }
+    if (heap_.size() == k_) Tighten(heap_.top().distance);
     return;
   }
   // Ties at the k-th distance resolve by id — the (distance, id) total
@@ -145,7 +143,20 @@ void TopKRefiner::Offer(const SearchResult& r) {
   if (r < heap_.top()) {
     heap_.pop();
     heap_.push(r);
-    bound_.store(heap_.top().distance, std::memory_order_relaxed);
+    Tighten(heap_.top().distance);
+  }
+}
+
+void TopKRefiner::Tighten(double kth) {
+  bound_.store(kth, std::memory_order_relaxed);
+  if (shared_bound_ != nullptr) LowerBoundCell(shared_bound_, kth);
+}
+
+void LowerBoundCell(std::atomic<double>* cell, double value) {
+  double current = cell->load(std::memory_order_relaxed);
+  while (value < current &&
+         !cell->compare_exchange_weak(current, value,
+                                      std::memory_order_relaxed)) {
   }
 }
 

@@ -17,7 +17,9 @@
 //     QueryContext before every candidate;
 //   - for top-k, shares one monotonically tightening k-th-distance bound
 //     (an atomic) across all workers and batches, so one worker's
-//     improvement shrinks every other worker's early-abandon threshold.
+//     improvement shrinks every other worker's early-abandon threshold;
+//     behind the shard coordinator a second, query-wide cell carries the
+//     other shards' k-th distances in too (TopKRefiner below).
 //
 // Determinism contract: for a fixed candidate set the results are
 // identical to serial execution regardless of thread count. Threshold
@@ -32,6 +34,7 @@
 #ifndef TRASS_CORE_REFINER_H_
 #define TRASS_CORE_REFINER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -124,15 +127,34 @@ class Refiner {
   size_t threads_;
 };
 
+/// Lowers a shared top-k bound cell to `value` when that is smaller
+/// (an atomic min); the cell never rises.
+void LowerBoundCell(std::atomic<double>* cell, double value);
+
 /// One top-k refinement session: feeds batches of candidates through
 /// the engine against a shared, monotonically tightening k-th-distance
-/// bound. The final contents are exactly the k smallest (distance, id)
-/// results among all offered candidates — identical to serial execution.
+/// bound. Without a shared cell the final contents are exactly the k
+/// smallest (distance, id) results among all offered candidates —
+/// identical to serial execution. With one, they hold every one of those
+/// k at distance <= the cell's final value (and may hold more).
+///
+/// `shared_bound` (optional, caller-owned, outliving the session) is a
+/// bound cell several sessions share: the shard coordinator gives each
+/// top-k query one, so every shard prunes at the tightest k-th distance
+/// any shard has found. The session prunes at min(own k-th, cell) and
+/// CAS-mins its own k-th into the cell whenever it tightens. Every value
+/// in the cell must be the k-th distance of k distinct trajectories the
+/// query ranks, so it never drops below the global k-th; every level
+/// rejects only at distance > bound, so a tie at the bound survives.
 class TopKRefiner {
  public:
   TopKRefiner(const Refiner* engine, const QueryGeometry* query, size_t k,
-              Measure measure)
-      : engine_(engine), query_(query), k_(k), measure_(measure) {}
+              Measure measure, std::atomic<double>* shared_bound = nullptr)
+      : engine_(engine),
+        query_(query),
+        k_(k),
+        measure_(measure),
+        shared_bound_(shared_bound) {}
 
   TopKRefiner(const TopKRefiner&) = delete;
   TopKRefiner& operator=(const TopKRefiner&) = delete;
@@ -141,10 +163,13 @@ class TopKRefiner {
   Status RefineBatch(const std::vector<StoredTrajectory>& candidates,
                      const QueryContext* control, RefineStats* stats);
 
-  /// The current k-th distance (+inf until k results exist). Never rises;
-  /// safe to read concurrently with a running batch.
+  /// The pruning bound: the current k-th distance (+inf until k results
+  /// exist), capped by the shared cell. Never rises; safe to read
+  /// concurrently with a running batch.
   double CurrentBound() const {
-    return bound_.load(std::memory_order_relaxed);
+    const double own = bound_.load(std::memory_order_relaxed);
+    if (shared_bound_ == nullptr) return own;
+    return std::min(own, shared_bound_->load(std::memory_order_relaxed));
   }
 
   size_t size() const {
@@ -157,6 +182,9 @@ class TopKRefiner {
 
  private:
   void Offer(const SearchResult& r);
+  /// Stores the heap's new k-th distance and CAS-mins it into the
+  /// shared cell. Caller holds mu_.
+  void Tighten(double kth);
 
   const Refiner* engine_;
   const QueryGeometry* query_;
@@ -165,6 +193,7 @@ class TopKRefiner {
   mutable std::mutex mu_;
   std::priority_queue<SearchResult> heap_;  // worst of the best k on top
   std::atomic<double> bound_{std::numeric_limits<double>::infinity()};
+  std::atomic<double>* const shared_bound_;
 };
 
 }  // namespace core

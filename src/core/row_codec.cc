@@ -95,10 +95,12 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
   if (!GetVarint32(&input, &n_rep) || n_rep > input.size()) {
     return Status::Corruption("bad dp-point count");
   }
-  features->rep_indices.clear();
-  features->rep_points.clear();
-  features->rep_indices.reserve(n_rep);
-  features->rep_points.reserve(n_rep);
+  if (features != nullptr) {
+    features->rep_indices.clear();
+    features->rep_points.clear();
+    features->rep_indices.reserve(n_rep);
+    features->rep_points.reserve(n_rep);
+  }
   uint32_t idx = 0;
   for (uint32_t i = 0; i < n_rep; ++i) {
     uint32_t delta = 0;
@@ -112,8 +114,10 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
       return Status::Corruption("dp-point index out of range");
     }
     idx += delta;
-    features->rep_indices.push_back(idx);
-    features->rep_points.push_back((*points)[idx]);
+    if (features != nullptr) {
+      features->rep_indices.push_back(idx);
+      features->rep_points.push_back((*points)[idx]);
+    }
   }
   if (n_rep == 0 || idx != n - 1) {
     return Status::Corruption("dp-points do not span the trajectory");
@@ -122,6 +126,12 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
   if (!GetVarint32(&input, &n_boxes) || n_boxes != n_rep - 1 ||
       n_boxes > input.size() / kBoxBytes) {
     return Status::Corruption("bad dp-mbr count");
+  }
+  if (features == nullptr) {
+    // The count check above proved the boxes' bytes are there.
+    input.remove_prefix(n_boxes * kBoxBytes);
+    if (!input.empty()) return Status::Corruption("trailing bytes in row value");
+    return Status::OK();
   }
   features->boxes.clear();
   features->boxes.reserve(n_boxes);
@@ -139,14 +149,28 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
   return Status::OK();
 }
 
-Status DecodeRow(const Slice& key, const Slice& value, StoredTrajectory* out) {
+namespace {
+
+Status DecodeRowInto(const Slice& key, const Slice& value,
+                     StoredTrajectory* out, DpFeatures* features) {
   uint8_t shard;
   Status s = DecodeRowKey(key, &shard, &out->index_value, &out->id);
   if (!s.ok()) return s;
-  return DecodeRowValue(value, &out->points, &out->features)
+  return DecodeRowValue(value, &out->points, features)
       .WithContext("row tid " + std::to_string(out->id) + " (shard " +
                    std::to_string(shard) + ", index value " +
                    std::to_string(out->index_value) + ")");
+}
+
+}  // namespace
+
+Status DecodeRow(const Slice& key, const Slice& value, StoredTrajectory* out) {
+  return DecodeRowInto(key, value, out, &out->features);
+}
+
+Status DecodeRowPoints(const Slice& key, const Slice& value,
+                       StoredTrajectory* out) {
+  return DecodeRowInto(key, value, out, nullptr);
 }
 
 }  // namespace core

@@ -67,13 +67,20 @@ std::string EncodeRowValue(const std::vector<geo::Point>& points,
 
 /// Corruption unless the value holds at least one point, representative
 /// indices rising strictly from 0 to the last point, and one box per gap
-/// between representatives.
+/// between representatives, with no bytes left over. A null `features`
+/// makes the same checks but skips building the representatives and
+/// boxes.
 Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
                       DpFeatures* features);
 
 /// Decodes a full (integer-keyed) row. A value that does not decode is
 /// Corruption naming the row's tid, shard and index value.
 Status DecodeRow(const Slice& key, const Slice& value, StoredTrajectory* out);
+
+/// DecodeRow for readers of the points alone (the range query): the
+/// same checks and errors, but `out->features` is left empty.
+Status DecodeRowPoints(const Slice& key, const Slice& value,
+                       StoredTrajectory* out);
 
 }  // namespace core
 }  // namespace trass

@@ -121,8 +121,10 @@ class WindowScanFilter final : public kv::ScanFilter {
 
   bool Keep(const Slice& key, const Slice& value) const override {
     scanned_.fetch_add(1, std::memory_order_relaxed);
+    // The window test reads only the points: the DP features are
+    // checked but not built.
     StoredTrajectory t;
-    const Status s = DecodeRow(key, value, &t);
+    const Status s = DecodeRowPoints(key, value, &t);
     if (s.ok() && std::none_of(t.points.begin(), t.points.end(),
                                [&](const geo::Point& p) {
                                  return window_.Contains(p);
@@ -577,13 +579,15 @@ Status TrassStore::TopKSearch(const std::vector<geo::Point>& query, int k,
   QueryContext control;
   ArmControl(query_options, &control);
   return TopKSearchInternal(query, k, measure, &control,
-                            query_options.allow_partial, results, m);
+                            query_options.allow_partial,
+                            query_options.topk_bound, results, m);
 }
 
 Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
                                       int k, Measure measure,
                                       const QueryContext* control,
                                       bool allow_partial,
+                                      std::atomic<double>* shared_bound,
                                       std::vector<SearchResult>* results,
                                       QueryMetrics* m) {
   TotalTimer total(m);
@@ -626,7 +630,10 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
   // distance bound it maintains doubles as the best-first exploration's
   // pruning eps, so a refine worker's improvement immediately shrinks
   // both the other workers' early-abandon threshold and the frontier.
-  TopKRefiner topk(refiner_.get(), &ctx, static_cast<size_t>(k), measure);
+  // Behind the coordinator that bound also folds in the other shards'
+  // k-th distances through the query's shared cell.
+  TopKRefiner topk(refiner_.get(), &ctx, static_cast<size_t>(k), measure,
+                   shared_bound);
   auto current_eps = [&]() { return topk.CurrentBound(); };
 
   // An element is only worth expanding when some stored trajectory lives

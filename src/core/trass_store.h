@@ -116,6 +116,14 @@ struct QueryOptions {
   /// `deadline_expired`/`cancelled`/`budget_exhausted`) instead of
   /// returning the stop status.
   bool allow_partial = false;
+
+  /// TopKSearch only: the shard coordinator's bound cell for this query
+  /// (serve/coordinator.h), shared by every shard it asks. The search
+  /// prunes at min(own k-th distance, *topk_bound) and lowers the cell
+  /// to its own k-th distance whenever that tightens; it then returns
+  /// its k smallest results at distance <= the cell (and perhaps some
+  /// beyond). Null: a plain top-k. Must outlive the call.
+  std::atomic<double>* topk_bound = nullptr;
 };
 
 /// Store-wide availability snapshot (see TrassStore::Health): the
@@ -322,6 +330,7 @@ class TrassStore {
   Status TopKSearchInternal(const std::vector<geo::Point>& query, int k,
                             Measure measure, const QueryContext* control,
                             bool allow_partial,
+                            std::atomic<double>* shared_bound,
                             std::vector<SearchResult>* results,
                             QueryMetrics* m);
 

@@ -155,12 +155,12 @@ struct ShardCoordinator::QueryState {
     }
     return true;
   }
-  /// Current merged k-th distance across resolved shards — the monotone
-  /// upper bound follow-up waves carry (infinity until k results have
-  /// merged). Dedups by id first: with replication a trajectory can
-  /// answer from two replicas, and counting it twice would tighten the
-  /// bound past the true k-th distance and prune real answers. Caller
-  /// holds mu.
+  /// Current merged k-th distance across resolved shards (infinity
+  /// until k results have merged), folded into the query's bound cell
+  /// as each slot completes. Dedups by id first: with replication a
+  /// trajectory can answer from two replicas, and counting it twice
+  /// would tighten the bound past the true k-th distance and prune real
+  /// answers. Caller holds mu.
   double CurrentTopKBound() const {
     if (base.op != ShardOp::kTopK || base.k <= 0) {
       return std::numeric_limits<double>::infinity();
@@ -258,8 +258,9 @@ void ShardCoordinator::LaunchAttempt(const std::shared_ptr<QueryState>& state,
 
   ShardRequest request = state->base;
   request.deadline_ms = ShardBudgetMs(control);
-  if (request.op == ShardOp::kTopK) {
-    request.bound = std::min(request.bound, state->CurrentTopKBound());
+  if (request.topk_bound != nullptr) {
+    // What a socket shard sees of the live cell: its value now.
+    request.bound = request.topk_bound->load(std::memory_order_relaxed);
   }
 
   std::shared_ptr<ShardTransport> transport = transports_[shard];
@@ -311,6 +312,12 @@ void ShardCoordinator::OnAttemptComplete(
       slot.response = std::move(response);
       slot.retry_scheduled = false;
       state->unresolved--;
+      if (state->base.topk_bound != nullptr) {
+        // The merged k-th over every answered shard can be tighter than
+        // any one shard's; later attempts prune at it.
+        core::LowerBoundCell(state->base.topk_bound.get(),
+                             state->CurrentTopKBound());
+      }
       if (is_hedge) {
         state->hedge_wins++;
         per_shard_[shard]->hedge_wins.fetch_add(1, std::memory_order_relaxed);
@@ -912,6 +919,10 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
   base.measure = measure;
   base.max_candidates = options.max_candidates;
   base.allow_partial = options.allow_partial;
+  // One bound cell per query: every shard attempt prunes at it and
+  // lowers it to its own k-th distance as that tightens.
+  base.topk_bound = std::make_shared<std::atomic<double>>(
+      std::numeric_limits<double>::infinity());
 
   std::shared_ptr<QueryState> state;
   const Status s = FanOut(base, &control, &state, m);
@@ -924,10 +935,10 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
                       slot.response.results.end());
     }
     // Each shard's answer is a superset of its contribution to the
-    // global top-k (a local top-k, or everything under the propagated
-    // bound), so sort + dedup + truncate is the exact global answer —
-    // the dedup keeps a replicated trajectory from occupying two of
-    // the k slots.
+    // global top-k (the bound cell never falls below the global k-th,
+    // and ties at it survive; see coordinator.h), so sort + dedup +
+    // truncate is the exact global answer — the dedup keeps a
+    // replicated trajectory from occupying two of the k slots.
     std::sort(results->begin(), results->end());
     if (partitioner_.num_replicas() > 1) DedupResultsById(results);
     if (results->size() > static_cast<size_t>(k)) {

@@ -54,12 +54,20 @@
 //     QueryMetrics::{partial, shards_skipped}; without it, the first
 //     unabsorbable fault fails the query with the shard attributed.
 //
-// Top-k merges maintain a shared monotonically tightening k-th-distance
-// bound: follow-up waves (retries and hedges launched after the first
-// k results merged) carry the current bound, which the shard serves as
-// a threshold search — strictly more pruning, same answer. With
-// replication the bound dedups by id first, so a trajectory answered
-// by two replicas cannot over-tighten it.
+// Top-k queries share one live k-th-distance bound across shards: each
+// query gets one bound cell (an atomic that only falls), every in-process
+// shard prunes its best-first search, local filter and DP early-abandon
+// at min(own k-th, cell) and lowers the cell whenever its own k-th
+// distance tightens, and each completed slot folds the merged k-th over
+// all answered shards into it. A value in the cell is always the k-th
+// distance of k distinct stored trajectories, so it never drops below
+// the global k-th, and shards reject only at distance > bound, so the
+// merge's (distance, id) order still picks the lower id at a tie — the
+// merged answer stays exact. Socket shards cannot see the live cell;
+// each attempt carries the cell's value at launch in
+// ShardRequest::bound. With replication the merged fold dedups by id
+// first, so a trajectory answered by two replicas cannot over-tighten
+// it.
 //
 // Thread-safe: queries may run concurrently; hedges/retries of one
 // query share its internal state under one mutex. Transports and the

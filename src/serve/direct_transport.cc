@@ -25,6 +25,7 @@ core::QueryOptions MakeQueryOptions(const ShardRequest& request,
   qo.cancel = cancel;
   qo.max_candidates = request.max_candidates;
   qo.allow_partial = request.allow_partial;
+  qo.topk_bound = request.topk_bound.get();
   return qo;
 }
 
@@ -138,21 +139,19 @@ Status ExecuteOnStore(core::TrassStore* store, const ShardRequest& request,
                                     request.measure, &response->results,
                                     &response->metrics,
                                     MakeQueryOptions(request, cancel));
-    case ShardOp::kTopK:
-      if (std::isfinite(request.bound)) {
-        // Follow-up wave: the coordinator already holds k merged
-        // results at distance <= bound, so everything this shard can
-        // still contribute lies within it — a threshold search at the
-        // bound returns a superset of the shard's contribution with
-        // strictly more pruning than a blind local top-k.
-        return store->ThresholdSearch(request.query, request.bound,
-                                      request.measure, &response->results,
-                                      &response->metrics,
-                                      MakeQueryOptions(request, cancel));
+    case ShardOp::kTopK: {
+      core::QueryOptions options = MakeQueryOptions(request, cancel);
+      // Off the wire there is no live cell, only the bound the
+      // coordinator read at launch; a local cell seeded with it prunes
+      // from the first scan.
+      std::atomic<double> local_bound{request.bound};
+      if (options.topk_bound == nullptr && std::isfinite(request.bound)) {
+        options.topk_bound = &local_bound;
       }
       return store->TopKSearch(request.query, request.k, request.measure,
                                &response->results, &response->metrics,
-                               MakeQueryOptions(request, cancel));
+                               options);
+    }
     case ShardOp::kRange:
       return store->RangeQuery(request.window, &response->ids,
                                &response->metrics,

@@ -5,9 +5,10 @@
 //
 // ExecuteOnStore is the single op-dispatch both this transport and
 // ShardServer share: deadline/cancel/partial controls map onto
-// QueryOptions, kTopK with a finite bound downgrades to a threshold
-// search at that bound (the follow-up-wave contract in
-// shard_transport.h), and kExport streams decoded rows.
+// QueryOptions, kTopK always runs the store's top-k and prunes at the
+// request's bound — the coordinator's live cell in process, or a local
+// cell seeded with the launch-time `bound` off the wire (shard_transport.h)
+// — and kExport streams decoded rows.
 
 #ifndef TRASS_SERVE_DIRECT_TRANSPORT_H_
 #define TRASS_SERVE_DIRECT_TRANSPORT_H_

@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,12 +88,20 @@ struct ShardRequest {
   core::Measure measure = core::Measure::kFrechet;
   geo::Mbr window;                // kRange
 
-  /// kTopK follow-up waves: the coordinator's current merged k-th
-  /// distance (a monotone upper bound on the global k-th). A finite
-  /// bound lets the shard answer with every trajectory at distance
-  /// <= bound instead of a blind local top-k — strictly more pruning,
-  /// still a superset of the shard's contribution to the global answer.
+  /// kTopK: the query's bound cell as it stood when the attempt
+  /// launched (an upper bound on the global k-th distance; +inf on the
+  /// first wave). This is what crosses a process boundary: a shard that
+  /// gets no `topk_bound` cell seeds a local one with it, so a finite
+  /// bound prunes from the start. The shard still runs a top-k and
+  /// returns its k smallest results at distance <= bound — a superset
+  /// of its share of the global answer.
   double bound = std::numeric_limits<double>::infinity();
+
+  /// kTopK, in process only (never serialised): the coordinator's bound
+  /// cell for this query, shared by every shard attempt. Each shard
+  /// prunes at min(own k-th, cell) and lowers the cell whenever its own
+  /// k-th distance tightens (core::QueryOptions::topk_bound).
+  std::shared_ptr<std::atomic<double>> topk_bound;
 
   // Per-attempt limits from the caller's query options.
   double deadline_ms = 0.0;       // <= 0: undeadlined

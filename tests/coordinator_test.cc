@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <functional>
 #include <limits>
@@ -1797,6 +1798,203 @@ TEST(CoordinatorWriteChaos, AckedWritesSurviveShardKillAndWedge) {
                         "post-recovery top-k probe " + std::to_string(probe));
     }
     tier.Reset();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Shared top-k bound: one cell per query, lowered by every shard
+
+void ExpectIdenticalResults(const std::vector<SearchResult>& expected,
+                            const std::vector<SearchResult>& actual,
+                            const std::string& what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].id, actual[i].id) << what << " rank " << i;
+    EXPECT_EQ(expected[i].distance, actual[i].distance)
+        << what << " rank " << i;
+  }
+}
+
+// Every shard prunes at the tightest k-th distance any shard published;
+// the merged answer must still equal one store's, bit for bit, at R=1
+// and with every trajectory on two shards.
+TEST(CoordinatorSharedBound, TopKEqualsOneStoreAtEveryReplication) {
+  const auto data = trass::testing::RandomDataset(29, 240);
+  for (const int replication : {1, 2}) {
+    SCOPED_TRACE("R=" + std::to_string(replication));
+    Tier tier("coord_shared_bound_r" + std::to_string(replication), 4, 2);
+    tier.BuildCoordinator(replication == 1 ? FastCoordinatorOptions()
+                                           : ReplicatedOptions(2, 2));
+    tier.Load(data);
+    for (const Measure measure :
+         {Measure::kFrechet, Measure::kHausdorff, Measure::kDtw}) {
+      for (const size_t probe : {size_t{7}, size_t{88}, size_t{190}}) {
+        for (const int k : {1, 10, 50}) {
+          const std::string what = std::string(MeasureName(measure)) +
+                                   " probe " + std::to_string(probe) +
+                                   " k=" + std::to_string(k);
+          std::vector<SearchResult> expected, actual;
+          QueryMetrics m;
+          ASSERT_TRUE(tier.reference()
+                          ->TopKSearch(data[probe].points, k, measure,
+                                       &expected)
+                          .ok());
+          const Status s = tier.coordinator()->TopKSearch(
+              data[probe].points, k, measure, &actual, &m);
+          ASSERT_TRUE(s.ok()) << what << ": " << s.ToString();
+          EXPECT_FALSE(m.partial) << what;
+          ExpectIdenticalResults(expected, actual, what);
+        }
+      }
+    }
+    tier.Reset();
+  }
+}
+
+/// Lets query attempts run one shard at a time, in a fixed order, so a
+/// test decides which shard publishes into the bound cell first. Records
+/// the cell's value each shard saw when its turn came.
+class TurnOrder {
+ public:
+  explicit TurnOrder(std::vector<size_t> order)
+      : order_(std::move(order)), seen_(order_.size()) {}
+
+  /// Blocks until every shard ahead of `shard` has finished (attempts
+  /// after the last turn run at once); false when the attempt was
+  /// cancelled or the turn never came.
+  bool Await(size_t shard, const std::atomic<bool>* cancel) {
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (next_ < order_.size() && order_[next_] != shard) {
+      if ((cancel != nullptr && cancel->load()) ||
+          cv_.wait_until(lock, give_up) == std::cv_status::timeout) {
+        return false;
+      }
+    }
+    return true;
+  }
+  void Finish(size_t shard, double cell_at_start) {
+    std::lock_guard<std::mutex> lock(mu_);
+    seen_[shard] = cell_at_start;
+    ++next_;
+    cv_.notify_all();
+  }
+  double seen(size_t shard) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return seen_[shard];
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  const std::vector<size_t> order_;
+  std::vector<double> seen_;
+  size_t next_ = 0;
+};
+
+class TurnTransport : public ShardTransport {
+ public:
+  TurnTransport(std::shared_ptr<ShardTransport> inner,
+                std::shared_ptr<TurnOrder> turns, size_t shard)
+      : inner_(std::move(inner)), turns_(std::move(turns)), shard_(shard) {}
+
+  Status Execute(const ShardRequest& request, const std::atomic<bool>* cancel,
+                 ShardResponse* response) override {
+    if (!IsQueryOp(request.op)) return inner_->Execute(request, cancel, response);
+    if (!turns_->Await(shard_, cancel)) {
+      return Status::Cancelled("turn never came");
+    }
+    const double cell = request.topk_bound != nullptr
+                            ? request.topk_bound->load()
+                            : std::numeric_limits<double>::quiet_NaN();
+    const Status s = inner_->Execute(request, cancel, response);
+    turns_->Finish(shard_, cell);
+    return s;
+  }
+  std::string Describe() const override {
+    return "turn(" + inner_->Describe() + ")";
+  }
+
+ private:
+  std::shared_ptr<ShardTransport> inner_;
+  std::shared_ptr<TurnOrder> turns_;
+  size_t shard_;
+};
+
+// Two copies of one trajectory, with different ids, on two shards tie at
+// the k-th distance. Whichever shard publishes first, the other sees the
+// tie distance in the cell, must keep its copy (rejection is only at
+// distance > bound), and the merge must answer with the lower id.
+TEST(CoordinatorSharedBound, CrossShardTieAtTheBoundKeepsTheLowerId) {
+  Random rnd(1031);
+  const auto base = trass::testing::RandomDataset(31, 80);
+  const Trajectory original = trass::testing::RandomTrajectory(&rnd, 500, 30);
+  Trajectory low = original;   // id 500, on shard 1
+  Trajectory high = original;  // id 501, on shard 0
+  high.id = 501;
+  Trajectory query = original;
+  for (geo::Point& p : query.points) {
+    p.x = std::min(1.0, p.x + 3e-4);
+    p.y = std::max(0.0, p.y - 2e-4);
+  }
+
+  Tier tier("coord_shared_bound_tie", 4, 1);
+  // Placement by hand: the partitioner would put both copies (same
+  // points, same index value) on one shard.
+  for (const Trajectory& t : base) {
+    ASSERT_TRUE(tier.reference()->Put(t).ok());
+    ASSERT_TRUE(tier.shard(t.id % 4)->Put(t).ok());
+  }
+  for (const Trajectory& t : {low, high}) {
+    ASSERT_TRUE(tier.reference()->Put(t).ok());
+  }
+  ASSERT_TRUE(tier.shard(1)->Put(low).ok());
+  ASSERT_TRUE(tier.shard(0)->Put(high).ok());
+  ASSERT_TRUE(tier.reference()->Flush().ok());
+  for (size_t i = 0; i < 4; ++i) ASSERT_TRUE(tier.shard(i)->Flush().ok());
+
+  for (const Measure measure :
+       {Measure::kFrechet, Measure::kHausdorff, Measure::kDtw}) {
+    std::vector<SearchResult> two;
+    ASSERT_TRUE(
+        tier.reference()->TopKSearch(query.points, 2, measure, &two).ok());
+    ASSERT_EQ(two.size(), 2u);
+    ASSERT_EQ(two[0].id, 500u) << MeasureName(measure);
+    ASSERT_EQ(two[1].id, 501u) << MeasureName(measure);
+    ASSERT_EQ(two[0].distance, two[1].distance) << "copies must tie";
+    const double tie = two[0].distance;
+
+    for (const std::vector<size_t>& order :
+         {std::vector<size_t>{0, 1, 2, 3}, std::vector<size_t>{1, 0, 3, 2}}) {
+      const std::string what = std::string(MeasureName(measure)) +
+                               (order[0] == 0 ? " high id first"
+                                              : " low id first");
+      auto turns = std::make_shared<TurnOrder>(order);
+      CoordinatorOptions options = FastCoordinatorOptions();
+      options.enable_hedging = false;
+      tier.BuildCoordinator(
+          options, [&](size_t shard, std::shared_ptr<ShardTransport> t)
+                       -> std::shared_ptr<ShardTransport> {
+            return std::make_shared<TurnTransport>(std::move(t), turns,
+                                                   shard);
+          });
+      std::vector<SearchResult> actual;
+      QueryMetrics m;
+      const Status s =
+          tier.coordinator()->TopKSearch(query.points, 1, measure, &actual, &m);
+      ASSERT_TRUE(s.ok()) << what << ": " << s.ToString();
+      ASSERT_EQ(actual.size(), 1u) << what;
+      EXPECT_EQ(actual[0].id, 500u) << what;
+      EXPECT_EQ(actual[0].distance, tie) << what;
+      // The second shard started with the first one's copy in the cell:
+      // the tie sat exactly on the bound.
+      EXPECT_EQ(turns->seen(order[0]),
+                std::numeric_limits<double>::infinity())
+          << what;
+      EXPECT_EQ(turns->seen(order[1]), tie) << what;
+      tier.Reset();
+    }
   }
 }
 

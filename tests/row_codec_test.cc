@@ -218,6 +218,52 @@ TEST(RowCodecTest, MutatedValuesDecodeOrFailCleanly) {
   }
 }
 
+// The points-only decode (null features, the range query's path) makes
+// every check the full decode makes: on valid, truncated, bit-flipped
+// and extended values both return the same status and the same points.
+TEST(RowCodecTest, PointsOnlyDecodeMakesTheSameChecks) {
+  Random rnd(20261020);
+  auto expect_same = [](const std::string& value) {
+    std::vector<geo::Point> full_points, only_points;
+    DpFeatures features;
+    const Status full = DecodeRowValue(value, &full_points, &features);
+    const Status only = DecodeRowValue(value, &only_points, nullptr);
+    EXPECT_EQ(full.ToString(), only.ToString());
+    if (full.ok() && only.ok()) {
+      ASSERT_EQ(full_points.size(), only_points.size());
+      for (size_t i = 0; i < full_points.size(); ++i) {
+        EXPECT_EQ(full_points[i].x, only_points[i].x);
+        EXPECT_EQ(full_points[i].y, only_points[i].y);
+      }
+    }
+  };
+  for (int iter = 0; iter < 500; ++iter) {
+    const auto points = trass::testing::RandomTrajectory(
+                            &rnd, 1, 1 + static_cast<int>(rnd.Uniform(40)))
+                            .points;
+    const std::string encoded =
+        EncodeRowValue(points, DpFeatures::Compute(points, 0.01));
+    expect_same(encoded);
+    expect_same(encoded.substr(0, rnd.Uniform(encoded.size())));
+    std::string flipped = encoded;
+    flipped[rnd.Uniform(flipped.size())] ^=
+        static_cast<char>(1 + rnd.Uniform(255));
+    expect_same(flipped);
+    expect_same(encoded + static_cast<char>(rnd.Uniform(256)));
+  }
+
+  const std::string key = EncodeRowKey(1, 42, 7);
+  const auto points = trass::testing::RandomTrajectory(&rnd, 7, 12).points;
+  const std::string value =
+      EncodeRowValue(points, DpFeatures::Compute(points, 0.01));
+  StoredTrajectory t;
+  ASSERT_TRUE(DecodeRowPoints(key, value, &t).ok());
+  EXPECT_EQ(t.id, 7u);
+  EXPECT_EQ(t.index_value, 42);
+  EXPECT_EQ(t.points.size(), points.size());
+  EXPECT_TRUE(t.features.boxes.empty());
+}
+
 TEST(RowCodecTest, StringKeyLongerThanIntegerKeyAtHighResolution) {
   // The paper's Figure 13(c): integer keys beat string keys.
   index::XzStar xz(16);

@@ -634,19 +634,36 @@ TEST_F(ServeTransportTest, DirectTransportMatchesTheStore) {
     EXPECT_DOUBLE_EQ(via_transport.results[i].distance, direct[i].distance);
   }
 
-  // kTopK with a finite bound answers as a threshold search at that
-  // bound (the follow-up-wave contract).
-  ShardRequest bounded;
-  bounded.op = ShardOp::kTopK;
-  bounded.query = data[3].points;
-  bounded.k = 5;
-  bounded.measure = Measure::kFrechet;
-  bounded.bound = 0.05;
-  ShardResponse via_bound;
-  ASSERT_TRUE(transport.Execute(bounded, nullptr, &via_bound).ok());
-  ASSERT_EQ(via_bound.results.size(), direct.size());
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_bound.results[i].id, direct[i].id);
+  // kTopK with a finite bound (what a socket shard receives from the
+  // bound cell) still runs a top-k: the answer is the store's k smallest
+  // results at distance <= bound. At the 5th-nearest distance five
+  // trajectories lie within the bound, so the k cap shows; at 0 only
+  // the query itself does.
+  const int k = 2;
+  std::vector<SearchResult> top5, top;
+  ASSERT_TRUE(
+      store_->TopKSearch(data[3].points, 5, Measure::kFrechet, &top5).ok());
+  ASSERT_EQ(top5.size(), 5u);
+  ASSERT_TRUE(
+      store_->TopKSearch(data[3].points, k, Measure::kFrechet, &top).ok());
+  for (const double bound : {top5[4].distance, 0.0}) {
+    std::vector<SearchResult> expected;
+    for (const SearchResult& r : top) {
+      if (r.distance <= bound) expected.push_back(r);
+    }
+    ShardRequest bounded;
+    bounded.op = ShardOp::kTopK;
+    bounded.query = data[3].points;
+    bounded.k = k;
+    bounded.measure = Measure::kFrechet;
+    bounded.bound = bound;
+    ShardResponse via_bound;
+    ASSERT_TRUE(transport.Execute(bounded, nullptr, &via_bound).ok());
+    ASSERT_EQ(via_bound.results.size(), expected.size()) << "bound " << bound;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(via_bound.results[i].id, expected[i].id);
+      EXPECT_DOUBLE_EQ(via_bound.results[i].distance, expected[i].distance);
+    }
   }
 
   // kExport streams every stored trajectory back out.

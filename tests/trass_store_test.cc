@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -191,6 +192,53 @@ TEST_F(TrassStoreTest, TopKMatchesBruteForceOtherMeasures) {
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_NEAR(got[i].distance, expected[i].distance, 1e-9)
           << MeasureName(measure);
+    }
+  }
+}
+
+// QueryOptions::topk_bound, the shard coordinator's shared cell: a
+// search whose cell already holds the true k-th distance answers
+// exactly as an unseeded one with no more DPs, and a search publishes
+// its own k-th distance into the cell.
+TEST_F(TrassStoreTest, TopKSharedBoundCellPrunesWithoutChangingTheAnswer) {
+  OpenStore();
+  const auto data = trass::testing::RandomDataset(16, 300);
+  Load(data);
+  for (const Measure measure :
+       {Measure::kFrechet, Measure::kHausdorff, Measure::kDtw}) {
+    for (const size_t probe : {size_t{4}, size_t{150}, size_t{271}}) {
+      for (const int k : {1, 10, 50}) {
+        const std::string what = std::string(MeasureName(measure)) +
+                                 " probe " + std::to_string(probe) +
+                                 " k=" + std::to_string(k);
+        std::vector<SearchResult> unseeded, seeded;
+        QueryMetrics unseeded_m, seeded_m;
+        std::atomic<double> cell{std::numeric_limits<double>::infinity()};
+        QueryOptions options;
+        options.topk_bound = &cell;
+        ASSERT_TRUE(store_
+                        ->TopKSearch(data[probe].points, k, measure,
+                                     &unseeded, &unseeded_m, options)
+                        .ok());
+        ASSERT_EQ(unseeded.size(), static_cast<size_t>(k)) << what;
+        const double kth = unseeded.back().distance;
+        // A lone store's published k-th is its own.
+        EXPECT_EQ(cell.load(), kth) << what;
+
+        cell.store(kth);
+        ASSERT_TRUE(store_
+                        ->TopKSearch(data[probe].points, k, measure, &seeded,
+                                     &seeded_m, options)
+                        .ok());
+        ASSERT_EQ(seeded.size(), unseeded.size()) << what;
+        for (size_t i = 0; i < seeded.size(); ++i) {
+          EXPECT_EQ(seeded[i].id, unseeded[i].id) << what << " rank " << i;
+          EXPECT_EQ(seeded[i].distance, unseeded[i].distance)
+              << what << " rank " << i;
+        }
+        EXPECT_LE(seeded_m.refine_dp_runs, unseeded_m.refine_dp_runs) << what;
+        EXPECT_LE(cell.load(), seeded.back().distance) << what;
+      }
     }
   }
 }
