@@ -6,21 +6,29 @@
 // refinement engine (core/refiner.h) serves queries with, against the
 // scalar vector-of-Point reference right above them — the before/after
 // pair behind the engine's kernel speedup claim. BM_LocalFilter times
-// the one lower-bound cascade (core/local_filter.h) the scan and the
-// top-k refiner run before the O(n*m) DP.
+// the one lower-bound cascade (core/local_filter.h) the top-k refiner
+// runs on a decoded row before the O(n*m) DP; BM_LocalFilterView the
+// same cascade on a row's bytes in place, as the scan runs it.
+// BM_DecodeRow and BM_RowViewParse price one stored row built versus
+// parsed in place: the per-row costs of the scan path.
 //
 // `--smoke` runs a randomized self-check instead of timing anything
-// (non-zero exit on any failure): flat-vs-scalar kernel parity, and
-// cascade soundness (a rejection at a bound implies the within-DP
-// rejects too). ci.sh runs it in the release configuration.
+// (non-zero exit on any failure): flat-vs-scalar kernel parity, cascade
+// soundness (a rejection at a bound implies the within-DP rejects too),
+// and view-vs-decoded parity (the cascade on an encoded row read in place
+// gives the verdict it gives on the decoded row). ci.sh runs it in the
+// release configuration.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "core/local_filter.h"
+#include "core/row_codec.h"
 #include "core/similarity.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -175,16 +183,56 @@ void BM_DpFeatureComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_DpFeatureComputation);
 
+/// SharedData() as stored rows: (key, value) as the scan hands them out.
+const std::vector<std::pair<std::string, std::string>>& SharedRows() {
+  static const auto rows = [] {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const auto& t : SharedData()) {
+      const auto features =
+          trass::core::DpFeatures::ComputeCapped(t.points, 0.01);
+      out.emplace_back(trass::core::EncodeRowKey(0, 0, t.id),
+                       trass::core::EncodeRowValue(t.points, features));
+    }
+    return out;
+  }();
+  return rows;
+}
+
+void BM_DecodeRow(benchmark::State& state) {
+  const auto& rows = SharedRows();
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [key, value] = rows[i % rows.size()];
+    trass::core::StoredTrajectory t;
+    benchmark::DoNotOptimize(trass::core::DecodeRow(key, value, &t));
+    benchmark::DoNotOptimize(t.points.data());
+    ++i;
+  }
+}
+BENCHMARK(BM_DecodeRow);
+
+void BM_RowViewParse(benchmark::State& state) {
+  const auto& rows = SharedRows();
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [key, value] = rows[i % rows.size()];
+    trass::core::RowView view;
+    benchmark::DoNotOptimize(trass::core::RowView::Parse(key, value, &view));
+    benchmark::DoNotOptimize(view);
+    ++i;
+  }
+}
+BENCHMARK(BM_RowViewParse);
+
 void BM_LocalFilter(benchmark::State& state) {
   const auto& data = SharedData();
   const auto ctx = trass::core::QueryGeometry::Make(data[0].points, 0.01);
   std::vector<trass::core::StoredTrajectory> stored;
-  for (const auto& t : data) {
-    trass::core::StoredTrajectory s;
-    s.id = t.id;
-    s.points = t.points;
-    s.features = trass::core::DpFeatures::Compute(t.points, 0.01);
-    stored.push_back(std::move(s));
+  for (const auto& [key, value] : SharedRows()) {
+    if (!trass::core::DecodeRow(key, value, &stored.emplace_back()).ok()) {
+      state.SkipWithError("row does not decode");
+      return;
+    }
   }
   size_t i = 0;
   for (auto _ : state) {
@@ -195,8 +243,29 @@ void BM_LocalFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalFilter);
 
-/// Randomized flat-vs-scalar parity and cascade soundness sweep. Returns
-/// the number of failures (0 = both hold).
+void BM_LocalFilterView(benchmark::State& state) {
+  const auto& data = SharedData();
+  const auto ctx = trass::core::QueryGeometry::Make(data[0].points, 0.01);
+  const auto& rows = SharedRows();
+  std::vector<trass::core::RowView> views(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (!trass::core::RowView::Parse(rows[r].first, rows[r].second, &views[r])
+             .ok()) {
+      state.SkipWithError("row does not parse");
+      return;
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trass::core::LocalFilterPass(
+        ctx, views[i % views.size()], 0.01, Measure::kFrechet));
+    ++i;
+  }
+}
+BENCHMARK(BM_LocalFilterView);
+
+/// Randomized flat-vs-scalar parity, cascade soundness and view/decoded
+/// parity sweep. Returns the number of failures (0 = all hold).
 int RunSmoke() {
   trass::Random rnd(20260806);
   int mismatches = 0;
@@ -223,9 +292,17 @@ int RunSmoke() {
       fb.y.push_back(p.y);
     }
     const auto query = trass::core::QueryGeometry::Make(a, 0.01);
+    const std::string key = trass::core::EncodeRowKey(0, 0, iter);
+    const std::string value = trass::core::EncodeRowValue(
+        b, trass::core::DpFeatures::ComputeCapped(b, 0.01));
+    trass::core::RowView view;
     trass::core::StoredTrajectory stored;
-    stored.points = b;
-    stored.features = trass::core::DpFeatures::ComputeCapped(b, 0.01);
+    if (!trass::core::RowView::Parse(key, value, &view).ok() ||
+        !trass::core::DecodeRow(key, value, &stored).ok()) {
+      std::fprintf(stderr, "smoke: row does not parse iter=%d\n", iter);
+      ++mismatches;
+      continue;
+    }
     for (Measure m : measures) {
       const double scalar = trass::core::Similarity(m, a, b);
       const double flat =
@@ -240,10 +317,18 @@ int RunSmoke() {
       // the exact distance and its lower ulp neighbour too.
       for (double bound : {scalar * rnd.UniformDouble(0.5, 1.5), scalar,
                            std::nextafter(scalar, 0.0)}) {
-        if (!trass::core::LocalFilterPass(query, stored, bound, m) &&
-            trass::core::SimilarityWithin(m, a, b, bound)) {
+        const bool pass = trass::core::LocalFilterPass(query, stored, bound, m);
+        if (!pass && trass::core::SimilarityWithin(m, a, b, bound)) {
           std::fprintf(stderr,
                        "smoke: %s unsound cascade iter=%d bound=%.17g\n",
+                       trass::core::MeasureName(m), iter, bound);
+          ++mismatches;
+        }
+        // The scan's in-place cascade agrees with the decoded row's.
+        if (trass::core::LocalFilterPass(query, view, bound, m) != pass) {
+          std::fprintf(stderr,
+                       "smoke: %s view/decoded verdicts differ iter=%d "
+                       "bound=%.17g\n",
                        trass::core::MeasureName(m), iter, bound);
           ++mismatches;
         }
@@ -252,8 +337,8 @@ int RunSmoke() {
   }
   if (mismatches == 0) {
     std::printf(
-        "bench_micro_similarity --smoke: kernel parity and cascade "
-        "soundness OK\n");
+        "bench_micro_similarity --smoke: kernel parity, cascade "
+        "soundness and view/decoded parity OK\n");
   }
   return mismatches;
 }

@@ -46,12 +46,9 @@ double DpFeatures::DistancePointToBoxes(const geo::Point& p) const {
     if (rep_points.empty()) return std::numeric_limits<double>::infinity();
     return geo::Distance(p, rep_points.front());
   }
-  double best = std::numeric_limits<double>::infinity();
-  for (const geo::OrientedBox& box : boxes) {
-    best = std::min(best, box.Distance(p));
-    if (best == 0.0) break;
-  }
-  return best;
+  return MinDistanceToBoxes(
+      boxes.size(),
+      [this](size_t j) -> const geo::OrientedBox& { return boxes[j]; }, p);
 }
 
 double BoxToFeatureDistance(const geo::OrientedBox& box,

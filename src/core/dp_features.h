@@ -6,7 +6,9 @@
 #ifndef TRASS_CORE_DP_FEATURES_H_
 #define TRASS_CORE_DP_FEATURES_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "geo/oriented_box.h"
@@ -45,6 +47,18 @@ struct DpFeatures {
   /// a lower bound on the distance from p to any trajectory point.
   double DistancePointToBoxes(const geo::Point& p) const;
 };
+
+/// Minimum over boxes 0..count-1 of `box_at(j).Distance(p)`, stopping at
+/// 0: DistancePointToBoxes for any source of boxes.
+template <typename BoxAt>
+double MinDistanceToBoxes(size_t count, BoxAt&& box_at, const geo::Point& p) {
+  double best = std::numeric_limits<double>::infinity();
+  for (size_t j = 0; j < count; ++j) {
+    best = std::min(best, box_at(j).Distance(p));
+    if (best == 0.0) break;
+  }
+  return best;
+}
 
 /// Lemma 14's bound: max over `box`'s edges of the minimum distance from
 /// that edge to `target`'s boxes. Since a tight oriented box has a

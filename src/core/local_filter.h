@@ -10,8 +10,9 @@
 //
 // Each level compares a distance, not its square, with the bound. The
 // scan pushdown below (the coprocessor analog) runs it at the query's
-// eps, and the top-k refiner again at the live k-th distance; threshold
-// refinement runs none. Lemma 14 (BoxToFeatureDistance) is off the path:
+// eps on the row's bytes in place (RowView), and the top-k refiner again
+// at the live k-th distance on the decoded row; threshold refinement runs
+// none. Lemma 14 (BoxToFeatureDistance) is off the path:
 // it rejects too few rows to pay for itself (DESIGN.md §12).
 
 #ifndef TRASS_CORE_LOCAL_FILTER_H_
@@ -38,11 +39,17 @@ bool LocalFilterPass(const QueryGeometry& query,
                      const StoredTrajectory& candidate, double eps,
                      Measure measure);
 
-/// Pushdown form, and the query path's only row decode: it keeps the
-/// decoded trajectory of every row that passes, so the refiner never sees
-/// row bytes. Counts scanned/kept rows for the metrics. Thread-safe under
-/// the RegionStore scan contract (each region's rows arrive on one
-/// thread, in key order; regions run in parallel).
+/// The same cascade, run on a row's bytes in place. It gives the verdict
+/// the overload above gives on the row decoded.
+bool LocalFilterPass(const QueryGeometry& query, const RowView& candidate,
+                     double eps, Measure measure);
+
+/// Pushdown form, and the query path's only row parse: it runs the
+/// cascade on each row in place and builds the trajectory of only the
+/// rows that pass, so a rejected row allocates nothing and the refiner
+/// never sees row bytes. Counts scanned/kept rows for the metrics.
+/// Thread-safe under the RegionStore scan contract (each region's rows
+/// arrive on one thread, in key order; regions run in parallel).
 class LocalScanFilter final : public kv::ScanFilter {
  public:
   /// `regions`: the store's region count; every scanned key's shard byte
@@ -51,7 +58,7 @@ class LocalScanFilter final : public kv::ScanFilter {
                   int regions)
       : query_(query), eps_(eps), measure_(measure), regions_(regions) {}
 
-  /// Drops a row whose value does not decode, recording the error.
+  /// Drops a row whose value does not parse, recording the error.
   bool Keep(const Slice& key, const Slice& value) const override;
 
   uint64_t scanned() const { return scanned_.load(); }

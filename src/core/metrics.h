@@ -35,7 +35,9 @@ enum class MetricFold {
   /* Phase wall times; total_ms (the query after admission) is written by     \
      TotalTimer on every return path. */                                      \
   X(double, pruning_ms, kSum) /* global pruning (range generation) */         \
-  X(double, scan_ms, kSum)    /* scan incl. the row decode + local filter */  \
+  /* scan incl. the in-place row parse, the local filter and building the     \
+     rows it keeps */                                                         \
+  X(double, scan_ms, kSum)                                                    \
   X(double, refine_ms, kSum)  /* exact similarity computations */             \
   X(double, total_ms, kOwned)                                                 \
   X(uint64_t, scan_ranges, kSum) /* key ranges issued to the store */         \

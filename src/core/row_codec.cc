@@ -1,14 +1,9 @@
 #include "core/row_codec.h"
 
-#include "util/coding.h"
+#include <type_traits>
 
 namespace trass {
 namespace core {
-
-namespace {
-constexpr size_t kPointBytes = 2 * sizeof(double);
-constexpr size_t kBoxBytes = 4 * kPointBytes;
-}  // namespace
 
 std::string EncodeRowKey(uint8_t shard, int64_t index_value, uint64_t tid) {
   std::string key;
@@ -73,34 +68,22 @@ std::string EncodeRowValue(const std::vector<geo::Point>& points,
   return value;
 }
 
-Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
-                      DpFeatures* features) {
+Status RowView::ParseValue(const Slice& value, RowView* out) {
   Slice input = value;
   uint32_t n = 0;
-  // Every count is checked against the bytes left before it sizes an
-  // allocation: a stored value is untrusted input.
+  // Every count is checked against the bytes left before it is trusted:
+  // a stored value is untrusted input.
   if (!GetVarint32(&input, &n) || n == 0 || n > input.size() / kPointBytes) {
     return Status::Corruption("bad point count");
   }
-  points->clear();
-  points->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    geo::Point p;
-    if (!GetDouble(&input, &p.x) || !GetDouble(&input, &p.y)) {
-      return Status::Corruption("bad point data");
-    }
-    points->push_back(p);
-  }
+  out->points_ = input.data();
+  out->num_points_ = n;
+  input.remove_prefix(n * kPointBytes);
   uint32_t n_rep = 0;
   if (!GetVarint32(&input, &n_rep) || n_rep > input.size()) {
     return Status::Corruption("bad dp-point count");
   }
-  if (features != nullptr) {
-    features->rep_indices.clear();
-    features->rep_points.clear();
-    features->rep_indices.reserve(n_rep);
-    features->rep_points.reserve(n_rep);
-  }
+  const char* reps_begin = input.data();
   uint32_t idx = 0;
   for (uint32_t i = 0; i < n_rep; ++i) {
     uint32_t delta = 0;
@@ -114,63 +97,91 @@ Status DecodeRowValue(const Slice& value, std::vector<geo::Point>* points,
       return Status::Corruption("dp-point index out of range");
     }
     idx += delta;
-    if (features != nullptr) {
-      features->rep_indices.push_back(idx);
-      features->rep_points.push_back((*points)[idx]);
-    }
   }
   if (n_rep == 0 || idx != n - 1) {
     return Status::Corruption("dp-points do not span the trajectory");
   }
+  out->reps_ =
+      Slice(reps_begin, static_cast<size_t>(input.data() - reps_begin));
+  out->num_reps_ = n_rep;
   uint32_t n_boxes = 0;
   if (!GetVarint32(&input, &n_boxes) || n_boxes != n_rep - 1 ||
       n_boxes > input.size() / kBoxBytes) {
     return Status::Corruption("bad dp-mbr count");
   }
-  if (features == nullptr) {
-    // The count check above proved the boxes' bytes are there.
-    input.remove_prefix(n_boxes * kBoxBytes);
-    if (!input.empty()) return Status::Corruption("trailing bytes in row value");
-    return Status::OK();
-  }
-  features->boxes.clear();
-  features->boxes.reserve(n_boxes);
-  for (uint32_t i = 0; i < n_boxes; ++i) {
-    geo::Point corners[4];
-    for (int c = 0; c < 4; ++c) {
-      if (!GetDouble(&input, &corners[c].x) ||
-          !GetDouble(&input, &corners[c].y)) {
-        return Status::Corruption("bad dp-mbr data");
-      }
-    }
-    features->boxes.emplace_back(corners);
-  }
+  out->boxes_ = input.data();
+  out->num_boxes_ = n_boxes;
+  input.remove_prefix(n_boxes * kBoxBytes);
   if (!input.empty()) return Status::Corruption("trailing bytes in row value");
   return Status::OK();
 }
 
+Status RowView::Parse(const Slice& key, const Slice& value, RowView* out) {
+  uint8_t shard;
+  Status s = DecodeRowKey(key, &shard, &out->index_value_, &out->id_);
+  if (!s.ok()) return s;
+  s = ParseValue(value, out);
+  if (s.ok()) return s;
+  return s.WithContext("row tid " + std::to_string(out->id_) + " (shard " +
+                       std::to_string(shard) + ", index value " +
+                       std::to_string(out->index_value_) + ")");
+}
+
 namespace {
 
-Status DecodeRowInto(const Slice& key, const Slice& value,
-                     StoredTrajectory* out, DpFeatures* features) {
-  uint8_t shard;
-  Status s = DecodeRowKey(key, &shard, &out->index_value, &out->id);
-  if (!s.ok()) return s;
-  return DecodeRowValue(value, &out->points, features)
-      .WithContext("row tid " + std::to_string(out->id) + " (shard " +
-                   std::to_string(shard) + ", index value " +
-                   std::to_string(out->index_value) + ")");
+// Copies `count` stored elements of `T` (each a run of little-endian
+// doubles, laid out as T is) into `out`: one memcpy on little-endian
+// hosts, a double at a time elsewhere.
+template <typename T>
+void CopyDoubles(const char* src, size_t count, std::vector<T>* out) {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                sizeof(T) % sizeof(double) == 0);
+  out->resize(count);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count > 0) std::memcpy(out->data(), src, count * sizeof(T));
+  } else {
+    auto* dst = reinterpret_cast<unsigned char*>(out->data());
+    for (size_t i = 0; i < count * sizeof(T); i += sizeof(double)) {
+      uint64_t bits = DecodeFixed64(src + i);
+      std::memcpy(dst + i, &bits, sizeof(bits));
+    }
+  }
 }
 
 }  // namespace
 
-Status DecodeRow(const Slice& key, const Slice& value, StoredTrajectory* out) {
-  return DecodeRowInto(key, value, out, &out->features);
+void RowView::CopyPoints(std::vector<geo::Point>* out) const {
+  static_assert(sizeof(geo::Point) == kPointBytes);
+  CopyDoubles(points_, num_points_, out);
 }
 
-Status DecodeRowPoints(const Slice& key, const Slice& value,
-                       StoredTrajectory* out) {
-  return DecodeRowInto(key, value, out, nullptr);
+void RowView::CopyFeatures(DpFeatures* out) const {
+  static_assert(sizeof(geo::OrientedBox) == kBoxBytes);
+  out->rep_indices.clear();
+  out->rep_points.clear();
+  out->rep_indices.reserve(num_reps_);
+  out->rep_points.reserve(num_reps_);
+  ForEachRep([out](uint32_t index, const geo::Point& p) {
+    out->rep_indices.push_back(index);
+    out->rep_points.push_back(p);
+    return true;
+  });
+  CopyDoubles(boxes_, num_boxes_, &out->boxes);
+}
+
+void RowView::Materialize(StoredTrajectory* out) const {
+  out->id = id_;
+  out->index_value = index_value_;
+  CopyPoints(&out->points);
+  CopyFeatures(&out->features);
+}
+
+Status DecodeRow(const Slice& key, const Slice& value, StoredTrajectory* out) {
+  RowView view;
+  const Status s = RowView::Parse(key, value, &view);
+  if (!s.ok()) return s;
+  view.Materialize(out);
+  return s;
 }
 
 }  // namespace core

@@ -68,9 +68,9 @@ void ArmControl(const QueryOptions& query_options, QueryContext* control) {
 
 // Collects, server-side and without materializing the scan result,
 // the filter-tier record of every row (open / recovery / scrub). Row
-// values are decoded only for the tier's columns; a row whose value
-// does not decode keeps a degenerate box, which only loosens bounds —
-// the scan paths drop the row itself.
+// values are parsed only for the tier's columns, which read the points
+// alone; a row whose value does not parse keeps a degenerate box, which
+// only loosens bounds — the scan paths drop the row itself.
 class StoredRowCollector final : public kv::ScanFilter {
  public:
   explicit StoredRowCollector(bool columns) : columns_(columns) {}
@@ -81,11 +81,13 @@ class StoredRowCollector final : public kv::ScanFilter {
     uint64_t tid;
     const Status s = DecodeRowKey(key, &shard, &row.index_value, &tid);
     row.tid = static_cast<int64_t>(tid);
-    StoredTrajectory t;
-    if (s.ok() && columns_ && DecodeRow(key, value, &t).ok()) {
-      row.mbr = geo::Mbr::Of(t.points);
+    RowView view;
+    if (s.ok() && columns_ && RowView::Parse(key, value, &view).ok()) {
+      std::vector<geo::Point> points;
+      view.CopyPoints(&points);
+      row.mbr = geo::Mbr::Of(points);
       row.fingerprint =
-          filter::MinhashSignature(t.points, filter::kFingerprintParams);
+          filter::MinhashSignature(points, filter::kFingerprintParams);
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (s.ok()) {
@@ -114,26 +116,20 @@ class StoredRowCollector final : public kv::ScanFilter {
 
 // Pushdown filter for the spatial range query: keep rows with at least
 // one point inside the window, collecting their tids. A row whose value
-// does not decode is dropped and its error recorded.
+// does not parse is dropped and its error recorded.
 class WindowScanFilter final : public kv::ScanFilter {
  public:
   explicit WindowScanFilter(const geo::Mbr& window) : window_(window) {}
 
   bool Keep(const Slice& key, const Slice& value) const override {
     scanned_.fetch_add(1, std::memory_order_relaxed);
-    // The window test reads only the points: the DP features are
-    // checked but not built.
-    StoredTrajectory t;
-    const Status s = DecodeRowPoints(key, value, &t);
-    if (s.ok() && std::none_of(t.points.begin(), t.points.end(),
-                               [&](const geo::Point& p) {
-                                 return window_.Contains(p);
-                               })) {
-      return false;
-    }
+    // The window test reads the points in place; only the tid is kept.
+    RowView view;
+    const Status s = RowView::Parse(key, value, &view);
+    if (s.ok() && !AnyPointIn(view)) return false;
     std::lock_guard<std::mutex> lock(mu_);
     if (s.ok()) {
-      tids_.push_back(t.id);
+      tids_.push_back(view.id());
     } else if (status_.ok()) {
       status_ = s;
     }
@@ -141,11 +137,18 @@ class WindowScanFilter final : public kv::ScanFilter {
   }
 
   uint64_t scanned() const { return scanned_.load(); }
-  /// The first row that failed to decode; OK when every row decoded.
+  /// The first row that failed to parse; OK when every row parsed.
   Status status() const { return status_; }
   std::vector<uint64_t> TakeTids() { return std::move(tids_); }
 
  private:
+  bool AnyPointIn(const RowView& view) const {
+    for (size_t i = 0; i < view.num_points(); ++i) {
+      if (window_.Contains(view.point(i))) return true;
+    }
+    return false;
+  }
+
   const geo::Mbr window_;
   mutable std::atomic<uint64_t> scanned_{0};
   mutable std::mutex mu_;
@@ -870,12 +873,14 @@ Status TrassStore::SimilarityJoin(
       stopped = stop;
       break;
     }
-    StoredTrajectory t;
-    s = DecodeRow(Slice(row.key), Slice(row.value), &t);
+    RowView view;
+    s = RowView::Parse(Slice(row.key), Slice(row.value), &view);
     if (!s.ok()) return s;
+    std::vector<geo::Point> points;
+    view.CopyPoints(&points);
     std::vector<SearchResult> matches;
     QueryMetrics probe;
-    s = ThresholdSearchInternal(t.points, eps, measure, &control,
+    s = ThresholdSearchInternal(points, eps, measure, &control,
                                 /*allow_partial=*/false, &matches, &probe);
     FoldMetrics(probe, m);
     // The probes share this store's filter snapshot: a gauge, not a sum.
@@ -888,8 +893,8 @@ Status TrassStore::SimilarityJoin(
     }
     if (!s.ok()) return s;
     for (const SearchResult& match : matches) {
-      if (match.id > t.id) {
-        pairs->emplace_back(t.id, match.id);
+      if (match.id > view.id()) {
+        pairs->emplace_back(view.id(), match.id);
       }
     }
   }

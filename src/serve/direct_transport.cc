@@ -62,13 +62,12 @@ Status ExportTrajectories(core::TrassStore* store,
         continue;
       }
     }
-    core::StoredTrajectory t;
-    s = core::DecodeRow(Slice(row.key), Slice(row.value), &t);
+    core::RowView view;
+    s = core::RowView::Parse(Slice(row.key), Slice(row.value), &view);
     if (!s.ok()) return s;
-    core::Trajectory out;
-    out.id = t.id;
-    out.points = std::move(t.points);
-    response->trajectories.push_back(std::move(out));
+    core::Trajectory& out = response->trajectories.emplace_back();
+    out.id = view.id();
+    view.CopyPoints(&out.points);
   }
   response->metrics.retrieved = rows.size();
   return Status::OK();

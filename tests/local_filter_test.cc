@@ -77,6 +77,47 @@ TEST(LocalFilterCascadeTest, RejectionImpliesNotWithin) {
   }
 }
 
+// The scan runs the cascade on a row's bytes in place and the top-k
+// refiner on the decoded row: both must give the same verdict at every
+// bound, including +inf, a negative bound, the exact distance and its
+// lower ulp neighbour. Near and far pairs, so every level fires.
+TEST(LocalFilterCascadeTest, ViewVerdictEqualsDecodedVerdict) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Random rnd(29);
+  int passed = 0, rejected = 0;
+  for (int iter = 0; iter < 200; ++iter) {
+    const auto qpts =
+        trass::testing::RandomTrajectory(&rnd, 1, 1 + iter % 40).points;
+    const double lo = (iter % 2 == 0) ? 0.2 : 0.6;
+    const auto tpts =
+        trass::testing::RandomTrajectory(&rnd, 2, 1 + iter % 50, lo, lo + 0.3)
+            .points;
+    const QueryGeometry query = QueryGeometry::Make(qpts, 0.01);
+    const std::string key = EncodeRowKey(0, 5, 2);
+    // Odd offset: the view reads unaligned doubles.
+    std::string buffer = "x";
+    buffer += EncodeRowValue(tpts, DpFeatures::ComputeCapped(tpts, 0.01));
+    const Slice value(buffer.data() + 1, buffer.size() - 1);
+    RowView view;
+    ASSERT_TRUE(RowView::Parse(key, value, &view).ok());
+    StoredTrajectory decoded;
+    ASSERT_TRUE(DecodeRow(key, value, &decoded).ok());
+    for (Measure measure :
+         {Measure::kFrechet, Measure::kHausdorff, Measure::kDtw}) {
+      const double d = Similarity(measure, qpts, tpts);
+      for (double bound : {kInf, -1.0, 0.0, d * 0.5, std::nextafter(d, 0.0),
+                           d, d * 2 + 0.01}) {
+        const bool on_view = LocalFilterPass(query, view, bound, measure);
+        ASSERT_EQ(on_view, LocalFilterPass(query, decoded, bound, measure))
+            << MeasureName(measure) << " iter=" << iter << " bound=" << bound;
+        ++(on_view ? passed : rejected);
+      }
+    }
+  }
+  EXPECT_GT(passed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 // A query point off the query's DP skeleton, far from the candidate:
 // Lemma 13 passes both ways, and only the point-to-MBR level sees it.
 TEST(LocalFilterCascadeTest, PointToMbrRejectsAFarNonRepresentativePoint) {

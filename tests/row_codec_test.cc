@@ -9,6 +9,11 @@ namespace trass {
 namespace core {
 namespace {
 
+// DecodeRow under a fixed key, for tests of the value encoding.
+Status DecodeValue(const Slice& value, StoredTrajectory* row) {
+  return DecodeRow(EncodeRowKey(0, 0, 1), value, row);
+}
+
 TEST(RowCodecTest, KeyRoundTrip) {
   const std::string key = EncodeRowKey(5, 123456789012345ll, 42);
   EXPECT_EQ(key.size(), 17u);
@@ -65,9 +70,10 @@ TEST(RowCodecTest, ValueRoundTrip) {
     const auto t = trass::testing::RandomTrajectory(&rnd, 7, 40).points;
     const DpFeatures f = DpFeatures::Compute(t, 0.01);
     const std::string encoded = EncodeRowValue(t, f);
-    std::vector<geo::Point> points;
-    DpFeatures decoded;
-    ASSERT_TRUE(DecodeRowValue(encoded, &points, &decoded).ok());
+    StoredTrajectory row;
+    ASSERT_TRUE(DecodeValue(encoded, &row).ok());
+    const std::vector<geo::Point>& points = row.points;
+    const DpFeatures& decoded = row.features;
     ASSERT_EQ(points.size(), t.size());
     for (size_t i = 0; i < t.size(); ++i) {
       EXPECT_EQ(points[i], t[i]);
@@ -100,18 +106,17 @@ TEST(RowCodecTest, DecodeValueRejectsCorruption) {
   const auto points = trass::testing::RandomTrajectory(&rnd, 1, 10).points;
   const DpFeatures f = DpFeatures::Compute(points, 0.01);
   std::string encoded = EncodeRowValue(points, f);
-  std::vector<geo::Point> out;
-  DpFeatures fout;
+  StoredTrajectory row;
   // Truncations at every prefix length must fail cleanly, never crash.
   for (size_t cut = 0; cut + 1 < encoded.size(); cut += 7) {
     const std::string truncated = encoded.substr(0, cut);
-    DecodeRowValue(truncated, &out, &fout);  // status checked, no crash
+    DecodeValue(truncated, &row);  // status checked, no crash
   }
   // Out-of-range dp index.
   std::string bad = EncodeRowValue(points, f);
   // Corrupt the representative count region heuristically: append junk and
   // verify a clean parse of the original still works.
-  ASSERT_TRUE(DecodeRowValue(Slice(bad), &out, &fout).ok());
+  ASSERT_TRUE(DecodeValue(bad, &row).ok());
 }
 
 // DP features that do not describe the points are Corruption: the local
@@ -122,9 +127,8 @@ TEST(RowCodecTest, FeaturesThatDoNotMatchThePointsAreCorruption) {
       {0.1, 0.1}, {0.2, 0.3}, {0.4, 0.2}, {0.5, 0.5}};
   const DpFeatures good = DpFeatures::Compute(points, 0.0);
   ASSERT_EQ(good.rep_indices, (std::vector<uint32_t>{0, 1, 2, 3}));
-  std::vector<geo::Point> out;
-  DpFeatures fout;
-  ASSERT_TRUE(DecodeRowValue(EncodeRowValue(points, good), &out, &fout).ok());
+  StoredTrajectory row;
+  ASSERT_TRUE(DecodeValue(EncodeRowValue(points, good), &row).ok());
 
   auto with_reps = [&](std::vector<uint32_t> reps) {
     DpFeatures f = good;
@@ -152,8 +156,7 @@ TEST(RowCodecTest, FeaturesThatDoNotMatchThePointsAreCorruption) {
       {"more boxes than rep gaps", points, more_boxes},
   };
   for (const auto& c : cases) {
-    const Status s =
-        DecodeRowValue(EncodeRowValue(c.points, c.features), &out, &fout);
+    const Status s = DecodeValue(EncodeRowValue(c.points, c.features), &row);
     EXPECT_TRUE(s.IsCorruption()) << c.name << ": " << s.ToString();
   }
 }
@@ -162,9 +165,8 @@ TEST(RowCodecTest, HugeCountIsCorruptionNotBadAlloc) {
   // A point count of 2^32 - 1 in a 5-byte value: the decoder must not
   // size an allocation from it.
   const std::string value("\xff\xff\xff\xff\x0f", 5);
-  std::vector<geo::Point> out;
-  DpFeatures fout;
-  const Status s = DecodeRowValue(value, &out, &fout);
+  StoredTrajectory row;
+  const Status s = DecodeValue(value, &row);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
@@ -173,25 +175,64 @@ TEST(RowCodecTest, TrailingBytesAreCorruption) {
   const auto points = trass::testing::RandomTrajectory(&rnd, 1, 10).points;
   const std::string encoded =
       EncodeRowValue(points, DpFeatures::Compute(points, 0.01));
-  std::vector<geo::Point> out;
-  DpFeatures fout;
-  ASSERT_TRUE(DecodeRowValue(encoded, &out, &fout).ok());
-  const Status s = DecodeRowValue(encoded + '\0', &out, &fout);
+  StoredTrajectory row;
+  ASSERT_TRUE(DecodeValue(encoded, &row).ok());
+  const Status s = DecodeValue(encoded + '\0', &row);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
+// RowView::Parse returns what DecodeRow returns, Status::ToString() for
+// Status::ToString(); on OK every accessor equals the decoded field.
+void ExpectViewMatchesDecode(const Slice& key, const Slice& value) {
+  RowView view;
+  StoredTrajectory t;
+  Status parsed, decoded;
+  EXPECT_NO_THROW(parsed = RowView::Parse(key, value, &view));
+  EXPECT_NO_THROW(decoded = DecodeRow(key, value, &t));
+  ASSERT_EQ(parsed.ToString(), decoded.ToString());
+  if (!parsed.ok()) return;
+  EXPECT_EQ(view.id(), t.id);
+  EXPECT_EQ(view.index_value(), t.index_value);
+  ASSERT_EQ(view.num_points(), t.points.size());
+  for (size_t i = 0; i < t.points.size(); ++i) {
+    ASSERT_EQ(view.point(i), t.points[i]) << i;
+  }
+  EXPECT_EQ(view.front(), t.points.front());
+  EXPECT_EQ(view.back(), t.points.back());
+  std::vector<geo::Point> copied;
+  view.CopyPoints(&copied);
+  EXPECT_EQ(copied, t.points);
+  ASSERT_EQ(view.num_reps(), t.features.rep_indices.size());
+  size_t j = 0;
+  EXPECT_TRUE(view.ForEachRep([&](uint32_t index, const geo::Point& p) {
+    EXPECT_EQ(index, t.features.rep_indices[j]) << j;
+    EXPECT_EQ(p, t.features.rep_points[j]) << j;
+    ++j;
+    return true;
+  }));
+  EXPECT_EQ(j, view.num_reps());
+  ASSERT_EQ(view.num_boxes(), t.features.boxes.size());
+  for (size_t b = 0; b < view.num_boxes(); ++b) {
+    const geo::OrientedBox box = view.box(b);
+    for (int c = 0; c < 4; ++c) {
+      EXPECT_EQ(box.corner(c), t.features.boxes[b].corner(c)) << b;
+    }
+  }
+}
+
 // Seeded mutation sweep: truncated, bit-flipped and extended encodings
-// decode to OK or Corruption, never a throw. A truncation or an
-// extension of a valid value is always Corruption (the encoding is
-// self-delimiting).
+// decode to OK or Corruption, never a throw, and RowView::Parse agrees
+// with the decode on each. A truncation or an extension of a valid value
+// is always Corruption (the encoding is self-delimiting).
 TEST(RowCodecTest, MutatedValuesDecodeOrFailCleanly) {
   Random rnd(20261017);
-  std::vector<geo::Point> out;
-  DpFeatures fout;
+  const std::string key = EncodeRowKey(3, 1234, 99);
+  StoredTrajectory row;
   auto decode = [&](const std::string& value) {
     Status s;
-    EXPECT_NO_THROW(s = DecodeRowValue(value, &out, &fout));
+    EXPECT_NO_THROW(s = DecodeRow(key, value, &row));
     EXPECT_TRUE(s.ok() || s.IsCorruption()) << s.ToString();
+    ExpectViewMatchesDecode(key, value);
     return s;
   };
   for (int iter = 0; iter < 500; ++iter) {
@@ -218,50 +259,66 @@ TEST(RowCodecTest, MutatedValuesDecodeOrFailCleanly) {
   }
 }
 
-// The points-only decode (null features, the range query's path) makes
-// every check the full decode makes: on valid, truncated, bit-flipped
-// and extended values both return the same status and the same points.
-TEST(RowCodecTest, PointsOnlyDecodeMakesTheSameChecks) {
+// The view makes every check the full decode makes: on valid, truncated,
+// bit-flipped and extended values it returns the same status, the row
+// context included, and on OK the same fields.
+TEST(RowCodecTest, RowViewMakesTheSameChecksAsDecodeRow) {
   Random rnd(20261020);
-  auto expect_same = [](const std::string& value) {
-    std::vector<geo::Point> full_points, only_points;
-    DpFeatures features;
-    const Status full = DecodeRowValue(value, &full_points, &features);
-    const Status only = DecodeRowValue(value, &only_points, nullptr);
-    EXPECT_EQ(full.ToString(), only.ToString());
-    if (full.ok() && only.ok()) {
-      ASSERT_EQ(full_points.size(), only_points.size());
-      for (size_t i = 0; i < full_points.size(); ++i) {
-        EXPECT_EQ(full_points[i].x, only_points[i].x);
-        EXPECT_EQ(full_points[i].y, only_points[i].y);
-      }
-    }
-  };
   for (int iter = 0; iter < 500; ++iter) {
+    const std::string key = EncodeRowKey(static_cast<uint8_t>(iter % 7),
+                                         static_cast<int64_t>(iter) * 31, iter);
     const auto points = trass::testing::RandomTrajectory(
                             &rnd, 1, 1 + static_cast<int>(rnd.Uniform(40)))
                             .points;
     const std::string encoded =
         EncodeRowValue(points, DpFeatures::Compute(points, 0.01));
-    expect_same(encoded);
-    expect_same(encoded.substr(0, rnd.Uniform(encoded.size())));
+    ExpectViewMatchesDecode(key, encoded);
+    ExpectViewMatchesDecode(key,
+                            encoded.substr(0, rnd.Uniform(encoded.size())));
     std::string flipped = encoded;
     flipped[rnd.Uniform(flipped.size())] ^=
         static_cast<char>(1 + rnd.Uniform(255));
-    expect_same(flipped);
-    expect_same(encoded + static_cast<char>(rnd.Uniform(256)));
+    ExpectViewMatchesDecode(key, flipped);
+    ExpectViewMatchesDecode(key, encoded + static_cast<char>(rnd.Uniform(256)));
   }
+  ExpectViewMatchesDecode(Slice("short"), Slice("garbage"));
 
   const std::string key = EncodeRowKey(1, 42, 7);
-  const auto points = trass::testing::RandomTrajectory(&rnd, 7, 12).points;
-  const std::string value =
-      EncodeRowValue(points, DpFeatures::Compute(points, 0.01));
-  StoredTrajectory t;
-  ASSERT_TRUE(DecodeRowPoints(key, value, &t).ok());
-  EXPECT_EQ(t.id, 7u);
-  EXPECT_EQ(t.index_value, 42);
-  EXPECT_EQ(t.points.size(), points.size());
-  EXPECT_TRUE(t.features.boxes.empty());
+  RowView view;
+  const Status s = RowView::Parse(key, Slice("garbage"), &view);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("row tid 7 (shard 1, index value 42)"),
+            std::string::npos)
+      << s.ToString();
+}
+
+// Stored doubles sit at any byte offset: a value parsed at an odd address
+// inside a larger buffer reads every field through the view without a
+// misaligned load (the sanitizer build checks) and equals the decode.
+TEST(RowCodecTest, RowViewReadsValuesAtOddOffsets) {
+  Random rnd(20261021);
+  for (int iter = 0; iter < 50; ++iter) {
+    const auto points = trass::testing::RandomTrajectory(
+                            &rnd, 1, 1 + static_cast<int>(rnd.Uniform(40)))
+                            .points;
+    const std::string value =
+        EncodeRowValue(points, DpFeatures::Compute(points, 0.01));
+    const std::string key = EncodeRowKey(2, 77, iter);
+    for (size_t offset : {1, 3, 5, 7}) {
+      std::string buffer(offset, 'x');
+      buffer += key;
+      buffer += value;
+      buffer += 'y';
+      const Slice k(buffer.data() + offset, key.size());
+      const Slice v(buffer.data() + offset + key.size(), value.size());
+      ExpectViewMatchesDecode(k, v);
+      RowView view;
+      ASSERT_TRUE(RowView::Parse(k, v, &view).ok());
+      std::vector<geo::Point> copied;
+      view.CopyPoints(&copied);
+      EXPECT_EQ(copied, points);
+    }
+  }
 }
 
 TEST(RowCodecTest, StringKeyLongerThanIntegerKeyAtHighResolution) {
