@@ -3,7 +3,11 @@
 // each scan across every region (coordination cost). The paper lands on
 // shards = 8 for a five-node cluster.
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "bench_serve_common.h"
@@ -57,16 +61,37 @@ void RunDataset(const Dataset& dataset, const std::string& dir) {
   }
 }
 
-/// Top-k work per query, summed over every store a query reached.
+/// Passes over the query set per path: shards lower the shared k-th
+/// cell in thread-timing order, so the tier's work differs from pass to
+/// pass and one pass cannot tell a few percent from timing.
+constexpr int kTopKPasses = 5;
+
+/// One per-query figure over the passes: median and range.
+struct Spread {
+  double median, min, max;
+  explicit Spread(std::vector<double> per_pass) {
+    std::sort(per_pass.begin(), per_pass.end());
+    median = per_pass[per_pass.size() / 2];
+    min = per_pass.front();
+    max = per_pass.back();
+  }
+  std::string ToString() const {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.1f [%.1f-%.1f]", median, min, max);
+    return buf;
+  }
+};
+
+/// Top-k work per query of one path, one entry per pass.
 struct TopKWork {
-  double retrieved = 0.0;
-  double dp_runs = 0.0;
+  std::vector<double> retrieved;
+  std::vector<double> dp_runs;
 };
 
 /// The tier's top-k next to one store's on the same data: rows retrieved
 /// and DPs run per query (the shared bound cell is what brings the tier
-/// close to one store). Returns false if any tier answer differs from
-/// the store's.
+/// close to one store), as the median and range over kTopKPasses passes.
+/// Returns false if any tier answer of any pass differs from the store's.
 bool CompareTopKWithOneStore(const Dataset& dataset, const std::string& dir,
                              CoordinatorTier& tier, int k) {
   const std::string path = dir + "/single";
@@ -81,45 +106,57 @@ bool CompareTopKWithOneStore(const Dataset& dataset, const std::string& dir,
   }
   store->Flush();
 
+  const double queries = static_cast<double>(dataset.num_queries());
   TopKWork one, many;
   size_t mismatches = 0;
-  for (size_t q = 0; q < dataset.num_queries(); ++q) {
-    std::vector<core::SearchResult> expected, actual;
-    core::QueryMetrics single_m, tier_m;
-    if (!store->TopKSearch(dataset.Query(q), k, core::Measure::kFrechet,
-                           &expected, &single_m)
-             .ok() ||
-        !tier.coordinator
-             ->TopKSearch(dataset.Query(q), k, core::Measure::kFrechet,
-                          &actual, &tier_m)
-             .ok()) {
-      ++mismatches;
-      continue;
+  for (int pass = 0; pass < kTopKPasses; ++pass) {
+    double one_retrieved = 0, one_dp = 0, many_retrieved = 0, many_dp = 0;
+    for (size_t q = 0; q < dataset.num_queries(); ++q) {
+      std::vector<core::SearchResult> expected, actual;
+      core::QueryMetrics single_m, tier_m;
+      if (!store->TopKSearch(dataset.Query(q), k, core::Measure::kFrechet,
+                             &expected, &single_m)
+               .ok() ||
+          !tier.coordinator
+               ->TopKSearch(dataset.Query(q), k, core::Measure::kFrechet,
+                            &actual, &tier_m)
+               .ok()) {
+        ++mismatches;
+        continue;
+      }
+      bool same = expected.size() == actual.size();
+      for (size_t i = 0; same && i < expected.size(); ++i) {
+        same = expected[i].id == actual[i].id &&
+               expected[i].distance == actual[i].distance;
+      }
+      if (!same) ++mismatches;
+      one_retrieved += static_cast<double>(single_m.retrieved);
+      one_dp += static_cast<double>(single_m.refine_dp_runs);
+      many_retrieved += static_cast<double>(tier_m.retrieved);
+      many_dp += static_cast<double>(tier_m.refine_dp_runs);
     }
-    bool same = expected.size() == actual.size();
-    for (size_t i = 0; same && i < expected.size(); ++i) {
-      same = expected[i].id == actual[i].id &&
-             expected[i].distance == actual[i].distance;
-    }
-    if (!same) ++mismatches;
-    one.retrieved += static_cast<double>(single_m.retrieved);
-    one.dp_runs += static_cast<double>(single_m.refine_dp_runs);
-    many.retrieved += static_cast<double>(tier_m.retrieved);
-    many.dp_runs += static_cast<double>(tier_m.refine_dp_runs);
+    one.retrieved.push_back(one_retrieved / queries);
+    one.dp_runs.push_back(one_dp / queries);
+    many.retrieved.push_back(many_retrieved / queries);
+    many.dp_runs.push_back(many_dp / queries);
   }
-  const double queries = static_cast<double>(dataset.num_queries());
-  std::printf("\ntop-%d Frechet work per query (%zu queries):\n", k,
-              dataset.num_queries());
-  std::printf("%-10s %14s %12s\n", "path", "retrieved", "dp-runs");
-  PrintRule(38);
-  std::printf("%-10s %14.1f %12.1f\n", "1 store", one.retrieved / queries,
-              one.dp_runs / queries);
-  std::printf("%-10s %14.1f %12.1f\n",
+  std::printf("\ntop-%d Frechet work per query (%zu queries, %d passes: "
+              "median [min-max]):\n",
+              k, dataset.num_queries(), kTopKPasses);
+  std::printf("%-10s %24s %24s\n", "path", "retrieved", "dp-runs");
+  PrintRule(60);
+  const Spread one_retrieved(one.retrieved), one_dp(one.dp_runs);
+  const Spread many_retrieved(many.retrieved), many_dp(many.dp_runs);
+  std::printf("%-10s %24s %24s\n", "1 store",
+              one_retrieved.ToString().c_str(), one_dp.ToString().c_str());
+  std::printf("%-10s %24s %24s\n",
               (std::to_string(tier.stores.size()) + " shards").c_str(),
-              many.retrieved / queries, many.dp_runs / queries);
-  std::printf("tier / store: retrieved %.2fx, dp-runs %.2fx\n",
-              one.retrieved > 0 ? many.retrieved / one.retrieved : 0.0,
-              one.dp_runs > 0 ? many.dp_runs / one.dp_runs : 0.0);
+              many_retrieved.ToString().c_str(), many_dp.ToString().c_str());
+  std::printf("tier / store (medians): retrieved %.2fx, dp-runs %.2fx\n",
+              one_retrieved.median > 0
+                  ? many_retrieved.median / one_retrieved.median
+                  : 0.0,
+              one_dp.median > 0 ? many_dp.median / one_dp.median : 0.0);
   if (mismatches > 0) {
     std::printf("FAIL: %zu tier top-k answers differ from one store's\n",
                 mismatches);

@@ -113,8 +113,7 @@ void GlobalPruner::EmitElement(
         index::XzStar::SubQuadBounds(seq, quad), query_->points);
   }
   const int64_t base = xz_->ElementBaseValue(seq);
-  const int max_pos =
-      (seq.length() == xz_->max_resolution() || seq.length() == 0) ? 10 : 9;
+  const int max_pos = xz_->OwnedCodes(seq.length());
   for (int pos = 1; pos <= max_pos; ++pos) {
     const unsigned mask = index::MaskFromPositionCode(pos);
     bool pruned = false;
@@ -131,23 +130,23 @@ void GlobalPruner::EmitElement(
   }
 }
 
+void GlobalPruner::EmitOwnedValues(
+    const index::QuadSeq& seq,
+    std::vector<std::pair<int64_t, int64_t>>* out) const {
+  // Ablation: element-granular candidates, Lemmas 10/11 skipped.
+  const int64_t base = xz_->ElementBaseValue(seq);
+  out->emplace_back(base, base + xz_->OwnedCodes(seq.length()) - 1);
+}
+
 bool SortedContainsRange(const std::vector<int64_t>& sorted, int64_t lo,
                          int64_t hi) {
   const auto it = std::lower_bound(sorted.begin(), sorted.end(), lo);
   return it != sorted.end() && *it <= hi;
 }
 
-std::pair<int64_t, int64_t> GlobalPruner::SubtreeRange(
-    const index::QuadSeq& seq) const {
-  const int64_t base = xz_->ElementBaseValue(seq);
-  const int64_t span =
-      seq.length() == 0 ? 10 : xz_->NumIndexSpaces(seq.length());
-  return {base, base + span - 1};
-}
-
 bool GlobalPruner::SubtreeHasData(const index::QuadSeq& seq) const {
   if (directory_ == nullptr) return true;
-  const auto [lo, hi] = SubtreeRange(seq);
+  const auto [lo, hi] = xz_->SubtreeValueRange(seq);
   return SortedContainsRange(*directory_, lo, hi);
 }
 
@@ -163,7 +162,7 @@ void GlobalPruner::Visit(
   const int l = seq.length();
   if (*budget == 0) {
     // Out of traversal budget: cover the whole subtree conservatively.
-    out->push_back(SubtreeRange(seq));
+    out->push_back(xz_->SubtreeValueRange(seq));
     return;
   }
   // Cooperative stop: piggyback on the visit budget so the clock is read
@@ -180,11 +179,7 @@ void GlobalPruner::Visit(
     if (use_position_codes) {
       EmitElement(seq, eps, out);
     } else {
-      // Ablation: element-granular candidates, Lemmas 10/11 skipped.
-      const int64_t base = xz_->ElementBaseValue(seq);
-      const int max_pos =
-          (l == xz_->max_resolution() || l == 0) ? 10 : 9;
-      out->emplace_back(base, base + max_pos - 1);
+      EmitOwnedValues(seq, out);
     }
   }
   if (l < max_r && l < xz_->max_resolution()) {
@@ -207,8 +202,7 @@ std::vector<std::pair<int64_t, int64_t>> GlobalPruner::CandidateRanges(
     if (use_position_codes) {
       EmitElement(index::QuadSeq(), eps, &out);
     } else {
-      const int64_t base = xz_->ElementBaseValue(index::QuadSeq());
-      out.emplace_back(base, base + 9);
+      EmitOwnedValues(index::QuadSeq(), &out);
     }
   }
   index::QuadSeq root;

@@ -127,8 +127,9 @@ class GlobalPruner {
   void EmitElement(const index::QuadSeq& seq, double eps,
                    std::vector<std::pair<int64_t, int64_t>>* out) const;
 
-  /// Whole-subtree value range of an element (conservative candidate).
-  std::pair<int64_t, int64_t> SubtreeRange(const index::QuadSeq& seq) const;
+  /// Ablation: emits all of element `seq`'s own codes as one range.
+  void EmitOwnedValues(const index::QuadSeq& seq,
+                       std::vector<std::pair<int64_t, int64_t>>* out) const;
 
   bool SubtreeHasData(const index::QuadSeq& seq) const;
 

@@ -1,7 +1,6 @@
 #include "core/trass_store.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <mutex>
 #include <queue>
@@ -83,7 +82,8 @@ class StoredRowCollector final : public kv::ScanFilter {
     row.tid = static_cast<int64_t>(tid);
     RowView view;
     if (s.ok() && columns_ && RowView::Parse(key, value, &view).ok()) {
-      std::vector<geo::Point> points;
+      // One points buffer per scan thread, reused row after row.
+      thread_local std::vector<geo::Point> points;
       view.CopyPoints(&points);
       row.mbr = geo::Mbr::Of(points);
       row.fingerprint =
@@ -196,39 +196,23 @@ Status TrassStore::Open(const TrassOptions& options, const std::string& path,
                                              options.refine_threads);
   s = impl->RebuildIngestState();
   if (!s.ok()) return s;
-  ingest::IngestOptions ingest_options;
-  ingest_options.queue_capacity = options.ingest_queue_capacity;
-  ingest_options.batch_max_rows = options.ingest_batch_max_rows;
-  ingest_options.batch_linger_ms = options.ingest_batch_linger_ms;
-  ingest_options.encode_threads = options.ingest_encode_threads;
   // The raw pointer outlives the pipeline: pipeline_ is the last member,
   // so its destructor (which drains through these callbacks) runs while
   // the rest of the store is still alive.
   TrassStore* raw = impl.get();
   impl->pipeline_ = std::make_unique<ingest::IngestPipeline>(
-      ingest_options,
+      options.ingest_queue_capacity,
       [raw](const Trajectory& t, ingest::EncodedRow* row) {
         return raw->EncodeTrajectory(t, row);
       },
       [raw](std::vector<ingest::EncodedRow>* rows) {
         return raw->CommitEncoded(rows);
       });
-  if (options.auto_resume_interval_ms > 0) {
-    impl->resumer_ = std::thread([raw] { raw->AutoResumeLoop(); });
-  }
   *store = std::move(impl);
   return Status::OK();
 }
 
 TrassStore::~TrassStore() {
-  if (resumer_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(resume_mu_);
-      stop_resumer_ = true;
-    }
-    resume_cv_.notify_all();
-    resumer_.join();
-  }
   // Bounded teardown: if the store is wedged read-only, every queued
   // ingest ticket is doomed — arm the pipeline's fail-fast drain so its
   // destructor (which runs next, pipeline_ being the last member)
@@ -238,21 +222,6 @@ TrassStore::~TrassStore() {
     Status wedged = store_->FirstBackgroundError();
     if (wedged.ok()) wedged = Status::Busy("store degraded at shutdown");
     pipeline_->FailPending(wedged.WithContext("shutdown drain"));
-  }
-}
-
-void TrassStore::AutoResumeLoop() {
-  std::unique_lock<std::mutex> lock(resume_mu_);
-  for (;;) {
-    resume_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.auto_resume_interval_ms),
-        [&] { return stop_resumer_; });
-    if (stop_resumer_) return;
-    lock.unlock();
-    // Probe only when something is actually wedged; Resume() itself is
-    // serialized against the write paths.
-    if (store_->WritesDegraded()) (void)Resume();
-    lock.lock();
   }
 }
 
@@ -643,17 +612,13 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
   // in its subtree of index values (value-directory check); this bounds
   // the best-first exploration by the data, not by 4^r.
   auto subtree_has_values = [&](const index::QuadSeq& seq) {
-    const int64_t base = xz_.ElementBaseValue(seq);
-    const int64_t span =
-        seq.length() == 0 ? 10 : xz_.NumIndexSpaces(seq.length());
-    if (!SortedContainsRange(snap->values(), base, base + span - 1)) {
-      return false;
-    }
+    const auto [lo, hi] = xz_.SubtreeValueRange(seq);
+    if (!SortedContainsRange(snap->values(), lo, hi)) return false;
     // Filter columns: the union MBR over the subtree's present values
     // (segment tree) can kill the whole subtree long before its element
     // bound would — the current k-th bound only tightens, so the skip
     // stays valid for the rest of the query.
-    return snap->ProbeSubtree(base, base + span - 1, ctx.mbr, current_eps(),
+    return snap->ProbeSubtree(lo, hi, ctx.mbr, current_eps(),
                               &filter_stats) == filter::ProbeResult::kKeep;
   };
 
@@ -798,7 +763,7 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
       }
       if ((l >= min_r && l <= max_r) || l == 0) {
         const int64_t base = xz_.ElementBaseValue(entry.seq);
-        const int max_pos = (l == r || l == 0) ? 10 : 9;
+        const int max_pos = xz_.OwnedCodes(l);
         for (int pos = 1; pos <= max_pos; ++pos) {
           const int64_t value = base + pos - 1;
           if (!SortedContainsRange(snap->values(), value, value)) {
@@ -941,9 +906,7 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
 
     void Emit(const index::QuadSeq& seq) {
       const int64_t base = xz->ElementBaseValue(seq);
-      const int max_pos =
-          (seq.length() == xz->max_resolution() || seq.length() == 0) ? 10
-                                                                      : 9;
+      const int max_pos = xz->OwnedCodes(seq.length());
       for (int pos = 1; pos <= max_pos; ++pos) {
         for (const geo::Mbr& rect :
              index::XzStar::IndexSpaceRects(seq, pos)) {
@@ -965,12 +928,8 @@ Status TrassStore::RangeQuery(const geo::Mbr& window,
       }
       if (!seq.ElementBounds().Intersects(*window)) return;
       // Skip subtrees with no stored trajectories (value directory).
-      const int64_t base = xz->ElementBaseValue(seq);
-      if (!SortedContainsRange(
-              *directory, base,
-              base + xz->NumIndexSpaces(seq.length()) - 1)) {
-        return;
-      }
+      const auto [lo, hi] = xz->SubtreeValueRange(seq);
+      if (!SortedContainsRange(*directory, lo, hi)) return;
       Emit(seq);
       if (seq.length() < xz->max_resolution()) {
         for (int q = 0; q < 4; ++q) Visit(seq.Child(q));

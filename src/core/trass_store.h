@@ -8,11 +8,9 @@
 #define TRASS_CORE_TRASS_STORE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -57,19 +55,9 @@ struct TrassOptions {
   size_t refine_threads = 4;
 
   /// Online ingest pipeline (SubmitAsync): bounded queue slots before
-  /// Submit sheds with Busy, group-commit batch bound and linger, and
-  /// the encoding worker count (0 = encode on the commit thread).
+  /// Submit sheds with Busy. The batch bound, linger and encoding
+  /// workers are ingest::IngestPipeline constants.
   size_t ingest_queue_capacity = 1024;
-  size_t ingest_batch_max_rows = 256;
-  double ingest_batch_linger_ms = 2.0;
-  size_t ingest_encode_threads = 2;
-
-  /// When > 0, a background prober wakes at this cadence and, if any
-  /// region is wedged read-only by a background error (disk full, write
-  /// fault), attempts Resume() — so write availability returns on its
-  /// own once the operator frees space. 0 (default) leaves resumption
-  /// manual via TrassStore::Resume().
-  uint64_t auto_resume_interval_ms = 0;
 
   /// Memory-resident filter tier (src/filter/). Its snapshot is always
   /// the store's present-value set; `enable` adds the probe columns —
@@ -147,11 +135,10 @@ class TrassStore {
   static Status Open(const TrassOptions& options, const std::string& path,
                      std::unique_ptr<TrassStore>* store);
 
-  /// Stops the auto-resume prober and, when the store below is wedged
-  /// read-only, arms the ingest pipeline's fail-fast drain so teardown
-  /// resolves the queued backlog immediately (tickets fail with the
-  /// sticky error; the watermark still advances) instead of hanging on
-  /// doomed writes.
+  /// When the store below is wedged read-only, arms the ingest
+  /// pipeline's fail-fast drain so teardown resolves the queued backlog
+  /// immediately (tickets fail with the sticky error; the watermark
+  /// still advances) instead of hanging on doomed writes.
   ~TrassStore();
 
   /// Indexes and stores one trajectory (id must be unique; points
@@ -230,8 +217,7 @@ class TrassStore {
   /// (fresh WAL, memtable flushed, manifest re-verified). Serialized
   /// against the write paths like Scrub. Returns the first region that
   /// stayed wedged; OK when the store is fully writable again. The
-  /// caller retries; with auto_resume_interval_ms > 0 a background
-  /// prober does.
+  /// caller (the operator, once space is freed) retries.
   Status Resume();
 
   /// Availability snapshot: per-region health (including live read-only
@@ -336,9 +322,6 @@ class TrassStore {
 
   TrassStore(const TrassOptions& options);
 
-  /// Body of the auto-resume prober thread (auto_resume_interval_ms).
-  void AutoResumeLoop();
-
   /// Reconstructs the filter tier and ingest statistics from the stored
   /// rows when opening an existing store. Also the crash-recovery path:
   /// after a crash mid-batch, whatever rows the WAL replay kept are
@@ -393,13 +376,6 @@ class TrassStore {
   // immutable snapshots.
   filter::FilterTier filter_tier_;
   std::atomic<uint64_t> filter_scrub_mismatches_{0};
-
-  // Auto-resume prober (joined by the destructor before any member
-  // dies, so declaration order does not matter for it).
-  mutable std::mutex resume_mu_;
-  std::condition_variable resume_cv_;
-  bool stop_resumer_ = false;  // guarded by resume_mu_
-  std::thread resumer_;
 
   // Declared after store_: destroyed first, so the pipeline drains its
   // queue through CommitEncoded while the region store is still alive.

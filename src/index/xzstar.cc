@@ -99,6 +99,14 @@ int64_t XzStar::ElementBaseValue(const QuadSeq& seq) const {
   return value;
 }
 
+std::pair<int64_t, int64_t> XzStar::SubtreeValueRange(
+    const QuadSeq& seq) const {
+  const int64_t base = ElementBaseValue(seq);
+  const int64_t span =
+      seq.length() == 0 ? OwnedCodes(0) : n_is_[seq.length()];
+  return {base, base + span - 1};
+}
+
 int64_t XzStar::Encode(const IndexSpace& space) const {
   assert(space.pos >= 1 && space.pos <= 10);
   return ElementBaseValue(space.seq) + (space.pos - 1);
@@ -122,7 +130,7 @@ XzStar::IndexSpace XzStar::Decode(int64_t value) const {
     level = 1;
   }
   for (;;) {
-    const int64_t own = (level == r_) ? 10 : 9;
+    const int64_t own = OwnedCodes(level);
     if (rem < own) {
       space.pos = static_cast<int>(rem) + 1;
       return space;

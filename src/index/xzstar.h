@@ -19,6 +19,7 @@
 #define TRASS_INDEX_XZSTAR_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geo/mbr.h"
@@ -85,6 +86,19 @@ class XzStar {
 
   /// First encoded value of element `seq`'s own position codes.
   int64_t ElementBaseValue(const QuadSeq& seq) const;
+
+  /// Position codes an element of sequence length `length` owns, at
+  /// values ElementBaseValue(seq) .. + OwnedCodes - 1: all ten at the
+  /// maximum resolution and at the root overflow element (length 0),
+  /// else codes 1..9 (code 10 cannot occur there).
+  int OwnedCodes(int length) const {
+    return (length == r_ || length == 0) ? 10 : 9;
+  }
+
+  /// Inclusive range of encoded values in element `seq`'s subtree: its
+  /// own codes, then its four child subtrees in depth-first order —
+  /// NumIndexSpaces(|seq|) values, or the root overflow element's 10.
+  std::pair<int64_t, int64_t> SubtreeValueRange(const QuadSeq& seq) const;
 
   // ---- geometry ----
 

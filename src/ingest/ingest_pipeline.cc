@@ -6,15 +6,11 @@
 namespace trass {
 namespace ingest {
 
-IngestPipeline::IngestPipeline(const IngestOptions& options, EncodeFn encode,
+IngestPipeline::IngestPipeline(size_t queue_capacity, EncodeFn encode,
                                CommitFn commit)
-    : options_(options),
-      encode_(std::move(encode)),
+    : encode_(std::move(encode)),
       commit_(std::move(commit)),
-      queue_(options.queue_capacity) {
-  if (options_.encode_threads > 0) {
-    encode_pool_ = std::make_unique<ThreadPool>(options_.encode_threads);
-  }
+      queue_(queue_capacity) {
   commit_thread_ = std::thread([this] { CommitLoop(); });
 }
 
@@ -56,7 +52,7 @@ void IngestPipeline::Shutdown() {
   // Release a test hold so the drain cannot deadlock.
   SetCommitHoldForTesting(false);
   if (commit_thread_.joinable()) commit_thread_.join();
-  if (encode_pool_ != nullptr) encode_pool_->Shutdown();
+  encode_pool_.Shutdown();
 }
 
 void IngestPipeline::RecordError(const Status& s) {
@@ -103,8 +99,7 @@ void IngestPipeline::CommitLoop() {
   for (;;) {
     batch.clear();
     const size_t n =
-        queue_.PopBatch(&batch, options_.batch_max_rows,
-                        options_.batch_linger_ms);
+        queue_.PopBatch(&batch, kBatchMaxRows, kBatchLingerMs);
     if (n == 0) break;  // closed and drained
 
     // Test hook: park with the batch gathered but uncommitted, so the
@@ -147,11 +142,7 @@ void IngestPipeline::CommitLoop() {
       row_status[i] = encode_(batch[i], &rows[i]);
       rows[i].seq = base + i;
     };
-    if (encode_pool_ != nullptr && n > 1) {
-      encode_pool_->ParallelFor(n, encode_one);
-    } else {
-      for (size_t i = 0; i < n; ++i) encode_one(i);
-    }
+    encode_pool_.ParallelFor(n, encode_one);
 
     std::vector<EncodedRow> ok_rows;
     ok_rows.reserve(n);

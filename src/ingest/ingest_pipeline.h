@@ -6,8 +6,8 @@
 //      1-based ticket (the ingest sequence number). A full queue makes
 //      Submit wait up to the caller's budget and then shed with
 //      Status::Busy — backpressure is explicit, never an unbounded block.
-//   2. The commit thread gathers a batch (up to batch_max_rows, lingering
-//      batch_linger_ms for concurrent producers to coalesce), encodes the
+//   2. The commit thread gathers a batch (up to kBatchMaxRows, lingering
+//      kBatchLingerMs for concurrent producers to coalesce), encodes the
 //      trajectories on a small worker pool (XZ* index + DP features are
 //      CPU-heavy and stay off the commit path), and hands the encoded
 //      rows to the commit callback — which groups them into per-region
@@ -36,7 +36,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -68,17 +67,6 @@ struct EncodedRow {
   std::vector<uint32_t> fingerprint;
 };
 
-struct IngestOptions {
-  /// Queue slots; producers shed with Busy once it is full.
-  size_t queue_capacity = 1024;
-  /// Group-commit batch bound (rows per batch).
-  size_t batch_max_rows = 256;
-  /// How long the batcher lingers for more rows once it has one.
-  double batch_linger_ms = 2.0;
-  /// Encoding workers (0 = encode inline on the commit thread).
-  size_t encode_threads = 2;
-};
-
 /// Point-in-time ingest counters (monotonic since pipeline start).
 struct IngestStatsSnapshot {
   uint64_t submitted = 0;         // Submit calls
@@ -108,8 +96,16 @@ class IngestPipeline {
   /// advances after this returns.
   using CommitFn = std::function<Status(std::vector<EncodedRow>* rows)>;
 
-  IngestPipeline(const IngestOptions& options, EncodeFn encode,
-                 CommitFn commit);
+  /// Group-commit batch bound (rows per batch).
+  static constexpr size_t kBatchMaxRows = 256;
+  /// How long the batcher lingers for more rows once it has one.
+  static constexpr double kBatchLingerMs = 2.0;
+  /// Encoding workers.
+  static constexpr size_t kEncodeThreads = 2;
+
+  /// `queue_capacity` is the number of queue slots; producers shed with
+  /// Busy once it is full.
+  IngestPipeline(size_t queue_capacity, EncodeFn encode, CommitFn commit);
   ~IngestPipeline();  // Shutdown()
 
   IngestPipeline(const IngestPipeline&) = delete;
@@ -164,12 +160,11 @@ class IngestPipeline {
   void CommitLoop();
   void RecordError(const Status& s);
 
-  const IngestOptions options_;
   const EncodeFn encode_;
   const CommitFn commit_;
 
   BoundedQueue<core::Trajectory> queue_;
-  std::unique_ptr<ThreadPool> encode_pool_;  // null when encode_threads == 0
+  ThreadPool encode_pool_{kEncodeThreads};
 
   std::atomic<uint64_t> watermark_{0};
   mutable std::mutex watermark_mu_;  // guards the cv sleep, not the value

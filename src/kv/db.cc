@@ -15,9 +15,11 @@ namespace kv {
 
 namespace {
 
+// L0 compaction picks L0 once it holds kL0CompactionTrigger files.
 // L0 ingest throttle: at kL0SlowdownTrigger L0 files each write sleeps
 // for Options::write_stall_ms so the background compactor gains ground;
 // at kL0StopTrigger writes block until a compaction shrinks L0.
+constexpr int kL0CompactionTrigger = 4;
 constexpr int kL0SlowdownTrigger = 8;
 constexpr int kL0StopTrigger = 12;
 
@@ -549,7 +551,7 @@ void DB::CompactionThreadMain() {
       for (;;) {
         if (shutting_down_.load(std::memory_order_relaxed)) break;
         const int level = versions_->PickCompactionLevel(
-            options_.l0_compaction_trigger, options_.max_bytes_for_level_base);
+            kL0CompactionTrigger, options_.max_bytes_for_level_base);
         if (level < 0) break;
         Status s = CompactOnce(&lock, level);
         if (shutting_down_.load(std::memory_order_relaxed)) break;

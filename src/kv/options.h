@@ -27,12 +27,6 @@ struct Options {
   /// Uncompressed payload per data block in an SSTable.
   size_t block_size = 4 * 1024;
 
-  /// Keys between restart points inside a data block.
-  int block_restart_interval = 16;
-
-  /// Number of L0 files that triggers a compaction into L1.
-  int l0_compaction_trigger = 4;
-
   /// Target file size for compaction outputs.
   size_t target_file_size = 2 * 1024 * 1024;
 

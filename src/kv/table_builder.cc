@@ -12,7 +12,7 @@ namespace kv {
 TableBuilder::TableBuilder(const Options& options, WritableFile* file)
     : options_(options),
       file_(file),
-      data_block_(options.block_restart_interval),
+      data_block_(kBlockRestartInterval),
       index_block_(1) {}
 
 void TableBuilder::Add(const Slice& internal_key, const Slice& value) {

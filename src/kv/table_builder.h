@@ -19,6 +19,9 @@ namespace kv {
 
 class TableBuilder {
  public:
+  /// Keys between restart points inside a data block.
+  static constexpr int kBlockRestartInterval = 16;
+
   /// `file` must remain open until Finish(); the builder does not own it.
   TableBuilder(const Options& options, WritableFile* file);
 

@@ -73,7 +73,8 @@ class VersionSet {
   void set_log_number(uint64_t n) { log_number_ = n; }
 
   /// Returns the level that should be compacted next, or -1 if none.
-  /// `l0_trigger` / `level_base_bytes` come from Options.
+  /// `l0_trigger` is the L0 file count that picks L0 (DB passes its
+  /// constant); `level_base_bytes` comes from Options.
   int PickCompactionLevel(int l0_trigger, uint64_t level_base_bytes) const;
 
  private:

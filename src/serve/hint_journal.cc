@@ -30,8 +30,8 @@ void EncodeHintRecord(uint64_t seq, size_t shard,
 
 }  // namespace
 
-HintJournal::HintJournal(kv::Env* env, std::string dir, bool sync)
-    : env_(env), dir_(std::move(dir)), sync_(sync) {}
+HintJournal::HintJournal(kv::Env* env, std::string dir)
+    : env_(env), dir_(std::move(dir)) {}
 
 HintJournal::~HintJournal() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -55,7 +55,7 @@ Status HintJournal::Open(const Options& options,
     if (!s.ok() && !env->FileExists(options.dir)) return s;
   }
   std::unique_ptr<HintJournal> j(
-      new HintJournal(env, options.dir, options.sync));
+      new HintJournal(env, options.dir));
   Status s = j->Recover();
   if (!s.ok()) return s;
   *journal = std::move(j);
@@ -72,8 +72,7 @@ Status HintJournal::Recover() {
     Slice record;
     std::string scratch;
     // A torn tail reads as end-of-log (the kv WAL convention): at most
-    // the unsynced suffix is lost, and with sync on nothing acked was
-    // in it.
+    // the unsynced suffix is lost, and every acked hint was synced.
     while (reader.ReadRecord(&record, &scratch)) {
       if (record.size() < 1) continue;
       const char type = record[0];
@@ -161,7 +160,7 @@ Status HintJournal::Append(size_t shard,
   const uint64_t seq = next_seq_++;
   std::string record;
   EncodeHintRecord(seq, shard, rows, &record);
-  Status s = AppendRecordLocked(record, sync_);
+  Status s = AppendRecordLocked(record, /*sync=*/true);
   if (!s.ok()) return s;
   PendingHint hint;
   hint.seq = seq;

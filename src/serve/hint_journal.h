@@ -3,7 +3,7 @@
 // circuit breaker), the rows destined for that shard are appended here
 // — CRC-framed records through the same kv::log machinery as the
 // store's WAL — before the write is acknowledged. A replay pass
-// (manual or the coordinator's background replayer) later re-delivers
+// (ShardCoordinator::ReplayHints) later re-delivers
 // each hint to its shard; delivery is at-least-once, which is safe
 // because TrassStore re-applies of an identical trajectory are no-ops
 // for rows, statistics, and the XZ* directory alike.
@@ -13,8 +13,9 @@
 //   applied  = 0x02 | varint seq
 // where the trajectory list is serve/wire.h's kPut payload encoding.
 // Pending = hints minus applied. Open() replays the log tolerating a
-// torn tail (a crash mid-append loses at most the unsynced suffix —
-// with sync on, nothing acked), then compacts it so applied records do
+// torn tail (every hint is synced before Append returns, the durability
+// the quorum contract relies on, so a crash mid-append loses nothing
+// acked), then compacts it so applied records do
 // not accumulate forever; the compacted file is swapped in by rename.
 //
 // Thread-safe; Append/MarkApplied serialize on one mutex (hints are
@@ -50,9 +51,6 @@ class HintJournal {
   struct Options {
     kv::Env* env = nullptr;  // nullptr: kv::Env::Default()
     std::string dir;         // created if missing
-    /// Sync every appended hint before acking (the durability the
-    /// quorum contract relies on); off only for benchmarks.
-    bool sync = true;
   };
 
   struct Stats {
@@ -73,8 +71,9 @@ class HintJournal {
   HintJournal(const HintJournal&) = delete;
   HintJournal& operator=(const HintJournal&) = delete;
 
-  /// Durably journals `rows` for `shard`; on success *seq (if non-null)
-  /// receives the hint's sequence number for MarkApplied.
+  /// Durably journals `rows` for `shard` (the record is synced before
+  /// this returns); on success *seq (if non-null) receives the hint's
+  /// sequence number for MarkApplied.
   Status Append(size_t shard, const std::vector<core::Trajectory>& rows,
                 uint64_t* seq = nullptr);
 
@@ -95,7 +94,7 @@ class HintJournal {
   const std::string& dir() const { return dir_; }
 
  private:
-  HintJournal(kv::Env* env, std::string dir, bool sync);
+  HintJournal(kv::Env* env, std::string dir);
 
   Status Recover();
   /// Rewrites the log with only the pending hints (tmp + rename), then
@@ -105,7 +104,6 @@ class HintJournal {
 
   kv::Env* env_;
   std::string dir_;
-  bool sync_;
 
   mutable std::mutex mu_;
   std::unique_ptr<kv::WritableFile> file_;

@@ -486,7 +486,6 @@ TEST(FilterEquivalence, ReopenRebuildsTier) {
 TEST(FilterIngestConsistency, WatermarkVisibleRowsNeverClaimedEmpty) {
   trass::testing::ScratchDir dir("filter_ingest");
   TrassOptions options = BaseOptions(true, 2);
-  options.ingest_batch_linger_ms = 0.5;
   std::unique_ptr<TrassStore> store;
   ASSERT_TRUE(
       TrassStore::Open(options, dir.path() + "/store", &store).ok());

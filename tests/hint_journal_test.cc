@@ -1,6 +1,6 @@
 // HintJournal: the hinted-handoff WAL behind the coordinator's quorum
-// writes — append/retire bookkeeping, durability across reopen, torn
-// tails, and compaction of applied history.
+// writes — append/retire bookkeeping, durability across reopen and
+// power loss, torn tails, and compaction of applied history.
 
 #include "serve/hint_journal.h"
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "kv/env.h"
+#include "kv/fault_injection_env.h"
 #include "test_util.h"
 
 namespace trass {
@@ -103,6 +104,34 @@ TEST(HintJournalTest, PendingHintsSurviveReopenAppliedDoNot) {
   ASSERT_TRUE(journal->Append(2, Rows(400, 1), &fresh).ok());
   EXPECT_GT(fresh, retired);
   EXPECT_EQ(journal->pending_records(), 3u);
+}
+
+// Append syncs every hint before it returns: a power loss right after
+// the ack (every unsynced byte dropped) still leaves the hint pending.
+TEST(HintJournalTest, AckedHintSurvivesPowerLoss) {
+  trass::testing::ScratchDir dir("hint_journal_power_loss");
+  kv::FaultInjectionEnv env(kv::Env::Default());
+  HintJournal::Options options;
+  options.env = &env;
+  options.dir = dir.path() + "/hints";
+  {
+    std::unique_ptr<HintJournal> journal;
+    ASSERT_TRUE(HintJournal::Open(options, &journal).ok());
+    ASSERT_TRUE(journal->Append(3, Rows(700, 2)).ok());
+    // Crash: the dying process can no longer write (so the destructor's
+    // own sync cannot rescue the record), then unsynced data is lost.
+    env.SetFilesystemActive(false);
+    ASSERT_TRUE(env.DropUnsyncedData().ok());
+  }
+  env.SetFilesystemActive(true);
+  std::unique_ptr<HintJournal> journal;
+  ASSERT_TRUE(HintJournal::Open(options, &journal).ok());
+  EXPECT_EQ(journal->pending_records(), 1u);
+  const auto hints = journal->Pending(3);
+  ASSERT_EQ(hints.size(), 1u);
+  ASSERT_EQ(hints[0].rows.size(), 2u);
+  EXPECT_EQ(hints[0].rows[0].id, 700u);
+  EXPECT_EQ(hints[0].rows[1].id, 701u);
 }
 
 TEST(HintJournalTest, ToleratesATornTail) {

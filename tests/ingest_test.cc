@@ -229,7 +229,6 @@ TEST(IngestPipelineTest, QueriesStayConsistentUnderConcurrentIngest) {
   trass::testing::ScratchDir dir("ingest_concurrent");
   TrassOptions options;
   options.shards = 4;
-  options.ingest_batch_linger_ms = 0.5;
   std::unique_ptr<TrassStore> store;
   ASSERT_TRUE(TrassStore::Open(options, dir.path() + "/store", &store).ok());
 
@@ -295,7 +294,6 @@ TEST(IngestPipelineTest, IngestRacesScrubWithoutFilterDrift) {
   trass::testing::ScratchDir dir("ingest_scrub_race");
   TrassOptions options;
   options.shards = 2;
-  options.ingest_batch_linger_ms = 0.5;
   options.filter_tier.enable = true;
   std::unique_ptr<TrassStore> store;
   ASSERT_TRUE(TrassStore::Open(options, dir.path() + "/store", &store).ok());

@@ -18,8 +18,6 @@
 #include "kv/db.h"
 #include "kv/fault_injection_env.h"
 #include "test_util.h"
-#include <chrono>
-#include <thread>
 
 #include "util/random.h"
 
@@ -384,12 +382,11 @@ TEST(StoreExhaustionTest, WatermarkVisibleRowsSurviveDiskFullTeardown) {
   EXPECT_TRUE(store->region_store()->VerifyIntegrity().ok());
 }
 
-TEST(StoreExhaustionTest, ShedsIngestWhileWedgedAndAutoResumes) {
-  trass::testing::ScratchDir dir("store_auto_resume");
+TEST(StoreExhaustionTest, ShedsIngestWhileWedgedAndResumes) {
+  trass::testing::ScratchDir dir("store_resume");
   kv::FaultInjectionEnv env(kv::Env::Default());
   TrassOptions options;
   options.shards = 2;
-  options.auto_resume_interval_ms = 20;
   options.db_options.env = &env;
   std::unique_ptr<TrassStore> store;
   ASSERT_TRUE(TrassStore::Open(options, dir.path() + "/store", &store).ok());
@@ -429,17 +426,11 @@ TEST(StoreExhaustionTest, ShedsIngestWhileWedgedAndAutoResumes) {
   EXPECT_EQ(ids.size(), 20u);
   EXPECT_GT(metrics.read_only_regions, 0u);
 
-  // Space frees; the auto-resume prober restores writability by itself.
+  // Space frees; the operator's Resume() restores writability.
   env.ClearFaults();
-  bool resumed = false;
-  for (int i = 0; i < 500; ++i) {  // up to ~10 s
-    if (store->Health().read_only_regions == 0) {
-      resumed = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  ASSERT_TRUE(resumed) << "auto-resume never cleared the wedge";
+  ASSERT_TRUE(store->Resume().ok());
+  ASSERT_EQ(store->Health().read_only_regions, 0u)
+      << "Resume never cleared the wedge";
   uint64_t ticket = 0;
   ASSERT_TRUE(store->SubmitAsync(data[22], 1000, &ticket).ok());
   ASSERT_TRUE(store->WaitForWatermark(ticket, 10000).ok());

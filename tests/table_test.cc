@@ -276,7 +276,7 @@ TEST_F(TableTest, OversizedDataHandleIsCorruption) {
     // append it with a valid trailer, and point a new footer at it.
     Block index(std::move(index_contents.data));
     std::unique_ptr<Iterator> it(index.NewIterator());
-    BlockBuilder rebuilt(options.block_restart_interval);
+    BlockBuilder rebuilt(TableBuilder::kBlockRestartInterval);
     int entry = 0;
     for (it->SeekToFirst(); it->Valid(); it->Next(), ++entry) {
       BlockHandle handle;
@@ -315,7 +315,7 @@ TEST_F(TableTest, OversizedDataHandleIsCorruption) {
 // of detecting all 1-bit errors.
 TEST(BlockChecksumTest, EveryBitFlipIsCorruption) {
   const Options options;
-  BlockBuilder builder(options.block_restart_interval);
+  BlockBuilder builder(TableBuilder::kBlockRestartInterval);
   for (int i = 0; builder.CurrentSizeEstimate() < options.block_size; ++i) {
     builder.Add(IKey(UserKey(i)), "value-" + std::to_string(i));
   }

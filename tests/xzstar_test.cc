@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "geo/point.h"
 #include "util/random.h"
 
@@ -126,6 +128,94 @@ TEST(XzStarTest, EncodeDecodeBijectiveRandomAtFullResolution) {
     const int64_t value =
         static_cast<int64_t>(rnd.Uniform(xz.TotalIndexSpaces()));
     ASSERT_EQ(xz.Encode(xz.Decode(value)), value);
+  }
+}
+
+// True when `seq` is `element` or one of its descendants.
+bool InSubtree(const QuadSeq& element, const QuadSeq& seq) {
+  if (seq.length() < element.length()) return false;
+  for (int i = 0; i < element.length(); ++i) {
+    if (seq.digit(i) != element.digit(i)) return false;
+  }
+  return true;
+}
+
+// The element layout the pruners and the top-k / range walks rely on:
+// an element's own codes come first and decode to (seq, 1..OwnedCodes),
+// every value of SubtreeValueRange decodes into its subtree, and the
+// values just outside the range do not.
+void CheckElementLayout(const XzStar& xz, const QuadSeq& seq,
+                        bool every_value) {
+  const auto [lo, hi] = xz.SubtreeValueRange(seq);
+  ASSERT_EQ(lo, xz.ElementBaseValue(seq));
+  const int owned = xz.OwnedCodes(seq.length());
+  for (int pos = 1; pos <= owned; ++pos) {
+    const XzStar::IndexSpace space = xz.Decode(lo + pos - 1);
+    ASSERT_TRUE(space.seq == seq) << "length " << seq.length();
+    ASSERT_EQ(space.pos, pos);
+  }
+  ASSERT_GE(hi - lo + 1, owned);
+  auto check = [&](int64_t value) {
+    ASSERT_TRUE(InSubtree(seq, xz.Decode(value).seq)) << value;
+  };
+  if (every_value) {
+    for (int64_t value = lo; value <= hi; ++value) check(value);
+  } else {
+    check(hi);
+    Random rnd(static_cast<uint64_t>(lo));
+    for (int i = 0; i < 64; ++i) {
+      check(lo + static_cast<int64_t>(
+                     rnd.Uniform(static_cast<uint64_t>(hi - lo + 1))));
+    }
+  }
+  // Every sequence descends from the root, so its neighbours are not
+  // told apart by InSubtree.
+  if (seq.length() == 0) return;
+  if (lo > 0) {
+    EXPECT_FALSE(InSubtree(seq, xz.Decode(lo - 1).seq));
+  }
+  if (hi + 1 < xz.TotalIndexSpaces()) {
+    EXPECT_FALSE(InSubtree(seq, xz.Decode(hi + 1).seq));
+  }
+}
+
+TEST(XzStarTest, ElementLayoutOwnedCodesAndSubtreeRange) {
+  XzStar xz(3);
+  EXPECT_EQ(xz.OwnedCodes(0), 10);
+  EXPECT_EQ(xz.OwnedCodes(1), 9);
+  EXPECT_EQ(xz.OwnedCodes(3), 10);
+  // Every element up to the maximum resolution, every value checked.
+  std::vector<QuadSeq> frontier = {QuadSeq()};
+  int elements = 0;
+  while (!frontier.empty()) {
+    const QuadSeq seq = frontier.back();
+    frontier.pop_back();
+    CheckElementLayout(xz, seq, /*every_value=*/true);
+    ++elements;
+    if (seq.length() < xz.max_resolution()) {
+      for (int q = 0; q < 4; ++q) frontier.push_back(seq.Child(q));
+    }
+  }
+  EXPECT_EQ(elements, 1 + 4 + 16 + 64);
+  // The root bucket and the four top-level subtrees tile every value.
+  EXPECT_EQ(xz.SubtreeValueRange(QuadSeq()).second,
+            xz.TotalIndexSpaces() - 1);
+  EXPECT_EQ(xz.SubtreeValueRange(QuadSeq().Child(3)).second + 1,
+            xz.SubtreeValueRange(QuadSeq()).first);
+
+  // Random elements of every length at the paper's resolution; the
+  // subtrees are too large to enumerate, so values are sampled.
+  XzStar xz16(16);
+  EXPECT_EQ(xz16.OwnedCodes(16), 10);
+  EXPECT_EQ(xz16.OwnedCodes(15), 9);
+  Random rnd(71);
+  for (int iter = 0; iter < 400; ++iter) {
+    QuadSeq seq;
+    const int length = 1 + static_cast<int>(rnd.Uniform(16));
+    for (int l = 0; l < length; ++l) {
+      seq = seq.Child(static_cast<int>(rnd.Uniform(4)));
+    }
+    CheckElementLayout(xz16, seq, /*every_value=*/length == 16);
   }
 }
 
