@@ -132,31 +132,52 @@ Status TopKRefiner::RefineBatch(const std::vector<StoredTrajectory>& candidates,
 
 void TopKRefiner::Offer(const SearchResult& r) {
   if (k_ == 0) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (heap_.size() < k_) {
+      heap_.push(r);
+    } else if (r < heap_.top()) {
+      // Ties at the k-th distance resolve by id — the (distance, id)
+      // total order is what makes parallel refinement sequentially
+      // equivalent.
+      heap_.pop();
+      heap_.push(r);
+    } else {
+      return;  // the cell already holds k results at least as good
+    }
+  }
+  bound_->Offer(r);
+}
+
+void TopKBoundCell::Offer(const SearchResult& r) {
+  // Above the value a result cannot move it: the k-th of any set
+  // holding r is then at least r's distance.
+  if (k_ == 0 || r.distance > value()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (heap_.size() < k_) {
-    heap_.push(r);
-    if (heap_.size() == k_) Tighten(heap_.top().distance);
-    return;
+  if (heap_.size() == k_ && !(r < heap_.front())) return;
+  const auto same =
+      std::find_if(heap_.begin(), heap_.end(),
+                   [&r](const SearchResult& e) { return e.id == r.id; });
+  if (same != heap_.end()) {
+    if (same->distance <= r.distance) return;  // a replica's repeat
+    *same = r;
+    std::make_heap(heap_.begin(), heap_.end());
+  } else if (heap_.size() < k_) {
+    heap_.push_back(r);
+    std::push_heap(heap_.begin(), heap_.end());
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end());
+    heap_.back() = r;
+    std::push_heap(heap_.begin(), heap_.end());
   }
-  // Ties at the k-th distance resolve by id — the (distance, id) total
-  // order is what makes parallel refinement sequentially equivalent.
-  if (r < heap_.top()) {
-    heap_.pop();
-    heap_.push(r);
-    Tighten(heap_.top().distance);
-  }
+  if (heap_.size() == k_) Lower(heap_.front().distance);
 }
 
-void TopKRefiner::Tighten(double kth) {
-  bound_.store(kth, std::memory_order_relaxed);
-  if (shared_bound_ != nullptr) LowerBoundCell(shared_bound_, kth);
-}
-
-void LowerBoundCell(std::atomic<double>* cell, double value) {
-  double current = cell->load(std::memory_order_relaxed);
-  while (value < current &&
-         !cell->compare_exchange_weak(current, value,
-                                      std::memory_order_relaxed)) {
+void TopKBoundCell::Lower(double v) {
+  double current = value_.load(std::memory_order_relaxed);
+  while (v < current &&
+         !value_.compare_exchange_weak(current, v,
+                                       std::memory_order_relaxed)) {
   }
 }
 

@@ -16,10 +16,10 @@
 //     ThreadPool::ParallelFor in contiguous chunks, polling the
 //     QueryContext before every candidate;
 //   - for top-k, shares one monotonically tightening k-th-distance bound
-//     (an atomic) across all workers and batches, so one worker's
+//     (a TopKBoundCell) across all workers and batches, so one worker's
 //     improvement shrinks every other worker's early-abandon threshold;
-//     behind the shard coordinator a second, query-wide cell carries the
-//     other shards' k-th distances in too (TopKRefiner below).
+//     behind the shard coordinator the cell is query-wide, so it holds
+//     the k best results of every shard and prunes at the merged k-th.
 //
 // Determinism contract: for a fixed candidate set the results are
 // identical to serial execution regardless of thread count. Threshold
@@ -127,34 +127,68 @@ class Refiner {
   size_t threads_;
 };
 
-/// Lowers a shared top-k bound cell to `value` when that is smaller
-/// (an atomic min); the cell never rises.
-void LowerBoundCell(std::atomic<double>* cell, double value);
+/// The live k-th distance of one top-k query: the k smallest distinct
+/// (distance, id) results offered by every session refining for it.
+/// Behind the shard coordinator one cell is shared by every shard
+/// attempt, so each prunes at the merged k-th of all shards, not its
+/// own; alone, a TopKRefiner keeps a private one.
+///
+/// Soundness: every finite value() is the k-th distance of k distinct
+/// trajectories the query ranks (or a Lower() seed that is one), so it
+/// never drops below the query's global k-th distance. Pruning levels
+/// reject only at distance > value(), so a tie at the bound survives.
+/// Offers dedup by id, because replicas and hedges answer the same
+/// trajectory. Thread-safe; value() is lock-free.
+class TopKBoundCell {
+ public:
+  explicit TopKBoundCell(size_t k) : k_(k) {}
+
+  TopKBoundCell(const TopKBoundCell&) = delete;
+  TopKBoundCell& operator=(const TopKBoundCell&) = delete;
+
+  /// +inf until k distinct ids are in (or a Lower() seed), then the
+  /// k-th smallest offered distance. Never rises.
+  double value() const { return value_.load(std::memory_order_relaxed); }
+
+  /// Offers one exact result. A repeated id counts once, at its
+  /// smallest distance.
+  void Offer(const SearchResult& r);
+
+  /// Seeds the value with `v` when that is smaller, adding no entry:
+  /// `v` must be an upper bound on the query's k-th distance (the bound
+  /// a socket shard receives at launch).
+  void Lower(double v);
+
+ private:
+  const size_t k_;
+  std::mutex mu_;
+  std::vector<SearchResult> heap_;  // max-heap by (distance, id), <= k
+  std::atomic<double> value_{std::numeric_limits<double>::infinity()};
+};
 
 /// One top-k refinement session: feeds batches of candidates through
 /// the engine against a shared, monotonically tightening k-th-distance
-/// bound. Without a shared cell the final contents are exactly the k
-/// smallest (distance, id) results among all offered candidates —
-/// identical to serial execution. With one, they hold every one of those
+/// bound. Alone, the final contents are exactly the k smallest
+/// (distance, id) results among all offered candidates — identical to
+/// serial execution. Behind a shared cell, they hold every one of those
 /// k at distance <= the cell's final value (and may hold more).
 ///
-/// `shared_bound` (optional, caller-owned, outliving the session) is a
-/// bound cell several sessions share: the shard coordinator gives each
-/// top-k query one, so every shard prunes at the tightest k-th distance
-/// any shard has found. The session prunes at min(own k-th, cell) and
-/// CAS-mins its own k-th into the cell whenever it tightens. Every value
-/// in the cell must be the k-th distance of k distinct trajectories the
-/// query ranks, so it never drops below the global k-th; every level
-/// rejects only at distance > bound, so a tie at the bound survives.
+/// `shared_bound` (optional, caller-owned, outliving the session, built
+/// for the same k) is the query's TopKBoundCell when several sessions
+/// refine for one query: the shard coordinator gives each top-k query
+/// one. Every result the session's own heap accepts is offered into the
+/// cell, so the cell's k-th is never above the session's own, and the
+/// session prunes at the cell alone. Null: a private cell.
 class TopKRefiner {
  public:
   TopKRefiner(const Refiner* engine, const QueryGeometry* query, size_t k,
-              Measure measure, std::atomic<double>* shared_bound = nullptr)
+              Measure measure, TopKBoundCell* shared_bound = nullptr)
       : engine_(engine),
         query_(query),
         k_(k),
         measure_(measure),
-        shared_bound_(shared_bound) {}
+        own_bound_(k),
+        bound_(shared_bound != nullptr ? shared_bound : &own_bound_) {}
 
   TopKRefiner(const TopKRefiner&) = delete;
   TopKRefiner& operator=(const TopKRefiner&) = delete;
@@ -163,14 +197,9 @@ class TopKRefiner {
   Status RefineBatch(const std::vector<StoredTrajectory>& candidates,
                      const QueryContext* control, RefineStats* stats);
 
-  /// The pruning bound: the current k-th distance (+inf until k results
-  /// exist), capped by the shared cell. Never rises; safe to read
-  /// concurrently with a running batch.
-  double CurrentBound() const {
-    const double own = bound_.load(std::memory_order_relaxed);
-    if (shared_bound_ == nullptr) return own;
-    return std::min(own, shared_bound_->load(std::memory_order_relaxed));
-  }
+  /// The pruning bound: the cell's k-th distance (+inf until k results
+  /// exist). Never rises; safe to read concurrently with a running batch.
+  double CurrentBound() const { return bound_->value(); }
 
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -182,9 +211,6 @@ class TopKRefiner {
 
  private:
   void Offer(const SearchResult& r);
-  /// Stores the heap's new k-th distance and CAS-mins it into the
-  /// shared cell. Caller holds mu_.
-  void Tighten(double kth);
 
   const Refiner* engine_;
   const QueryGeometry* query_;
@@ -192,8 +218,8 @@ class TopKRefiner {
   const Measure measure_;
   mutable std::mutex mu_;
   std::priority_queue<SearchResult> heap_;  // worst of the best k on top
-  std::atomic<double> bound_{std::numeric_limits<double>::infinity()};
-  std::atomic<double>* const shared_bound_;
+  TopKBoundCell own_bound_;
+  TopKBoundCell* const bound_;
 };
 
 }  // namespace core

@@ -559,7 +559,7 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
                                       int k, Measure measure,
                                       const QueryContext* control,
                                       bool allow_partial,
-                                      std::atomic<double>* shared_bound,
+                                      TopKBoundCell* shared_bound,
                                       std::vector<SearchResult>* results,
                                       QueryMetrics* m) {
   TotalTimer total(m);
@@ -602,8 +602,8 @@ Status TrassStore::TopKSearchInternal(const std::vector<geo::Point>& query,
   // distance bound it maintains doubles as the best-first exploration's
   // pruning eps, so a refine worker's improvement immediately shrinks
   // both the other workers' early-abandon threshold and the frontier.
-  // Behind the coordinator that bound also folds in the other shards'
-  // k-th distances through the query's shared cell.
+  // Behind the coordinator that bound is the query's shared cell, the
+  // merged k-th over every shard's results.
   TopKRefiner topk(refiner_.get(), &ctx, static_cast<size_t>(k), measure,
                    shared_bound);
   auto current_eps = [&]() { return topk.CurrentBound(); };

@@ -106,12 +106,13 @@ struct QueryOptions {
   bool allow_partial = false;
 
   /// TopKSearch only: the shard coordinator's bound cell for this query
-  /// (serve/coordinator.h), shared by every shard it asks. The search
-  /// prunes at min(own k-th distance, *topk_bound) and lowers the cell
-  /// to its own k-th distance whenever that tightens; it then returns
-  /// its k smallest results at distance <= the cell (and perhaps some
-  /// beyond). Null: a plain top-k. Must outlive the call.
-  std::atomic<double>* topk_bound = nullptr;
+  /// (serve/coordinator.h), built for the same k and shared by every
+  /// shard it asks. The search offers each result it accepts into the
+  /// cell and prunes at the cell's value, the merged k-th of every
+  /// shard; it then returns its k smallest results at distance <= the
+  /// cell (and perhaps some beyond). Null: a plain top-k. Must outlive
+  /// the call.
+  TopKBoundCell* topk_bound = nullptr;
 };
 
 /// Store-wide availability snapshot (see TrassStore::Health): the
@@ -316,7 +317,7 @@ class TrassStore {
   Status TopKSearchInternal(const std::vector<geo::Point>& query, int k,
                             Measure measure, const QueryContext* control,
                             bool allow_partial,
-                            std::atomic<double>* shared_bound,
+                            TopKBoundCell* shared_bound,
                             std::vector<SearchResult>* results,
                             QueryMetrics* m);
 

@@ -5,9 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <future>
-#include <limits>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -155,33 +153,6 @@ struct ShardCoordinator::QueryState {
     }
     return true;
   }
-  /// Current merged k-th distance across resolved shards (infinity
-  /// until k results have merged), folded into the query's bound cell
-  /// as each slot completes. Dedups by id first: with replication a
-  /// trajectory can answer from two replicas, and counting it twice
-  /// would tighten the bound past the true k-th distance and prune real
-  /// answers. Caller holds mu.
-  double CurrentTopKBound() const {
-    if (base.op != ShardOp::kTopK || base.k <= 0) {
-      return std::numeric_limits<double>::infinity();
-    }
-    std::unordered_map<uint64_t, double> best;
-    for (const Slot& slot : slots) {
-      if (slot.state != Slot::S::kDone) continue;
-      for (const core::SearchResult& r : slot.response.results) {
-        auto [it, inserted] = best.emplace(r.id, r.distance);
-        if (!inserted && r.distance < it->second) it->second = r.distance;
-      }
-    }
-    const size_t k = static_cast<size_t>(base.k);
-    if (best.size() < k) return std::numeric_limits<double>::infinity();
-    std::vector<double> distances;
-    distances.reserve(best.size());
-    for (const auto& [id, distance] : best) distances.push_back(distance);
-    std::nth_element(distances.begin(), distances.begin() + (k - 1),
-                     distances.end());
-    return distances[k - 1];
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -260,7 +231,7 @@ void ShardCoordinator::LaunchAttempt(const std::shared_ptr<QueryState>& state,
   request.deadline_ms = ShardBudgetMs(control);
   if (request.topk_bound != nullptr) {
     // What a socket shard sees of the live cell: its value now.
-    request.bound = request.topk_bound->load(std::memory_order_relaxed);
+    request.bound = request.topk_bound->value();
   }
 
   std::shared_ptr<ShardTransport> transport = transports_[shard];
@@ -313,10 +284,11 @@ void ShardCoordinator::OnAttemptComplete(
       slot.retry_scheduled = false;
       state->unresolved--;
       if (state->base.topk_bound != nullptr) {
-        // The merged k-th over every answered shard can be tighter than
-        // any one shard's; later attempts prune at it.
-        core::LowerBoundCell(state->base.topk_bound.get(),
-                             state->CurrentTopKBound());
+        // An in-process shard offered these as it found them; a socket
+        // shard's results reach the cell only here. Repeats count once.
+        for (const core::SearchResult& r : slot.response.results) {
+          state->base.topk_bound->Offer(r);
+        }
       }
       if (is_hedge) {
         state->hedge_wins++;
@@ -919,10 +891,10 @@ Status ShardCoordinator::TopKSearch(const std::vector<geo::Point>& query, int k,
   base.measure = measure;
   base.max_candidates = options.max_candidates;
   base.allow_partial = options.allow_partial;
-  // One bound cell per query: every shard attempt prunes at it and
-  // lowers it to its own k-th distance as that tightens.
-  base.topk_bound = std::make_shared<std::atomic<double>>(
-      std::numeric_limits<double>::infinity());
+  // One bound cell per query: every shard attempt offers its results
+  // into it and prunes at the merged k-th it holds.
+  base.topk_bound =
+      std::make_shared<core::TopKBoundCell>(static_cast<size_t>(k));
 
   std::shared_ptr<QueryState> state;
   const Status s = FanOut(base, &control, &state, m);

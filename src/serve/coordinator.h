@@ -55,19 +55,19 @@
 //     unabsorbable fault fails the query with the shard attributed.
 //
 // Top-k queries share one live k-th-distance bound across shards: each
-// query gets one bound cell (an atomic that only falls), every in-process
-// shard prunes its best-first search, local filter and DP early-abandon
-// at min(own k-th, cell) and lowers the cell whenever its own k-th
-// distance tightens, and each completed slot folds the merged k-th over
-// all answered shards into it. A value in the cell is always the k-th
-// distance of k distinct stored trajectories, so it never drops below
-// the global k-th, and shards reject only at distance > bound, so the
-// merge's (distance, id) order still picks the lower id at a tie — the
-// merged answer stays exact. Socket shards cannot see the live cell;
-// each attempt carries the cell's value at launch in
-// ShardRequest::bound. With replication the merged fold dedups by id
-// first, so a trajectory answered by two replicas cannot over-tighten
-// it.
+// query gets one core::TopKBoundCell holding the k smallest distinct
+// (distance, id) results offered by every shard attempt. An in-process
+// shard offers each result its own heap accepts and prunes its
+// best-first search, local filter and DP early-abandon at the cell's
+// value, the merged k-th over every shard; each completed slot offers
+// its answer too. The cell dedups by id, so a trajectory answered by
+// two replicas or by a hedge counts once. A value in the cell is always
+// the k-th distance of k distinct stored trajectories, so it never
+// drops below the global k-th, and shards reject only at distance >
+// bound, so the merge's (distance, id) order still picks the lower id
+// at a tie — the merged answer stays exact. Socket shards cannot see
+// the live cell; each attempt carries the cell's value at launch in
+// ShardRequest::bound.
 //
 // Thread-safe: queries may run concurrently; hedges/retries of one
 // query share its internal state under one mutex. Transports and the

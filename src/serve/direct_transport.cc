@@ -1,7 +1,6 @@
 #include "serve/direct_transport.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <utility>
 
@@ -143,10 +142,10 @@ Status ExecuteOnStore(core::TrassStore* store, const ShardRequest& request,
       // Off the wire there is no live cell, only the bound the
       // coordinator read at launch; a local cell seeded with it prunes
       // from the first scan.
-      std::atomic<double> local_bound{request.bound};
-      if (options.topk_bound == nullptr && std::isfinite(request.bound)) {
-        options.topk_bound = &local_bound;
-      }
+      core::TopKBoundCell local_bound(
+          request.k > 0 ? static_cast<size_t>(request.k) : 0);
+      local_bound.Lower(request.bound);
+      if (options.topk_bound == nullptr) options.topk_bound = &local_bound;
       return store->TopKSearch(request.query, request.k, request.measure,
                                &response->results, &response->metrics,
                                options);

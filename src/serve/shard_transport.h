@@ -51,6 +51,10 @@
 #include "util/status.h"
 
 namespace trass {
+namespace core {
+class TopKBoundCell;  // core/refiner.h
+}  // namespace core
+
 namespace serve {
 
 // Contiguous from kThreshold to kFingerprint: the wire codec rejects
@@ -88,20 +92,20 @@ struct ShardRequest {
   core::Measure measure = core::Measure::kFrechet;
   geo::Mbr window;                // kRange
 
-  /// kTopK: the query's bound cell as it stood when the attempt
-  /// launched (an upper bound on the global k-th distance; +inf on the
-  /// first wave). This is what crosses a process boundary: a shard that
-  /// gets no `topk_bound` cell seeds a local one with it, so a finite
-  /// bound prunes from the start. The shard still runs a top-k and
-  /// returns its k smallest results at distance <= bound — a superset
-  /// of its share of the global answer.
+  /// kTopK: the query's bound cell's value when the attempt launched
+  /// (an upper bound on the global k-th distance; +inf on the first
+  /// wave). This is what crosses a process boundary: a shard that gets
+  /// no `topk_bound` cell seeds a local k-sized one with it
+  /// (TopKBoundCell::Lower), so a finite bound prunes from the start.
+  /// The shard still runs a top-k and returns its k smallest results at
+  /// distance <= bound — a superset of its share of the global answer.
   double bound = std::numeric_limits<double>::infinity();
 
   /// kTopK, in process only (never serialised): the coordinator's bound
   /// cell for this query, shared by every shard attempt. Each shard
-  /// prunes at min(own k-th, cell) and lowers the cell whenever its own
-  /// k-th distance tightens (core::QueryOptions::topk_bound).
-  std::shared_ptr<std::atomic<double>> topk_bound;
+  /// offers the results it accepts into it and prunes at its value, the
+  /// merged k-th over all shards (core::QueryOptions::topk_bound).
+  std::shared_ptr<core::TopKBoundCell> topk_bound;
 
   // Per-attempt limits from the caller's query options.
   double deadline_ms = 0.0;       // <= 0: undeadlined

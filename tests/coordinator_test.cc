@@ -1906,7 +1906,7 @@ class TurnTransport : public ShardTransport {
       return Status::Cancelled("turn never came");
     }
     const double cell = request.topk_bound != nullptr
-                            ? request.topk_bound->load()
+                            ? request.topk_bound->value()
                             : std::numeric_limits<double>::quiet_NaN();
     const Status s = inner_->Execute(request, cancel, response);
     turns_->Finish(shard_, cell);

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "baselines/brute_force.h"
@@ -314,6 +315,160 @@ TEST(TopKRefinerTest, TieAtTheBoundKeepsTheLowerIdInEitherOrder) {
       EXPECT_EQ(got[0].id, 1u) << MeasureName(measure) << " first offered "
                                << rows[0].id;
     }
+  }
+}
+
+// ---- the top-k bound cell: the k best distinct (distance, id) ----
+
+TEST(TopKBoundCellTest, RepeatedIdCountsOnce) {
+  TopKBoundCell cell(2);
+  cell.Offer(SearchResult{1, 0.5});
+  cell.Offer(SearchResult{1, 0.5});
+  EXPECT_EQ(cell.value(), kInf);  // one distinct id, k = 2
+  cell.Offer(SearchResult{1, 0.25});
+  EXPECT_EQ(cell.value(), kInf);
+  cell.Offer(SearchResult{2, 0.75});
+  EXPECT_EQ(cell.value(), 0.75);
+}
+
+TEST(TopKBoundCellTest, InfiniteUntilKDistinctThenNeverRises) {
+  TopKBoundCell cell(3);
+  cell.Offer(SearchResult{1, 0.9});
+  cell.Offer(SearchResult{2, 0.4});
+  EXPECT_EQ(cell.value(), kInf);
+  cell.Offer(SearchResult{3, 0.6});
+  EXPECT_EQ(cell.value(), 0.9);
+  double last = cell.value();
+  Random rnd(77);
+  for (uint64_t id = 4; id < 200; ++id) {
+    cell.Offer(SearchResult{id, rnd.UniformDouble(0.0, 2.0)});
+    EXPECT_LE(cell.value(), last) << "id " << id;
+    last = cell.value();
+  }
+}
+
+TEST(TopKBoundCellTest, LowerSeedsTheValueWithoutEntries) {
+  TopKBoundCell cell(2);
+  cell.Lower(0.5);
+  EXPECT_EQ(cell.value(), 0.5);
+  cell.Lower(0.8);  // never rises
+  EXPECT_EQ(cell.value(), 0.5);
+  // The seed holds no entry: one offer below it still leaves the cell
+  // one id short of k.
+  cell.Offer(SearchResult{1, 0.1});
+  EXPECT_EQ(cell.value(), 0.5);
+  cell.Offer(SearchResult{2, 0.3});
+  EXPECT_EQ(cell.value(), 0.3);
+}
+
+TEST(TopKBoundCellTest, TieAtTheKthWithAHigherIdLeavesTheValue) {
+  TopKBoundCell cell(2);
+  cell.Offer(SearchResult{1, 0.2});
+  cell.Offer(SearchResult{5, 0.4});
+  ASSERT_EQ(cell.value(), 0.4);
+  cell.Offer(SearchResult{7, 0.4});
+  EXPECT_EQ(cell.value(), 0.4);
+  cell.Offer(SearchResult{3, 0.4});  // displaces id 5 at the same distance
+  EXPECT_EQ(cell.value(), 0.4);
+  cell.Offer(SearchResult{9, 0.3});
+  EXPECT_EQ(cell.value(), 0.3);
+}
+
+// Four threads offer random results (ids repeat within and across
+// threads, distances are coarse so ties occur); the cell ends at the
+// k-th of the id-deduped union sorted by (distance, id), computed
+// serially.
+TEST(TopKBoundCellTest, ConcurrentOffersEndAtTheSerialKth) {
+  constexpr int kThreads = 4;
+  constexpr int kOffersPerThread = 2000;
+  for (const size_t k : {size_t{1}, size_t{10}, size_t{50}}) {
+    std::vector<std::vector<SearchResult>> offers(kThreads);
+    Random rnd(1000 + k);
+    for (auto& thread_offers : offers) {
+      for (int i = 0; i < kOffersPerThread; ++i) {
+        thread_offers.push_back(SearchResult{
+            rnd.Uniform(400), static_cast<double>(rnd.Uniform(512)) / 64});
+      }
+    }
+    std::map<uint64_t, double> best;  // id -> smallest distance offered
+    for (const auto& thread_offers : offers) {
+      for (const SearchResult& r : thread_offers) {
+        auto [it, inserted] = best.emplace(r.id, r.distance);
+        if (!inserted) it->second = std::min(it->second, r.distance);
+      }
+    }
+    std::vector<SearchResult> merged;
+    for (const auto& [id, distance] : best) {
+      merged.push_back(SearchResult{id, distance});
+    }
+    std::sort(merged.begin(), merged.end());
+    ASSERT_GE(merged.size(), k);
+
+    TopKBoundCell cell(k);
+    std::vector<std::thread> threads;
+    for (const auto& thread_offers : offers) {
+      threads.emplace_back([&cell, &thread_offers] {
+        for (const SearchResult& r : thread_offers) cell.Offer(r);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(cell.value(), merged[k - 1].distance) << "k=" << k;
+  }
+}
+
+// Two serial sessions of one query share a cell, each holding fewer
+// than k results of its own: neither session's k-th exists, but the
+// cell reads the merged k-th, and a later candidate above it is
+// rejected by the cascade or abandoned by the DP, never kept.
+TEST_F(RefinerEngineTest, SessionsSharingACellPruneAtTheMergedKth) {
+  constexpr size_t k = 10;
+  Refiner serial(nullptr, 1);
+  QueryContext control;
+  for (Measure measure : kMeasures) {
+    SCOPED_TRACE(MeasureName(measure));
+    std::vector<std::pair<SearchResult, size_t>> ranked;  // (result, row)
+    for (size_t i = 0; i < candidates_.size(); ++i) {
+      ranked.push_back(
+          {SearchResult{data_[i].id,
+                        Similarity(measure, query_points_, data_[i].points)},
+           i});
+    }
+    std::sort(ranked.begin(), ranked.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    const double kth = ranked[k - 1].first.distance;
+    // The best k alternate between the sessions; every row strictly
+    // beyond the k-th distance is a later candidate for session one.
+    std::vector<StoredTrajectory> one, two, beyond;
+    for (size_t rank = 0; rank < k; ++rank) {
+      (rank % 2 == 0 ? one : two).push_back(candidates_[ranked[rank].second]);
+    }
+    for (size_t rank = k; rank < ranked.size(); ++rank) {
+      if (ranked[rank].first.distance > kth) {
+        beyond.push_back(candidates_[ranked[rank].second]);
+      }
+    }
+    ASSERT_FALSE(beyond.empty());
+
+    TopKBoundCell cell(k);
+    TopKRefiner first(&serial, &query_, k, measure, &cell);
+    TopKRefiner second(&serial, &query_, k, measure, &cell);
+    RefineStats stats;
+    ASSERT_TRUE(first.RefineBatch(one, &control, &stats).ok());
+    ASSERT_TRUE(second.RefineBatch(two, &control, &stats).ok());
+    ASSERT_EQ(first.size(), k / 2);
+    ASSERT_EQ(second.size(), k / 2);
+    EXPECT_EQ(cell.value(), kth);
+    EXPECT_EQ(first.CurrentBound(), kth);
+
+    RefineStats later;
+    ASSERT_TRUE(first.RefineBatch(beyond, &control, &later).ok());
+    EXPECT_EQ(first.size(), k / 2);  // none kept
+    EXPECT_EQ(later.refined, beyond.size());
+    // DTW's cascade is Lemma 12 alone; here the DP abandons every row.
+    if (measure != Measure::kDtw) EXPECT_GT(later.lb_rejected, 0u);
+    // Every row the cascade let through ran a DP that abandoned it.
+    EXPECT_EQ(later.lb_rejected + later.dp_runs, beyond.size());
+    EXPECT_EQ(cell.value(), kth);
   }
 }
 

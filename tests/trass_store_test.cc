@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -197,9 +196,9 @@ TEST_F(TrassStoreTest, TopKMatchesBruteForceOtherMeasures) {
 }
 
 // QueryOptions::topk_bound, the shard coordinator's shared cell: a
-// search whose cell already holds the true k-th distance answers
-// exactly as an unseeded one with no more DPs, and a search publishes
-// its own k-th distance into the cell.
+// search whose cell is seeded with the true k-th distance answers
+// exactly as an unseeded one with no more DPs, and a search offers its
+// results into the cell, which then reads its own k-th distance.
 TEST_F(TrassStoreTest, TopKSharedBoundCellPrunesWithoutChangingTheAnswer) {
   OpenStore();
   const auto data = trass::testing::RandomDataset(16, 300);
@@ -213,7 +212,7 @@ TEST_F(TrassStoreTest, TopKSharedBoundCellPrunesWithoutChangingTheAnswer) {
                                  " k=" + std::to_string(k);
         std::vector<SearchResult> unseeded, seeded;
         QueryMetrics unseeded_m, seeded_m;
-        std::atomic<double> cell{std::numeric_limits<double>::infinity()};
+        TopKBoundCell cell(static_cast<size_t>(k));
         QueryOptions options;
         options.topk_bound = &cell;
         ASSERT_TRUE(store_
@@ -223,9 +222,11 @@ TEST_F(TrassStoreTest, TopKSharedBoundCellPrunesWithoutChangingTheAnswer) {
         ASSERT_EQ(unseeded.size(), static_cast<size_t>(k)) << what;
         const double kth = unseeded.back().distance;
         // A lone store's published k-th is its own.
-        EXPECT_EQ(cell.load(), kth) << what;
+        EXPECT_EQ(cell.value(), kth) << what;
 
-        cell.store(kth);
+        TopKBoundCell seeded_cell(static_cast<size_t>(k));
+        seeded_cell.Lower(kth);
+        options.topk_bound = &seeded_cell;
         ASSERT_TRUE(store_
                         ->TopKSearch(data[probe].points, k, measure, &seeded,
                                      &seeded_m, options)
@@ -237,7 +238,7 @@ TEST_F(TrassStoreTest, TopKSharedBoundCellPrunesWithoutChangingTheAnswer) {
               << what << " rank " << i;
         }
         EXPECT_LE(seeded_m.refine_dp_runs, unseeded_m.refine_dp_runs) << what;
-        EXPECT_LE(cell.load(), seeded.back().distance) << what;
+        EXPECT_LE(seeded_cell.value(), seeded.back().distance) << what;
       }
     }
   }
